@@ -2,7 +2,7 @@
 // scheduling requests and reports client-side latency percentiles and
 // throughput. It is the measurement companion of cmd/ratsd: the server's
 // /metrics endpoint reports what the service observed, loadgen reports
-// what a client experienced — queueing, batching and HTTP included.
+// what a client experienced — queueing and HTTP included.
 //
 // Usage:
 //
@@ -16,8 +16,8 @@
 // behaviour. The exit status is nonzero if any request fails.
 //
 // -out FILE writes one JSON line per answered request: the server-side
-// serve.RequestMetrics record from the response envelope (queue wait,
-// batch size, pipeline phase times, engine counters) joined with the
+// serve.RequestMetrics record from the response envelope (decode time,
+// queue wait, pipeline phase times, engine counters) joined with the
 // client-observed latency — the raw rows behind the percentile summary,
 // ready for jq or a dataframe.
 package main

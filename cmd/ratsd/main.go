@@ -1,15 +1,14 @@
-// Command ratsd is the batched scheduling service: a long-running
-// HTTP+JSON daemon over the rats pipeline. Requests with an identical
-// (cluster, options) configuration are grouped into batches and executed
-// from a pool of reusable scheduler contexts, so sustained request
+// Command ratsd is the scheduling service: a long-running HTTP+JSON
+// daemon over the rats pipeline. Accepted requests run in arrival order,
+// at most -workers at a time, each as soon as a slot is free, with
+// scheduler contexts reused from a per-cluster pool, so sustained request
 // streams pay the marginal cost of one mapping run, not the setup cost of
 // a fresh scheduler.
 //
 // Usage:
 //
-//	ratsd [-addr :8080] [-max-batch 16] [-max-wait 2ms] [-max-queue 1024]
-//	      [-workers N] [-timeout 30s] [-profile fast] [-log-level info]
-//	      [-pprof]
+//	ratsd [-addr :8080] [-max-queue 1024] [-workers N] [-map-workers 0]
+//	      [-timeout 30s] [-profile fast] [-log-level info] [-pprof]
 //
 // -profile sets the default speed profile ("fast" or "reference") for
 // requests that do not carry their own "profile" field; per-request
@@ -48,10 +47,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	maxBatch := flag.Int("max-batch", 16, "flush a batch at this many requests")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "flush a non-full batch after this long")
 	maxQueue := flag.Int("max-queue", 1024, "shed load beyond this many queued requests")
-	workers := flag.Int("workers", 0, "batch executor goroutines (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "requests run at once (0 = GOMAXPROCS)")
 	mapWorkers := flag.Int("map-workers", 0, "default mapper evaluation lanes for requests without map_workers (0 = serial)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	profileName := flag.String("profile", "fast", "default speed profile for requests without one: fast or reference")
@@ -73,12 +70,8 @@ func main() {
 	}
 
 	srv := serve.NewServer(serve.ServerConfig{
-		Batch: serve.Config{
-			MaxBatch: *maxBatch,
-			MaxWait:  *maxWait,
-			MaxQueue: *maxQueue,
-			Workers:  *workers,
-		},
+		MaxQueue:       *maxQueue,
+		Workers:        *workers,
 		DefaultTimeout: *timeout,
 		MapWorkers:     *mapWorkers,
 		Profile:        profile,

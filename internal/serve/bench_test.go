@@ -16,7 +16,7 @@ import (
 )
 
 // BenchmarkServe measures the served scheduling path end to end — HTTP
-// decode, batching, pooled-context pipeline, response encode — under a
+// decode, dispatch, pooled-context pipeline, response encode — under a
 // fixed concurrent client load. One op is one completed request. Beyond
 // the standard ns/op it reports the client-observed p50-ns and p99-ns
 // latency and the aggregate sched/s throughput, which benchtraj's serve
@@ -31,8 +31,8 @@ func BenchmarkServe(b *testing.B) {
 	} {
 		b.Run(tc.cluster, func(b *testing.B) {
 			s := NewServer(ServerConfig{
-				Log:   quietLog(),
-				Batch: Config{MaxQueue: 1 << 20},
+				Log:      quietLog(),
+				MaxQueue: 1 << 20,
 			})
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()

@@ -9,9 +9,9 @@ import (
 )
 
 // RequestMetrics is the flat per-request observability record: everything
-// the service knows about one scheduling request, in one row — where the
-// request waited (queue), how it was amortized (batch size), where the
-// pipeline spent its time (alloc/map/sim) and what came out (status).
+// the service knows about one scheduling request, in one row — how long
+// decoding took, how long the request waited (queue), where the pipeline
+// spent its time (alloc/map/sim) and what came out (status).
 // Flat scalar fields keep it trivially CSV/JSON/log-line friendly.
 type RequestMetrics struct {
 	ID        uint64 `json:"id"`
@@ -20,7 +20,10 @@ type RequestMetrics struct {
 	Allocator string `json:"allocator"`
 	Tasks     int    `json:"tasks"`
 
-	BatchSize   int     `json:"batch_size"`
+	// DecodeMs is the time from handler entry to submission: JSON decode,
+	// request validation and DAG build. QueueWaitMs runs from the same
+	// handler entry to the start of execution, so it includes DecodeMs.
+	DecodeMs    float64 `json:"decode_ms"`
 	QueueWaitMs float64 `json:"queue_wait_ms"`
 	AllocMs     float64 `json:"alloc_ms"`
 	MapMs       float64 `json:"map_ms"`
@@ -112,8 +115,7 @@ type Collector struct {
 	failed    uint64 // pipeline or request errors (4xx/5xx except shed)
 	shed      uint64 // rejected with 429 at the queue boundary
 	expired   uint64 // deadline passed before execution started
-	batches   uint64
-	batched   uint64 // items summed over batches (mean batch size = batched/batches)
+	panicked  uint64 // pipeline panicked; also counted in failed
 	latency   histogram
 	queueWait histogram
 	engine    obs.Counters // engine counters summed over recorded requests
@@ -146,11 +148,11 @@ func (c *Collector) Shed() {
 	c.mu.Unlock()
 }
 
-// Batch records one executed batch of the given size.
-func (c *Collector) Batch(size int) {
+// Panicked counts a request whose pipeline panicked and was answered
+// with 500. Record counts the same request as failed.
+func (c *Collector) Panicked() {
 	c.mu.Lock()
-	c.batches++
-	c.batched += uint64(size)
+	c.panicked++
 	c.mu.Unlock()
 }
 
@@ -182,9 +184,7 @@ type Snapshot struct {
 	Failed        uint64  `json:"failed"`
 	Shed          uint64  `json:"shed"`
 	Expired       uint64  `json:"expired"`
-
-	Batches       uint64  `json:"batches"`
-	MeanBatchSize float64 `json:"mean_batch_size"`
+	Panicked      uint64  `json:"panicked"`
 
 	SchedulesPerSecond float64 `json:"schedules_per_second"`
 	LatencyP50Ms       float64 `json:"latency_p50_ms"`
@@ -213,16 +213,13 @@ func (c *Collector) Snapshot() Snapshot {
 		Failed:         c.failed,
 		Shed:           c.shed,
 		Expired:        c.expired,
-		Batches:        c.batches,
+		Panicked:       c.panicked,
 		LatencyP50Ms:   ms(c.latency.quantile(0.50)),
 		LatencyP90Ms:   ms(c.latency.quantile(0.90)),
 		LatencyP99Ms:   ms(c.latency.quantile(0.99)),
 		QueueWaitP50Ms: ms(c.queueWait.quantile(0.50)),
 		QueueWaitP99Ms: ms(c.queueWait.quantile(0.99)),
 		Engine:         c.engine,
-	}
-	if c.batches > 0 {
-		s.MeanBatchSize = float64(c.batched) / float64(c.batches)
 	}
 	if up > 0 {
 		s.SchedulesPerSecond = float64(c.completed) / up

@@ -83,7 +83,7 @@ func TestQuantileEmptyAndOverflow(t *testing.T) {
 func TestWritePrometheusLints(t *testing.T) {
 	c := NewCollector()
 	c.Accepted()
-	c.Batch(2)
+	c.Panicked()
 	c.Record(RequestMetrics{
 		Status: statusOK, TotalMs: 12.5, QueueWaitMs: 0.4,
 		Counters: obs.Counters{MemoProbes: 100, MemoHits: 60, SolvesScratch: 7},
@@ -101,6 +101,7 @@ func TestWritePrometheusLints(t *testing.T) {
 	for _, want := range []string{
 		"rats_requests_completed_total 1",
 		"rats_requests_failed_total 1",
+		"rats_requests_panicked_total 1",
 		"rats_engine_memo_probes_total 100",
 		"rats_engine_memo_hits_total 60",
 		"rats_engine_solves_scratch_total 7",

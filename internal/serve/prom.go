@@ -18,8 +18,7 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	c.mu.Lock()
 	up := time.Since(c.started).Seconds()
 	accepted, completed, failed := c.accepted, c.completed, c.failed
-	shed, expired := c.shed, c.expired
-	batches, batched := c.batches, c.batched
+	shed, expired, panicked := c.shed, c.expired, c.panicked
 	engine := c.engine
 	latency := c.latency
 	queueWait := c.queueWait
@@ -34,8 +33,7 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	counter("rats_requests_failed_total", "Requests that failed in the pipeline or were malformed.", failed)
 	counter("rats_requests_shed_total", "Requests rejected with 429 at the queue boundary.", shed)
 	counter("rats_requests_expired_total", "Requests whose deadline passed before execution.", expired)
-	counter("rats_batches_total", "Scheduling batches executed.", batches)
-	counter("rats_batched_requests_total", "Requests summed over executed batches.", batched)
+	counter("rats_requests_panicked_total", "Requests whose pipeline panicked, answered with 500 (also counted as failed).", panicked)
 	fmt.Fprintf(&b, "# HELP rats_uptime_seconds Seconds since the collector started.\n"+
 		"# TYPE rats_uptime_seconds gauge\nrats_uptime_seconds %g\n", up)
 

@@ -1,20 +1,23 @@
 // Package serve implements ratsd: a long-running HTTP+JSON scheduling
-// service over the rats facade. Requests are grouped by identical
-// (cluster, options) configuration and executed in batches from a pool of
-// reusable scheduler contexts, so the per-request cost converges to the
-// marginal cost of one mapping run. The service sheds load past a bounded
-// queue, honors per-request deadlines, drains gracefully, and reports a
-// flat per-request timing record through /metrics.
+// service over the rats facade. Accepted requests run in arrival order on
+// a fixed number of executor slots, each as soon as a slot is free, with a
+// scheduler context reused from a per-cluster pool, so the per-request
+// cost converges to the marginal cost of one mapping run. The service
+// sheds load past a bounded queue, honors per-request deadlines, answers
+// a panicking request with 500 without losing the others, drains
+// gracefully, and reports a flat per-request timing record through
+// /metrics.
 package serve
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -82,7 +85,7 @@ type ScheduleResponse struct {
 }
 
 // requestSpec is a parsed, validated scheduling configuration plus the
-// canonical keys it batches and pools under.
+// key its cluster's contexts are pooled under.
 type requestSpec struct {
 	cluster   *rats.Cluster
 	strategy  rats.Strategy
@@ -104,7 +107,6 @@ type requestSpec struct {
 	mapWorkers         int // resolved lanes; 0 = library default (serial)
 
 	clusterKey string // context-pool key: cluster identity only
-	batchKey   string // batcher key: cluster identity + every option
 }
 
 func parseSpec(req *ScheduleRequest, defaultMapWorkers int, defaultProfile rats.Profile) (*requestSpec, error) {
@@ -129,8 +131,9 @@ func parseSpec(req *ScheduleRequest, defaultMapWorkers int, defaultProfile rats.
 			return nil, err
 		}
 		sp.cluster = c
-		// Two custom clusters batch together only when every physical
-		// parameter matches, so the key is the full spec, not the name.
+		// Two custom clusters share pooled contexts only when every
+		// physical parameter matches, so the key is the full spec, not
+		// the name.
 		sp.clusterKey = fmt.Sprintf("custom:%+v", *req.ClusterSpec)
 	case req.Cluster != "":
 		c, err := rats.ClusterByName(req.Cluster)
@@ -187,7 +190,7 @@ func parseSpec(req *ScheduleRequest, defaultMapWorkers int, defaultProfile rats.
 	// Resolve the mapper's evaluation-lane count: an explicit request
 	// wins, 0 inherits the server default, and negative values are a 400 —
 	// the same stance WithMapWorkers takes, but caught before the
-	// scheduler so a malformed request cannot fail a whole batch.
+	// scheduler so the client sees a malformed request, not a failed run.
 	switch {
 	case req.MapWorkers < 0:
 		return nil, fmt.Errorf("serve: map_workers must be ≥ 0, got %d", req.MapWorkers)
@@ -197,33 +200,6 @@ func parseSpec(req *ScheduleRequest, defaultMapWorkers int, defaultProfile rats.
 		sp.mapWorkers = defaultMapWorkers
 	}
 
-	packing := "default"
-	if sp.packing != nil {
-		packing = strconv.FormatBool(*sp.packing)
-	}
-	delta := "default"
-	if sp.hasDelta {
-		delta = fmt.Sprintf("%g:%g", sp.minDelta, sp.maxDelta)
-	}
-	rho := "default"
-	if sp.hasRho {
-		rho = fmt.Sprintf("%g", sp.minRho)
-	}
-	// The alignment slot distinguishes "explicitly set" from "profile
-	// default": an absent field inherits the profile's alignment, so it
-	// must not share a batch with a request that pinned the same mode by
-	// name under a different profile.
-	align := "default"
-	if sp.hasAlignment {
-		align = sp.alignment.String()
-	}
-	// mapWorkers and the profile are part of the batch key: requests with
-	// different lane counts or exactness profiles must not share a batch,
-	// since the batch's one Scheduler carries the setting for every
-	// request it executes.
-	sp.batchKey = fmt.Sprintf("%s|%s/%s/%s/%s/%s/%s/%s/%s/mw%d",
-		sp.clusterKey, sp.strategy, sp.allocator, align, sp.profile, sp.flow,
-		delta, rho, packing, sp.mapWorkers)
 	return sp, nil
 }
 
@@ -257,8 +233,12 @@ func (sp *requestSpec) options() []rats.Option {
 // ServerConfig configures a Server. Zero values select the defaults
 // noted per field.
 type ServerConfig struct {
-	Batch Config // batcher bounds; see Config
-
+	// MaxQueue bounds the number of accepted-but-unfinished requests;
+	// beyond it a request is shed with 429 (default 1024).
+	MaxQueue int
+	// Workers is the number of requests run at once (default
+	// GOMAXPROCS).
+	Workers int
 	// MaxBodyBytes bounds a request body (default 8 MiB).
 	MaxBodyBytes int64
 	// DefaultTimeout is the per-request deadline applied when a request
@@ -267,7 +247,7 @@ type ServerConfig struct {
 	// MapWorkers is the mapper evaluation-lane count applied to requests
 	// that do not carry map_workers (default 0 = serial mapping). The
 	// parallel mapper is byte-identical to the serial one, so this knob
-	// only trades batch throughput against per-request latency.
+	// only trades throughput against per-request latency.
 	MapWorkers int
 	// Profile is the exactness/speed profile applied to requests that do
 	// not carry the profile field (default rats.ProfileFast, the library
@@ -282,20 +262,26 @@ type ServerConfig struct {
 	Log *slog.Logger
 }
 
-// Server is the ratsd service core: the HTTP handlers, the batcher, the
-// context pool and the metrics collector. Create with NewServer, expose
+// Server is the ratsd service core: the HTTP handlers, the dispatcher,
+// the context pool and the metrics collector. Create with NewServer, expose
 // via Handler, shut down with Drain.
 type Server struct {
-	cfg      ServerConfig
-	log      *slog.Logger
-	batcher  *batcher
-	pool     ctxPool
-	metrics  *Collector
-	draining atomic.Bool
+	cfg        ServerConfig
+	log        *slog.Logger
+	dispatcher *dispatcher
+	pool       ctxPool
+	metrics    *Collector
+	draining   atomic.Bool
 }
 
-// NewServer assembles a Server and starts its batcher.
+// NewServer assembles a Server.
 func NewServer(cfg ServerConfig) *Server {
+	if cfg.MaxQueue <= 0 {
+		cfg.MaxQueue = 1024
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 8 << 20
 	}
@@ -306,12 +292,8 @@ func NewServer(cfg ServerConfig) *Server {
 		cfg.Log = slog.Default()
 	}
 	s := &Server{cfg: cfg, log: cfg.Log, metrics: NewCollector()}
-	s.batcher = newBatcher(cfg.Batch, s.runBatch)
-	s.log.Info("ratsd serving",
-		"max_batch", s.batcher.cfg.MaxBatch,
-		"max_wait", s.batcher.cfg.MaxWait,
-		"max_queue", s.batcher.cfg.MaxQueue,
-		"workers", s.batcher.cfg.Workers)
+	s.dispatcher = newDispatcher(cfg.MaxQueue, cfg.Workers, s.runJob)
+	s.log.Info("ratsd serving", "max_queue", cfg.MaxQueue, "workers", cfg.Workers)
 	return s
 }
 
@@ -322,8 +304,8 @@ func (s *Server) Metrics() *Collector { return s.metrics }
 // already-accepted request has been executed and answered.
 func (s *Server) Drain() {
 	s.draining.Store(true)
-	s.log.Info("ratsd draining", "queued", s.batcher.Queued())
-	s.batcher.Drain()
+	s.log.Info("ratsd draining", "queued", s.dispatcher.Queued())
+	s.dispatcher.Drain()
 	s.log.Info("ratsd drained")
 }
 
@@ -412,23 +394,18 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	j := &job{
-		id:    id,
-		key:   spec.batchKey,
-		spec:  spec,
-		dag:   d,
-		tasks: m.Tasks,
-		ctx:   ctx,
-		enq:   enq,
-		resp:  make(chan jobResult, 1),
-	}
-	if err := s.batcher.Submit(j); err != nil {
+	m.DecodeMs = ms(time.Since(enq))
+	j := &job{spec: spec, dag: d, m: m, ctx: ctx, enq: enq}
+	// An accepted job is run and answered even through a drain or a
+	// panic, so Do's result is the request's single outcome.
+	jr, err := s.dispatcher.Do(j, s.metrics.Accepted)
+	if err != nil {
 		switch err {
 		case ErrOverloaded:
 			s.metrics.Shed()
 			m.Status = http.StatusTooManyRequests
 			w.Header().Set("Retry-After", "1")
-			s.log.Warn("request shed", "id", id, "queued", s.batcher.Queued())
+			s.log.Warn("request shed", "id", id, "queued", s.dispatcher.Queued())
 		case ErrDraining:
 			m.Status = http.StatusServiceUnavailable
 		default:
@@ -437,23 +414,36 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, m, err)
 		return
 	}
-	s.metrics.Accepted()
+	var blob []byte
+	if jr.result != nil {
+		if blob, err = json.Marshal(jr.result); err != nil {
+			jr.metrics.Status = http.StatusInternalServerError
+			jr.metrics.Error = err.Error()
+		}
+	}
+	s.record(jr)
+	if jr.metrics.Status != statusOK {
+		s.writeError(w, jr.metrics, errors.New(jr.metrics.Error))
+		return
+	}
+	writeJSON(w, statusOK, ScheduleResponse{Result: blob, Serve: jr.metrics})
+}
 
-	// Submit accepted, so exactly one result is guaranteed to arrive —
-	// even through a drain. Waiting unconditionally keeps the executor
-	// the single authority on the request's outcome.
-	jr := <-j.resp
-	if jr.result == nil {
-		s.writeError(w, jr.metrics, fmt.Errorf("%s", jr.metrics.Error))
-		return
+// record files an executed request's outcome with the collector and the
+// log.
+func (s *Server) record(jr jobResult) {
+	m := jr.metrics
+	s.metrics.Record(m)
+	switch {
+	case jr.stack != nil:
+		s.metrics.Panicked()
+		s.log.Error("request panicked", "id", m.ID, "error", m.Error, "stack", string(jr.stack))
+	case m.Status != statusOK:
+		s.log.Warn("request failed", "id", m.ID, "status", m.Status, "error", m.Error)
+	default:
+		s.log.Debug("scheduled", "id", m.ID, "cluster", m.Cluster,
+			"strategy", m.Strategy, "tasks", m.Tasks, "total_ms", m.TotalMs)
 	}
-	blob, err := json.Marshal(jr.result)
-	if err != nil {
-		jr.metrics.Status = http.StatusInternalServerError
-		s.writeError(w, jr.metrics, err)
-		return
-	}
-	writeJSON(w, jr.metrics.Status, ScheduleResponse{Result: blob, Serve: jr.metrics})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -463,7 +453,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, status, map[string]any{
 		"status": text,
-		"queued": s.batcher.Queued(),
+		"queued": s.dispatcher.Queued(),
 	})
 }
 
@@ -481,64 +471,40 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.metrics.Snapshot())
 }
 
-// runBatch executes one batch: all jobs share a batch key, hence an
-// identical configuration, so a single Scheduler plus one pooled context
-// serves them all. Every job receives exactly one jobResult.
-func (s *Server) runBatch(batch []*job) {
-	spec := batch[0].spec
-	s.metrics.Batch(len(batch))
-	sched := rats.New(spec.options()...)
-
-	cctx, cerr := s.pool.get(spec.clusterKey, spec.cluster)
-	for _, j := range batch {
-		m := RequestMetrics{
-			ID:        j.id,
-			Cluster:   spec.cluster.Name(),
-			Strategy:  spec.strategy.String(),
-			Allocator: spec.allocator.String(),
-			Tasks:     j.tasks,
-			BatchSize: len(batch),
-		}
-		start := time.Now()
-		m.QueueWaitMs = ms(start.Sub(j.enq))
-
-		switch {
-		case cerr != nil:
-			m.Status = http.StatusInternalServerError
-			m.Error = cerr.Error()
-		case j.ctx.Err() != nil:
-			// The deadline passed while the job sat in the queue: don't
-			// burn scheduler time on an answer nobody is waiting for.
-			m.Status = statusTimeout
-			m.Error = fmt.Sprintf("deadline passed before execution: %v", j.ctx.Err())
-		default:
-			res, err := sched.ScheduleIn(cctx, j.dag)
-			if err != nil {
-				m.Status = http.StatusUnprocessableEntity
-				m.Error = err.Error()
-			} else {
-				m.Status = statusOK
-				m.AllocMs = ms(res.Phases.Alloc)
-				m.MapMs = ms(res.Phases.Map)
-				m.SimMs = ms(res.Phases.Sim)
-				m.Counters = res.Counters
-				m.TotalMs = ms(time.Since(j.enq))
-				s.metrics.Record(m)
-				s.log.Debug("scheduled",
-					"id", j.id, "dag", j.dag.Name, "cluster", m.Cluster,
-					"strategy", m.Strategy, "tasks", m.Tasks,
-					"batch", len(batch), "total_ms", m.TotalMs)
-				j.resp <- jobResult{result: res, metrics: m}
-				continue
-			}
+// runJob executes one job with its own Scheduler and a context from its
+// cluster's pool, filling in the job's timing record. The rats facade
+// makes a Scheduler cheap to build; the context is what repeat requests
+// reuse.
+func (s *Server) runJob(j *job) jobResult {
+	m := &j.m
+	m.QueueWaitMs = ms(time.Since(j.enq))
+	answer := func(res *rats.Result, status int, err error) jobResult {
+		m.Status = status
+		if err != nil {
+			m.Error = err.Error()
 		}
 		m.TotalMs = ms(time.Since(j.enq))
-		s.metrics.Record(m)
-		s.log.Warn("request failed",
-			"id", j.id, "status", m.Status, "error", m.Error)
-		j.resp <- jobResult{metrics: m}
+		return jobResult{result: res, metrics: *m}
 	}
-	if cerr == nil {
-		s.pool.put(spec.clusterKey, cctx)
+	if err := j.ctx.Err(); err != nil {
+		// The deadline passed while the job sat in the queue: don't
+		// burn scheduler time on an answer nobody is waiting for.
+		return answer(nil, statusTimeout, fmt.Errorf("deadline passed before execution: %w", err))
 	}
+	cctx, err := s.pool.get(j.spec.clusterKey, j.spec.cluster)
+	if err != nil {
+		return answer(nil, http.StatusInternalServerError, err)
+	}
+	// A run that panics never returns its context to the pool: its
+	// scratch state is not known to be consistent.
+	res, err := rats.New(j.spec.options()...).ScheduleIn(cctx, j.dag)
+	s.pool.put(j.spec.clusterKey, cctx)
+	if err != nil {
+		return answer(nil, http.StatusUnprocessableEntity, err)
+	}
+	m.AllocMs = ms(res.Phases.Alloc)
+	m.MapMs = ms(res.Phases.Map)
+	m.SimMs = ms(res.Phases.Sim)
+	m.Counters = res.Counters
+	return answer(res, statusOK, nil)
 }

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,25 @@ func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *httptest.Server) {
 		cfg.Log = quietLog()
 	}
 	s := NewServer(cfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// newHookedServer is newTestServer with the dispatcher's run function
+// wrapped, so a test can hold or break a job at execution time. The
+// dispatcher is swapped before the HTTP server starts, so no request can
+// reach the original one.
+func newHookedServer(t *testing.T, cfg ServerConfig,
+	wrap func(j *job, run func(*job) jobResult) jobResult) (*Server, *httptest.Server) {
+	t.Helper()
+	if cfg.Log == nil {
+		cfg.Log = quietLog()
+	}
+	s := NewServer(cfg)
+	s.dispatcher.Drain()
+	s.dispatcher = newDispatcher(s.cfg.MaxQueue, s.cfg.Workers,
+		func(j *job) jobResult { return wrap(j, s.runJob) })
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -64,7 +84,7 @@ func postSchedule(t *testing.T, url string, body []byte) (*http.Response, Schedu
 // TestServedResultMatchesLibrary is the end-to-end equivalence pin: the
 // result document a ratsd response carries must be byte-identical to what
 // the library's per-request Schedule produces for the same inputs — the
-// batching, pooling and context reuse may not change a single byte.
+// queueing, pooling and context reuse may not change a single byte.
 func TestServedResultMatchesLibrary(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{})
 
@@ -101,7 +121,8 @@ func TestServedResultMatchesLibrary(t *testing.T) {
 			t.Fatalf("case %d: served result diverges from library:\n%s\nvs\n%s",
 				i, sr.Result, wantBlob)
 		}
-		if sr.Serve.TotalMs <= 0 || sr.Serve.BatchSize < 1 || sr.Serve.Tasks != tc.dag.TaskCount() {
+		if sr.Serve.TotalMs <= 0 || sr.Serve.DecodeMs <= 0 || sr.Serve.QueueWaitMs < sr.Serve.DecodeMs ||
+			sr.Serve.Tasks != tc.dag.TaskCount() {
 			t.Fatalf("case %d: serve metrics malformed: %+v", i, sr.Serve)
 		}
 		// The carried document passes the versioned decode.
@@ -111,21 +132,51 @@ func TestServedResultMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestServedBatchSharesContext pushes many concurrent identical-config
-// requests through the server and verifies each response equals the
-// library result — under -race this also proves batch execution and
-// context pooling are data-race-free.
+// TestServedBatchSharesContext pushes many concurrent requests through
+// the server — mixing clusters, strategies, profiles, alignments and
+// map_workers in flight at once — and verifies each response equals the
+// library result for its own configuration. Under -race this also proves
+// the per-request schedulers and the shared context pool are
+// data-race-free.
 func TestServedBatchSharesContext(t *testing.T) {
-	s, ts := newTestServer(t, ServerConfig{Batch: Config{MaxBatch: 8, MaxWait: 20 * time.Millisecond}})
+	const workers = 2
+	s, ts := newTestServer(t, ServerConfig{Workers: workers})
 
-	const n = 32
+	lab, err := rats.NewCluster(rats.ClusterSpec{Name: "lab", Procs: 24, SpeedGFlops: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grelonTC := []rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost)}
+	configs := []struct {
+		fields map[string]any
+		libOpt []rats.Option
+	}{
+		{map[string]any{"cluster": "grelon", "strategy": "time-cost"}, grelonTC},
+		{map[string]any{"cluster": "grelon", "strategy": "time-cost", "profile": "reference"},
+			append(grelonTC[:2:2], rats.WithProfile(rats.ProfileReference))},
+		{map[string]any{"cluster": "grelon", "strategy": "time-cost", "map_workers": 2},
+			append(grelonTC[:2:2], rats.WithMapWorkers(2))},
+		{map[string]any{"cluster": "grelon", "strategy": "delta", "profile": "reference",
+			"alignment": "greedy", "map_workers": 3},
+			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.Delta),
+				rats.WithProfile(rats.ProfileReference), rats.WithAlignment(rats.AlignmentGreedy),
+				rats.WithMapWorkers(3)}},
+		{map[string]any{"cluster": "chti", "strategy": "delta", "allocator": "cpa"},
+			[]rats.Option{rats.WithCluster(rats.Chti()), rats.WithStrategy(rats.Delta), rats.WithAllocator(rats.CPA)}},
+		{map[string]any{"cluster_spec": map[string]any{"name": "lab", "procs": 24, "speed_gflops": 5},
+			"strategy": "time-cost"},
+			[]rats.Option{rats.WithCluster(lab), rats.WithStrategy(rats.TimeCost)}},
+	}
+	const clusters = 3 // grelon, chti, lab
+
+	const n = 36
 	dags := make([]*rats.DAG, n)
 	want := make([][]byte, n)
 	for i := range dags {
 		dags[i] = rats.Random(rats.RandomSpec{
 			N: 20 + i%3, Width: 0.6, Density: 0.5, Regularity: 0.8, Seed: int64(i), Layered: i%2 == 0,
 		})
-		r, err := rats.New(rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost)).Schedule(dags[i])
+		r, err := rats.New(configs[i%len(configs)].libOpt...).Schedule(dags[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +189,7 @@ func TestServedBatchSharesContext(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := scheduleBody(t, dags[i], map[string]any{"cluster": "grelon", "strategy": "time-cost"})
+			body := scheduleBody(t, dags[i], configs[i%len(configs)].fields)
 			resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errs[i] = err
@@ -170,14 +221,16 @@ func TestServedBatchSharesContext(t *testing.T) {
 	if snap.Completed != n {
 		t.Fatalf("collector counted %d completed, want %d", snap.Completed, n)
 	}
-	if snap.MeanBatchSize <= 1 {
-		t.Errorf("mean batch size %.2f: concurrent identical requests never batched", snap.MeanBatchSize)
+	// Each running request holds one context, so the pool never grows
+	// past one context per executor slot per cluster.
+	if idle := s.pool.idle(); idle < 1 || idle > workers*clusters {
+		t.Errorf("pool holds %d idle contexts, want 1..%d", idle, workers*clusters)
 	}
 }
 
 func TestServeSheddingReturns429(t *testing.T) {
 	s, ts := newTestServer(t, ServerConfig{
-		Batch: Config{MaxBatch: 1, MaxWait: time.Millisecond, MaxQueue: 1, Workers: 1},
+		MaxQueue: 1, Workers: 1,
 	})
 	// Flood a single-worker, single-slot queue with expensive requests:
 	// while one is being scheduled, later arrivals must be shed.
@@ -225,17 +278,57 @@ func TestServeSheddingReturns429(t *testing.T) {
 }
 
 // TestServeDeadlineExpiresInQueue: a request whose deadline passes while
-// it waits must come back 504 without being scheduled.
+// it waits behind a request holding the only executor slot must come
+// back 504 without being scheduled.
 func TestServeDeadlineExpiresInQueue(t *testing.T) {
-	_, ts := newTestServer(t, ServerConfig{
-		// MaxWait far beyond the request deadline: the job expires while
-		// grouped, before any worker touches it.
-		Batch: Config{MaxBatch: 100, MaxWait: 100 * time.Millisecond},
+	held, release := make(chan struct{}), make(chan struct{})
+	s, ts := newHookedServer(t, ServerConfig{Workers: 1}, func(j *job, run func(*job) jobResult) jobResult {
+		if j.m.ID == 1 {
+			close(held)
+			<-release
+		}
+		return run(j)
 	})
-	body := scheduleBody(t, rats.FFT(8, 1), map[string]any{"timeout_ms": 1})
-	resp, sr := postSchedule(t, ts.URL, body)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("HTTP %d (%s), want 504", resp.StatusCode, sr.Error)
+
+	type reply struct {
+		status int
+		sr     ScheduleResponse
+	}
+	post := func(body []byte, out chan<- reply) {
+		resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			out <- reply{}
+			return
+		}
+		defer resp.Body.Close()
+		var sr ScheduleResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+			t.Error(err)
+		}
+		out <- reply{resp.StatusCode, sr}
+	}
+	// Request 1 occupies the only executor slot until released; request 2,
+	// with a 1 ms deadline, queues behind it.
+	d := rats.FFT(8, 1)
+	held1, expiring := scheduleBody(t, d, nil), scheduleBody(t, d, map[string]any{"timeout_ms": 1})
+	first, second := make(chan reply, 1), make(chan reply, 1)
+	go post(held1, first)
+	<-held
+	go post(expiring, second)
+	for s.dispatcher.Queued() < 2 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(10 * time.Millisecond) // well past request 2's deadline
+	close(release)
+
+	if r := <-first; r.status != http.StatusOK {
+		t.Fatalf("held request: HTTP %d (%s), want 200", r.status, r.sr.Error)
+	}
+	r := <-second
+	sr := r.sr
+	if r.status != http.StatusGatewayTimeout {
+		t.Fatalf("HTTP %d (%s), want 504", r.status, sr.Error)
 	}
 	if sr.Result != nil {
 		t.Fatal("expired request still carries a result")
@@ -245,10 +338,37 @@ func TestServeDeadlineExpiresInQueue(t *testing.T) {
 	}
 }
 
+// TestServePanicAnswers500: a pipeline panic answers its own request with
+// 500 and the panic's message, is counted as panicked (and failed), and
+// the service keeps serving.
+func TestServePanicAnswers500(t *testing.T) {
+	s, ts := newHookedServer(t, ServerConfig{Workers: 1}, func(j *job, run func(*job) jobResult) jobResult {
+		if j.m.ID == 1 {
+			panic("pipeline exploded")
+		}
+		return run(j)
+	})
+	body := scheduleBody(t, rats.FFT(8, 1), nil)
+	resp, sr := postSchedule(t, ts.URL, body)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(sr.Error, "pipeline exploded") {
+		t.Fatalf("HTTP %d (%q), want 500 naming the panic", resp.StatusCode, sr.Error)
+	}
+	if sr.Result != nil {
+		t.Fatal("panicked request carries a result")
+	}
+	if resp, sr := postSchedule(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: HTTP %d (%s), want 200", resp.StatusCode, sr.Error)
+	}
+	snap := s.Metrics().Snapshot()
+	if snap.Accepted != 2 || snap.Completed != 1 || snap.Failed != 1 || snap.Panicked != 1 {
+		t.Fatalf("counters after one panic and one success: %+v", snap)
+	}
+}
+
 // TestServeDrainLosesNothing: every request accepted before the drain
 // gets a full 200 response; requests after the drain get 503.
 func TestServeDrainLosesNothing(t *testing.T) {
-	s, ts := newTestServer(t, ServerConfig{Batch: Config{MaxBatch: 4, MaxWait: 5 * time.Millisecond}})
+	s, ts := newTestServer(t, ServerConfig{})
 	body := scheduleBody(t, rats.FFT(16, 2), map[string]any{"cluster": "grelon"})
 
 	const n = 24
@@ -391,8 +511,7 @@ func TestServeCustomClusterSpec(t *testing.T) {
 // TestServeMapWorkers covers the map_workers knob end to end: an explicit
 // request value produces a result byte-identical to a serial library run
 // (the parallel mapper may never change a schedule), a server-wide default
-// applies to requests that omit the field, differing lane counts split
-// batches, and a negative value is a 400.
+// applies to requests that omit the field, and a negative value is a 400.
 func TestServeMapWorkers(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{MapWorkers: 2})
 	d := rats.FFT(16, 5)
@@ -425,32 +544,22 @@ func TestServeMapWorkers(t *testing.T) {
 		t.Fatalf("map_workers=-1: HTTP %d (%s), want 400", resp.StatusCode, sr.Error)
 	}
 
-	// Lane counts are part of the batch key: the same options with
-	// different map_workers must parse to different keys.
-	a, err := parseSpec(&ScheduleRequest{Cluster: "grelon", MapWorkers: 2}, 0, rats.ProfileFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parseSpec(&ScheduleRequest{Cluster: "grelon", MapWorkers: 4}, 0, rats.ProfileFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.batchKey == b.batchKey {
-		t.Fatalf("map_workers 2 and 4 share batch key %q", a.batchKey)
-	}
-	c, err := parseSpec(&ScheduleRequest{Cluster: "grelon"}, 2, rats.ProfileFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.batchKey != a.batchKey {
-		t.Fatalf("server default 2 keys %q, explicit 2 keys %q — should batch together", c.batchKey, a.batchKey)
+	// The server default applies only to requests that omit the field.
+	for _, tc := range []struct{ req, want int }{{0, 2}, {4, 4}} {
+		sp, err := parseSpec(&ScheduleRequest{Cluster: "grelon", MapWorkers: tc.req}, 2, rats.ProfileFast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.mapWorkers != tc.want {
+			t.Fatalf("map_workers %d under server default 2 resolved to %d, want %d", tc.req, sp.mapWorkers, tc.want)
+		}
 	}
 }
 
 // TestServedProfileField pins the profile wire field end to end:
 // byte-equality with the library under both profiles (explicit alignment
-// included), the server-side default, batch-key separation, and the 400
-// table for malformed values.
+// included), the server-side default, and the 400 table for malformed
+// values.
 func TestServedProfileField(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{})
 	d := rats.FFT(16, 2)
@@ -505,37 +614,12 @@ func TestServedProfileField(t *testing.T) {
 		}
 	}
 
-	// The profile is part of the batch key; the alignment slot separates
-	// "explicitly pinned" from "inherited from the profile".
-	pf, err := parseSpec(&ScheduleRequest{}, 0, rats.ProfileFast)
+	// A server default of reference applies to requests without the field.
+	sp, err := parseSpec(&ScheduleRequest{}, 0, rats.ProfileReference)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := parseSpec(&ScheduleRequest{Profile: "reference"}, 0, rats.ProfileFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.batchKey == pr.batchKey {
-		t.Fatalf("fast and reference share batch key %q", pf.batchKey)
-	}
-	al, err := parseSpec(&ScheduleRequest{Alignment: "auto"}, 0, rats.ProfileFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if al.batchKey == pf.batchKey {
-		t.Fatalf("explicit alignment shares batch key %q with the profile default", al.batchKey)
-	}
-	// A server default of reference batches with an explicit reference.
-	sd, err := parseSpec(&ScheduleRequest{}, 0, rats.ProfileReference)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, err := parseSpec(&ScheduleRequest{Profile: "reference"}, 0, rats.ProfileReference)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sd.batchKey != se.batchKey {
-		t.Fatalf("server-default reference keys %q, explicit reference keys %q — should batch together",
-			sd.batchKey, se.batchKey)
+	if sp.profile != rats.ProfileReference {
+		t.Fatalf("server default reference resolved to %v", sp.profile)
 	}
 }
