@@ -404,37 +404,6 @@ func BenchmarkMap(b *testing.B) {
 	}
 }
 
-// BenchmarkMapParallel sweeps the mapper's evaluation-lane count on the
-// production-scale presets with a larger graph than BenchmarkMap (400
-// tasks: sharding pays off when candidate evaluation, not per-task
-// bookkeeping, dominates). workers=1 runs the serial engine and anchors
-// the speedup benchtraj derives for the other points; every lane count
-// produces the identical schedule, so the sweep is a pure latency axis.
-// On a single-core machine the parallel points measure coordination
-// overhead, not speedup — interpret recorded numbers against the host's
-// GOMAXPROCS.
-func BenchmarkMapParallel(b *testing.B) {
-	for _, cl := range []*platform.Cluster{platform.Big512(), platform.Big1024()} {
-		g := gen.Random(gen.RandomParams{
-			N: 400, Width: 0.5, Regularity: 0.8, Density: 0.5, Layered: true, Seed: 7})
-		costs := moldable.NewCosts(g, cl.PlanSpeedGFlops())
-		a := alloc.Compute(g, costs, cl, alloc.DefaultOptions())
-		for _, workers := range []int{1, 2, 4, 8} {
-			opts := core.DefaultNaive(core.StrategyTimeCost)
-			opts.Workers = workers
-			b.Run(fmt.Sprintf("%s/workers=%d", cl.Name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					s := core.Map(g, costs, cl, a, opts)
-					if len(s.Order) != g.N() {
-						b.Fatal("incomplete schedule")
-					}
-				}
-			})
-		}
-	}
-}
-
 // --- Ablation benches (design choices called out in docs/ARCHITECTURE.md, "Design reconstructions") -------
 
 // BenchmarkAblation_EdgeCostsInCP compares allocation with and without

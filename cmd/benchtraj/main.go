@@ -18,11 +18,7 @@
 // the reference. The map family (BENCH_map.json) runs the full mapping
 // phase (BenchmarkMap, cluster × width) and derives the per-cluster
 // geometric means of ns/op and allocs/op — the trajectory of the sparse
-// allocation-free alignment path; it also runs the evaluation-lane sweep
-// (BenchmarkMapParallel, cluster × workers) and derives each parallel
-// point's speedup over its own workers=1 anchor. The parallel points stay
-// out of the per-cluster geomeans so the trajectory remains comparable
-// across entries.
+// allocation-free alignment path.
 //
 // -smoke runs the suite at -benchtime 1x and prints the entry to stdout
 // without touching the file: CI uses it to prove the wiring (benchmarks
@@ -80,7 +76,6 @@ type Entry struct {
 	MapAllocs     map[string]float64 `json:"map_allocs_mean,omitempty"`
 	MapMemoHit    map[string]float64 `json:"map_memo_hit_pct,omitempty"`
 	SimScratch    map[string]float64 `json:"sim_scratch_solve_pct,omitempty"`
-	MapParSpeed   map[string]float64 `json:"map_parallel_speedup,omitempty"`
 	ServeP50Ms    map[string]float64 `json:"serve_p50_ms,omitempty"`
 	ServeP99Ms    map[string]float64 `json:"serve_p99_ms,omitempty"`
 	ServeRate     map[string]float64 `json:"serve_sched_per_sec,omitempty"`
@@ -110,7 +105,7 @@ func main() {
 		case "alloc":
 			*pattern = "^(BenchmarkAlloc|BenchmarkMap|BenchmarkRedistTime)$"
 		case "map":
-			*pattern = "^(BenchmarkMap|BenchmarkMapParallel)$"
+			*pattern = "^BenchmarkMap$"
 		case "serve":
 			*pattern = "^BenchmarkServe$"
 		case "sim":
@@ -199,7 +194,6 @@ func run(family, file, benchtime, label, pattern string, smoke bool) error {
 		entry.MapNs = mapGeomeans(ms, func(m Measurement) float64 { return m.NsPerOp })
 		entry.MapAllocs = mapMeans(ms, func(m Measurement) float64 { return m.AllocsOp })
 		entry.MapMemoHit = mapMeans(ms, func(m Measurement) float64 { return m.MemoHitPct })
-		entry.MapParSpeed = mapParSpeedups(ms)
 	case "serve":
 		entry.ServeP50Ms = serveMetric(ms, func(m Measurement) float64 { return m.P50Ns / 1e6 })
 		entry.ServeP99Ms = serveMetric(ms, func(m Measurement) float64 { return m.P99Ns / 1e6 })
@@ -477,37 +471,6 @@ func simScratchPcts(ms []Measurement) map[string]float64 {
 	return out
 }
 
-// mapParSpeedups derives, per BenchmarkMapParallel/<cluster>/workers=<n>
-// point with n > 1, the ratio of the same cluster's workers=1 time to the
-// point's time — the parallel mapper's speedup over the serial engine it
-// is byte-identical to. Keys are "<cluster>/workers=<n>". On a
-// single-core runner the ratios sit at or below 1 (pure coordination
-// overhead); they are recorded as measured.
-func mapParSpeedups(ms []Measurement) map[string]float64 {
-	base := map[string]float64{}
-	for _, m := range ms {
-		parts := strings.Split(m.Name, "/")
-		if len(parts) == 3 && parts[0] == "BenchmarkMapParallel" &&
-			parts[2] == "workers=1" && m.NsPerOp > 0 {
-			base[parts[1]] = m.NsPerOp
-		}
-	}
-	out := map[string]float64{}
-	for _, m := range ms {
-		parts := strings.Split(m.Name, "/")
-		if len(parts) != 3 || parts[0] != "BenchmarkMapParallel" || parts[2] == "workers=1" {
-			continue
-		}
-		if b := base[parts[1]]; b > 0 && m.NsPerOp > 0 {
-			out[parts[1]+"/"+parts[2]] = math.Round(b/m.NsPerOp*100) / 100
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // mapCluster extracts the aggregation key of a BenchmarkMap sub-benchmark.
 // Reference-profile rows (BenchmarkMap/<cluster>/w=<w>) keep the bare
 // cluster key so the trajectory stays comparable with entries recorded
@@ -528,9 +491,11 @@ func mapCluster(name string) (string, bool) {
 }
 
 // appendEntry reads the existing trajectory (if any), appends the entry
-// and writes the file back with stable formatting and ordering.
+// and writes the file back with stable formatting and ordering. Existing
+// entries pass through as raw JSON, so fields a later Entry no longer
+// carries survive in the historical record.
 func appendEntry(file string, entry Entry) error {
-	var entries []Entry
+	var entries []json.RawMessage
 	if data, err := os.ReadFile(file); err == nil {
 		if err := json.Unmarshal(data, &entries); err != nil {
 			return fmt.Errorf("existing %s is not a trajectory file: %w", file, err)
@@ -538,10 +503,14 @@ func appendEntry(file string, entry Entry) error {
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	entries = append(entries, entry)
 	sort.SliceStable(entry.Benchmarks, func(a, b int) bool {
 		return entry.Benchmarks[a].Name < entry.Benchmarks[b].Name
 	})
+	raw, err := json.Marshal(entry)
+	if err != nil {
+		return err
+	}
+	entries = append(entries, raw)
 	data, err := json.MarshalIndent(entries, "", "  ")
 	if err != nil {
 		return err

@@ -11,9 +11,8 @@
 // -ablate switches to the exactness-renegotiation ablation (package
 // internal/ablate): every scenario class under all strategy × allocator
 // combinations, swept across the approximation knobs (alignment mode and
-// AlignAuto cap, estimator memo staleness bound, flownet scratch
-// threshold), reporting per-configuration makespan deltas, mapping
-// latency percentiles and engine counter rates. The machine-readable
+// AlignAuto cap, flownet scratch threshold), reporting per-configuration
+// makespan deltas, mapping latency percentiles and engine counter rates. The machine-readable
 // report lands at -o (default <out>/ablation.json); -smoke shrinks the
 // sweep to the CI-sized reference-versus-fast check.
 //
@@ -75,7 +74,6 @@ import (
 func main() {
 	stride := flag.Int("stride", 1, "keep every stride-th scenario (1 = full 557-configuration evaluation)")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	mapWorkers := flag.Int("map-workers", 0, "mapper candidate-evaluation lanes per scenario (0 = serial; results identical)")
 	outDir := flag.String("out", "results", "output directory for per-experiment files")
 	only := flag.String("only", "", "comma-separated experiment subset (default: all)")
 	solver := flag.String("solver", "flownet", "replay rate solver: flownet (incremental) or maxmin (reference)")
@@ -96,7 +94,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*stride, *workers, *mapWorkers, *outDir, *only, *solver, *align, *profile, *cluster, *counters); err != nil {
+	if err := run(*stride, *workers, *outDir, *only, *solver, *align, *profile, *cluster, *counters); err != nil {
 		fmt.Fprintln(os.Stderr, "expdriver:", err)
 		os.Exit(1)
 	}
@@ -133,7 +131,7 @@ func runAblation(smoke bool, outDir, reportPath string) error {
 	return nil
 }
 
-func run(stride, workers, mapWorkers int, outDir, only, solver, align, profile, cluster string, counters bool) error {
+func run(stride, workers int, outDir, only, solver, align, profile, cluster string, counters bool) error {
 	want := map[string]bool{}
 	for _, s := range strings.Split(only, ",") {
 		if s = strings.TrimSpace(s); s != "" {
@@ -149,7 +147,6 @@ func run(stride, workers, mapWorkers int, outDir, only, solver, align, profile, 
 	clusters := platform.PaperClusters()
 	runner := exp.NewRunner()
 	runner.Workers = workers
-	runner.MapWorkers = mapWorkers
 	switch solver {
 	case "", "flownet":
 		runner.Solver = core.FlowSolverNet

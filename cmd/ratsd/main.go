@@ -7,12 +7,14 @@
 //
 // Usage:
 //
-//	ratsd [-addr :8080] [-max-queue 1024] [-workers N] [-map-workers 0]
-//	      [-timeout 30s] [-profile fast] [-log-level info] [-pprof]
+//	ratsd [-addr :8080] [-max-queue 1024] [-workers N] [-timeout 30s]
+//	      [-profile fast] [-log-level info] [-pprof]
 //
 // -profile sets the default speed profile ("fast" or "reference") for
 // requests that do not carry their own "profile" field; per-request
-// values always win.
+// values always win. Each request is mapped serially; -workers is the
+// only parallelism knob. A DAG that fails validation (its structure, or
+// task and edge values outside the cost model) is answered 422.
 //
 // Endpoints:
 //
@@ -49,7 +51,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxQueue := flag.Int("max-queue", 1024, "shed load beyond this many queued requests")
 	workers := flag.Int("workers", 0, "requests run at once (0 = GOMAXPROCS)")
-	mapWorkers := flag.Int("map-workers", 0, "default mapper evaluation lanes for requests without map_workers (0 = serial)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	profileName := flag.String("profile", "fast", "default speed profile for requests without one: fast or reference")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -73,7 +74,6 @@ func main() {
 		MaxQueue:       *maxQueue,
 		Workers:        *workers,
 		DefaultTimeout: *timeout,
-		MapWorkers:     *mapWorkers,
 		Profile:        profile,
 		EnablePprof:    *pprof,
 		Log:            log,

@@ -52,12 +52,11 @@ func main() {
 	alignName := flag.String("align", "", "receiver rank alignment: hungarian, greedy, none or auto (default: the profile's choice)")
 	profileName := flag.String("profile", "fast", "speed profile: fast or reference")
 	asJSON := flag.Bool("json", false, "emit one JSON result per algorithm instead of text")
-	mapWorkers := flag.Int("map-workers", 1, "mapper candidate-evaluation lanes (results identical at any value)")
 	counters := flag.Bool("counters", false, "print engine counter rates per algorithm")
 	flag.Parse()
 
 	if err := run(*app, *n, *k, *width, *density, *regularity, *jump, *seed,
-		*clusterName, *solverName, *alignName, *profileName, *gantt, *algoFilter, *traceOut, *asJSON, *mapWorkers, *counters); err != nil {
+		*clusterName, *solverName, *alignName, *profileName, *gantt, *algoFilter, *traceOut, *asJSON, *counters); err != nil {
 		fmt.Fprintln(os.Stderr, "ratsim:", err)
 		os.Exit(1)
 	}
@@ -81,10 +80,7 @@ func buildDAG(app string, n, k int, width, density, regularity float64, jump int
 
 func run(app string, n, k int, width, density, regularity float64, jump int, seed int64,
 	clusterName, solverName, alignName, profileName string, gantt bool, algoFilter, traceOut string, asJSON bool,
-	mapWorkers int, counters bool) error {
-	if mapWorkers < 1 {
-		return fmt.Errorf("-map-workers %d: want ≥ 1", mapWorkers)
-	}
+	counters bool) error {
 	cl, err := rats.ClusterByName(clusterName)
 	if err != nil {
 		return err
@@ -144,9 +140,6 @@ func run(app string, n, k int, width, density, regularity float64, jump int, see
 			rats.WithFlowSolver(solver), rats.WithProfile(profile)}
 		if alignName != "" {
 			opts = append(opts, rats.WithAlignment(align))
-		}
-		if mapWorkers > 1 {
-			opts = append(opts, rats.WithMapWorkers(mapWorkers))
 		}
 		// The self-tracer records the scheduler's own execution; it rides
 		// along only when the run writes trace files anyway.

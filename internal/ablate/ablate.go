@@ -3,11 +3,10 @@
 // scales, and both heterogeneous presets) under all five strategy ×
 // allocator combinations while sweeping the pipeline's approximation
 // knobs — the receiver rank-alignment mode and its AlignAuto exact cap,
-// the estimator memo's staleness bound ε, and the flownet scratch-solve
-// threshold — and reports, per knob configuration, the makespan delta
-// against the exact reference, mapping-latency percentiles, replay
-// latency where the configuration forces fresh replays, and the summed
-// engine counters from internal/obs.
+// and the flownet scratch-solve threshold — and reports, per knob
+// configuration, the makespan delta against the exact reference,
+// mapping-latency percentiles, replay latency where the configuration
+// forces fresh replays, and the summed engine counters from internal/obs.
 //
 // The report is the evidence base for rats.ProfileFast: the shipped fast
 // profile pins exactly the knob values the ablation shows to be
@@ -45,8 +44,6 @@ type Knobs struct {
 	// AlignCap bounds AlignAuto's exact Hungarian assignment
 	// (0 = redist.AlignAutoExactCap). Ignored by explicit modes.
 	AlignCap int
-	// MemoEps is the estimator memo staleness bound (0 = exact keying).
-	MemoEps float64
 	// ScratchThreshold is the flownet scratch-solve cutoff
 	// (0 = flownet.DefaultScratchThreshold). Latency-only: every solve
 	// regime is exact, so replays agree bit-for-bit at any value.
@@ -57,7 +54,6 @@ type Knobs struct {
 func (k Knobs) apply(o core.Options) core.Options {
 	o.Align = k.Align
 	o.AlignCap = k.AlignCap
-	o.MemoEps = k.MemoEps
 	return o
 }
 
@@ -67,29 +63,28 @@ type Config struct {
 	Knobs Knobs
 }
 
-// Reference returns the exact configuration: Hungarian alignment, exact
-// memo keying, default scratch threshold. It is the delta baseline of
-// every report and the knob content of rats.ProfileReference.
+// Reference returns the exact configuration: Hungarian alignment and the
+// default scratch threshold. It is the delta baseline of every report and
+// the knob content of rats.ProfileReference.
 func Reference() Config {
 	return Config{Name: "reference", Knobs: Knobs{Align: redist.AlignHungarian}}
 }
 
 // Fast returns the shipped fast-profile configuration (the knob content
-// of rats.ProfileFast): AlignAuto under the measured cap, a small memo
-// staleness bound, and a raised scratch threshold.
+// of rats.ProfileFast): AlignAuto under the measured cap and a raised
+// scratch threshold.
 func Fast() Config {
 	return Config{Name: "fast", Knobs: Knobs{
 		Align:            redist.AlignAuto,
 		AlignCap:         core.FastAlignCap,
-		MemoEps:          core.FastMemoEps,
 		ScratchThreshold: core.FastScratchThreshold,
 	}}
 }
 
 // Configs enumerates the full knob sweep: the reference, each alignment
-// mode in isolation, the AlignAuto cap ladder, the memo staleness ladder
-// (on the exact Hungarian base so ε is the only variable), the scratch
-// threshold ladder, and the combined fast candidate.
+// mode in isolation, the AlignAuto cap ladder, the scratch threshold
+// ladder (on the exact Hungarian base so the threshold is the only
+// variable), and the combined fast candidate.
 func Configs() []Config {
 	h := redist.AlignHungarian
 	return []Config{
@@ -100,8 +95,6 @@ func Configs() []Config {
 		{Name: "auto-cap64", Knobs: Knobs{Align: redist.AlignAuto, AlignCap: 64}},
 		{Name: "auto-cap32", Knobs: Knobs{Align: redist.AlignAuto, AlignCap: 32}},
 		{Name: "auto-cap16", Knobs: Knobs{Align: redist.AlignAuto, AlignCap: 16}},
-		{Name: "eps0.05", Knobs: Knobs{Align: h, MemoEps: 0.05}},
-		{Name: "eps0.15", Knobs: Knobs{Align: h, MemoEps: 0.15}},
 		{Name: "scratch64", Knobs: Knobs{Align: h, ScratchThreshold: 64}},
 		{Name: "scratch128", Knobs: Knobs{Align: h, ScratchThreshold: 128}},
 		Fast(),
@@ -228,11 +221,10 @@ type ClassReport struct {
 // Latencies are wall-clock nanoseconds on the run's hardware; deltas are
 // relative to the class's reference configuration.
 type ConfigReport struct {
-	Name             string  `json:"name"`
-	Align            string  `json:"align"`
-	AlignCap         int     `json:"align_cap"`
-	MemoEps          float64 `json:"memo_eps"`
-	ScratchThreshold int     `json:"scratch_threshold"`
+	Name             string `json:"name"`
+	Align            string `json:"align"`
+	AlignCap         int    `json:"align_cap"`
+	ScratchThreshold int    `json:"scratch_threshold"`
 
 	Runs int `json:"runs"` // scenario × algorithm pairs
 
@@ -469,7 +461,6 @@ func Run(opts Options) (*Report, error) {
 				Name:             cfg.Name,
 				Align:            cfg.Knobs.Align.String(),
 				AlignCap:         cfg.Knobs.AlignCap,
-				MemoEps:          cfg.Knobs.MemoEps,
 				ScratchThreshold: cfg.Knobs.ScratchThreshold,
 				Runs:             runs,
 				MapMeanNs:        mapMean,

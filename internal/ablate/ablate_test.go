@@ -111,7 +111,7 @@ func TestConfigsShape(t *testing.T) {
 		}
 		names[c.Name] = true
 	}
-	for _, want := range []string{"fast", "align-greedy", "auto-cap16", "eps0.05", "scratch128"} {
+	for _, want := range []string{"fast", "align-greedy", "auto-cap16", "scratch128"} {
 		if !names[want] {
 			t.Errorf("Configs() missing %q", want)
 		}

@@ -34,10 +34,7 @@ func NewMapContext(cl *platform.Cluster) *MapContext {
 	m := &c.m
 	m.cl = cl
 	m.hetSpeeds = cl.HeteroSpeeds()
-	// Lane 0 serves the serial engine; Options.Workers > 1 grows the
-	// slice on demand (ensureWorkers), so a context pooled for serial
-	// traffic pays for exactly one estimator.
-	m.ws = []evalWorker{{est: NewEstimator(cl)}}
+	m.est = NewEstimator(cl)
 	m.avail = make([]float64, cl.P)
 	m.byAvail = make([]int, cl.P)
 	m.availKept = make([]int, 0, cl.P)
@@ -57,8 +54,7 @@ func (c *MapContext) Cluster() *platform.Cluster { return c.m.cl }
 func (c *MapContext) Map(g *dag.Graph, costs *moldable.Costs, alloc []int, opts Options) *Schedule {
 	m := &c.m
 	m.g, m.costs, m.opts = g, costs, opts
-	// Estimator memos are reset inside run (ensureWorkers), covering
-	// every lane the run provisions.
+	// The estimator memo is reset inside run.
 	m.alloc = append([]int(nil), alloc...)
 	sched := m.run()
 	// Drop every reference that escaped into the schedule (plus the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -36,8 +37,11 @@ func randomGraph(rng *rand.Rand) *dag.Graph {
 // scheduled through one reused MapContext per cluster must produce
 // byte-identical schedules to fresh per-request construction — the digest
 // covers every observable field of the schedule, floats rendered exactly.
+// After the random stream, degenerate graphs (a lone task, a two-task
+// chain, a three-way fork) run on every pooled context under each
+// strategy, where a task has fewer candidates than the context has seen.
 func TestMapContextReuseDigestIdentical(t *testing.T) {
-	clusters := []*platform.Cluster{platform.Chti(), platform.Grelon(), platform.Big512()}
+	clusters := []*platform.Cluster{platform.Chti(), platform.Grelon(), platform.Big512(), platform.Big512Het()}
 	pooled := make([]*MapContext, len(clusters))
 	for i, cl := range clusters {
 		pooled[i] = NewMapContext(cl)
@@ -45,20 +49,10 @@ func TestMapContextReuseDigestIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	strategies := []Strategy{StrategyNone, StrategyDelta, StrategyTimeCost}
 
-	const requests = 60
-	for i := 0; i < requests; i++ {
-		ci := rng.Intn(len(clusters))
+	check := func(i, ci int, g *dag.Graph, opts Options) {
+		t.Helper()
 		cl := clusters[ci]
-		g := randomGraph(rng)
-		opts := DefaultNaive(strategies[rng.Intn(len(strategies))])
-		if rng.Intn(4) == 0 {
-			opts.PredOverlap = true
-		}
-		if rng.Intn(4) == 0 {
-			opts.DeltaEFTGuard = false
-		}
 		costs, alloc := setup(g, cl)
-
 		fresh := Map(g, costs, cl, alloc, opts)
 		reused := pooled[ci].Map(g, costs, alloc, opts)
 		want, got := scheduleDigest(fresh), scheduleDigest(reused)
@@ -68,6 +62,39 @@ func TestMapContextReuseDigestIdentical(t *testing.T) {
 		}
 		if err := reused.Validate(g, cl); err != nil {
 			t.Fatalf("request %d: reused-context schedule invalid: %v", i, err)
+		}
+	}
+
+	const requests = 60
+	for i := 0; i < requests; i++ {
+		ci := rng.Intn(len(clusters))
+		g := randomGraph(rng)
+		opts := DefaultNaive(strategies[rng.Intn(len(strategies))])
+		if rng.Intn(4) == 0 {
+			opts.PredOverlap = true
+		}
+		if rng.Intn(4) == 0 {
+			opts.DeltaEFTGuard = false
+		}
+		check(i, ci, g, opts)
+	}
+
+	solo := dag.NewGraph(1, 0)
+	solo.AddTask(dag.Task{Name: "solo", M: 20e6, A: 100, Alpha: 0.2})
+	fork := dag.NewGraph(4, 3)
+	fork.AddTask(dag.Task{Name: "src", M: 20e6, A: 100, Alpha: 0.1})
+	for i := 0; i < 3; i++ {
+		fork.AddTask(dag.Task{Name: fmt.Sprintf("c%d", i), M: 10e6, A: 100, Alpha: 0.1})
+		fork.AddEdge(0, i+1, fork.Tasks[0].Bytes())
+	}
+	fork.Normalize()
+	i := requests
+	for _, g := range []*dag.Graph{solo, chain(2, 15e6), fork} {
+		for ci := range clusters {
+			for _, st := range strategies {
+				check(i, ci, g, DefaultNaive(st))
+				i++
+			}
 		}
 	}
 }

@@ -9,14 +9,6 @@ import (
 	"repro/internal/platform"
 )
 
-func totalEvals(c *MapContext) int {
-	n := 0
-	for i := range c.m.ws {
-		n += c.m.ws[i].nEval
-	}
-	return n
-}
-
 // TestBaselineDedupSkipsEvaluations pins the per-task candidate dedup: on a
 // chain whose every task is allocated the whole cluster, the adoption
 // candidate (delta) or accepted stretch (time-cost) inherits the
@@ -40,12 +32,12 @@ func TestBaselineDedupSkipsEvaluations(t *testing.T) {
 		cDedup := NewMapContext(cl)
 		withDedup := cDedup.Map(g, costs, a, opts)
 		hits := cDedup.m.nDedup
-		evalsDedup := totalEvals(cDedup)
+		evalsDedup := cDedup.m.nEval
 
 		opts.disableDedup = true
 		cPlain := NewMapContext(cl)
 		noDedup := cPlain.Map(g, costs, a, opts)
-		evalsPlain := totalEvals(cPlain)
+		evalsPlain := cPlain.m.nEval
 
 		if hits == 0 {
 			t.Errorf("%v: dedup never fired on an all-identity chain", st)

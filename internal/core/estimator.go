@@ -21,16 +21,6 @@ import (
 type Estimator struct {
 	cl *platform.Cluster
 
-	// MemoEps, when positive, lets EdgeRedistTime reuse a memo entry whose
-	// receiver rank order differs from the probe's in at most ⌊ε·q⌋
-	// positions (same length q). Receiver orders are availability-ordered,
-	// so the position-diff fraction measures how far the availability
-	// inputs moved since the entry was computed; stale reuses are counted
-	// separately (obs "memo_stale_hits") and only ever copy values from
-	// freshly computed entries, so the approximation error never compounds
-	// across chains of reuses. Zero (the default) keeps exact keying.
-	MemoEps float64
-
 	// Homogeneous per-pair figures, precomputed once: on these clusters the
 	// empirical bandwidth β' and the route latency only depend on whether
 	// the two nodes share a cabinet.
@@ -77,18 +67,11 @@ type Estimator struct {
 	memoKeys []byte
 	keyBuf   []byte
 
-	// lastByEdge tracks, per edge, the most recent memo entry whose value
-	// was freshly computed (not itself a stale reuse) — the one candidate
-	// the MemoEps staleness check compares a missing probe against.
-	// Only maintained when MemoEps > 0.
-	lastByEdge map[int]int32
-
 	// Memo effectiveness counters (plain stores; each estimator belongs
-	// to one evaluation lane). The mapper merges them into the schedule's
+	// to one mapping context). The mapper merges them into the schedule's
 	// obs.Counters snapshot at the end of a run.
 	memoProbes uint64
 	memoHits   uint64
-	memoStale  uint64
 }
 
 // memoEntry is one memoized estimate: its key bytes in the arena, the
@@ -198,12 +181,10 @@ func (e *Estimator) hetFigures(src, dst int) (bw, lat float64) {
 // graph to graph — so a pooled context must call Reset between runs.
 func (e *Estimator) Reset() {
 	clear(e.memoIdx)
-	clear(e.lastByEdge)
 	e.memoEnts = e.memoEnts[:0]
 	e.memoKeys = e.memoKeys[:0]
 	e.memoProbes = 0
 	e.memoHits = 0
-	e.memoStale = 0
 }
 
 func (e *Estimator) ensureScratch() {
@@ -361,69 +342,12 @@ func (e *Estimator) EdgeRedistTime(edge int, bytes float64, senders, receivers [
 	} else {
 		head = -1
 	}
-	v, stale := 0.0, false
-	if e.MemoEps > 0 {
-		v, stale = e.staleNeighbor(edge, receivers)
-	}
-	if stale {
-		e.memoStale++
-	} else {
-		v = e.RedistTime(bytes, senders, receivers)
-	}
+	v := e.RedistTime(bytes, senders, receivers)
 	off := int32(len(e.memoKeys))
 	e.memoKeys = append(e.memoKeys, key...)
 	e.memoEnts = append(e.memoEnts, memoEntry{keyOff: off, keyLen: int32(len(key)), next: head, val: v})
 	e.memoIdx[h] = int32(len(e.memoEnts) - 1)
-	if e.MemoEps > 0 && !stale {
-		// Only freshly computed entries anchor future staleness checks, so
-		// a chain of reuses can never wander more than ε from a real
-		// estimate. The probe key is still inserted above either way:
-		// identical future probes become exact hits.
-		if e.lastByEdge == nil {
-			e.lastByEdge = make(map[int]int32, 64)
-		}
-		e.lastByEdge[edge] = int32(len(e.memoEnts) - 1)
-	}
 	return v
-}
-
-// staleNeighbor checks whether the edge's last freshly computed memo entry
-// has a receiver rank order close enough to the probe's — same length q,
-// at most ⌊MemoEps·q⌋ differing positions — to reuse its estimate. Receiver
-// orders are availability-ordered prefixes of the cluster, so the
-// position-diff fraction is a direct measure of how far the availability
-// inputs moved since the entry was computed.
-func (e *Estimator) staleNeighbor(edge int, receivers []int) (float64, bool) {
-	idx, ok := e.lastByEdge[edge]
-	if !ok {
-		return 0, false
-	}
-	q := len(receivers)
-	maxDiff := int(e.MemoEps * float64(q))
-	if maxDiff <= 0 {
-		return 0, false
-	}
-	ent := &e.memoEnts[idx]
-	key := e.memoKeys[ent.keyOff : ent.keyOff+ent.keyLen]
-	_, n := binary.Uvarint(key) // skip the edge id
-	key = key[n:]
-	diff := 0
-	for i := 0; i < q; i++ {
-		r, n := binary.Uvarint(key)
-		if n <= 0 {
-			return 0, false // stored order is shorter: different q
-		}
-		key = key[n:]
-		if int(r) != receivers[i] {
-			if diff++; diff > maxDiff {
-				return 0, false
-			}
-		}
-	}
-	if len(key) != 0 {
-		return 0, false // stored order is longer: different q
-	}
-	return ent.val, true
 }
 
 // EdgeTimeSimple is the coarse per-edge communication estimate used inside

@@ -211,59 +211,3 @@ func TestHetRedistTimeAllocFree(t *testing.T) {
 		})
 	}
 }
-
-// TestEdgeRedistTimeStale exercises the MemoEps staleness bound: with a
-// positive ε, a probe whose receiver order differs from the edge's last
-// computed entry in at most ⌊ε·q⌋ positions reuses that entry's value; a
-// zero ε (the reference behaviour) never does.
-func TestEdgeRedistTimeStale(t *testing.T) {
-	cl := platform.Grelon()
-	senders := []int{0, 1, 2, 3}
-	recvA := []int{10, 11, 12, 13, 14, 15, 16, 17} // q = 8
-	recvB := append([]int(nil), recvA...)
-	recvB[7] = 18 // one position differs: within ε = 0.2 (⌊0.2·8⌋ = 1)
-	recvC := append([]int(nil), recvA...)
-	recvC[6], recvC[7] = 19, 20 // two positions differ: beyond the bound
-
-	exact := NewEstimator(cl)
-	wantB := exact.RedistTime(1e9, senders, recvB)
-	wantC := exact.RedistTime(1e9, senders, recvC)
-
-	est := NewEstimator(cl)
-	est.MemoEps = 0.2
-	a := est.EdgeRedistTime(3, 1e9, senders, recvA)
-	if est.memoStale != 0 {
-		t.Fatalf("first probe counted as stale hit")
-	}
-	if got := est.EdgeRedistTime(3, 1e9, senders, recvB); got != a {
-		t.Errorf("stale-eligible probe = %g, want reused %g", got, a)
-	}
-	if est.memoStale != 1 {
-		t.Errorf("memoStale = %d, want 1", est.memoStale)
-	}
-	// The stale value was re-inserted under recvB's exact key: an identical
-	// probe is an exact hit now, not a second stale reuse.
-	if got := est.EdgeRedistTime(3, 1e9, senders, recvB); got != a {
-		t.Errorf("repeat probe = %g, want %g", got, a)
-	}
-	if est.memoStale != 1 {
-		t.Errorf("memoStale after repeat = %d, want 1", est.memoStale)
-	}
-	// Two differing positions exceed ⌊0.2·8⌋: computed fresh.
-	if got := est.EdgeRedistTime(3, 1e9, senders, recvC); got != wantC {
-		t.Errorf("out-of-bound probe = %g, want fresh %g", got, wantC)
-	}
-	// A different edge has no anchor entry yet: computed fresh.
-	if got := est.EdgeRedistTime(4, 1e9, senders, recvB); got != wantB {
-		t.Errorf("new-edge probe = %g, want fresh %g", got, wantB)
-	}
-	// ε = 0 keeps exact keying: recvB is computed, never reused.
-	ref := NewEstimator(cl)
-	ref.EdgeRedistTime(3, 1e9, senders, recvA)
-	if got := ref.EdgeRedistTime(3, 1e9, senders, recvB); got != wantB {
-		t.Errorf("ε=0 probe = %g, want exact %g", got, wantB)
-	}
-	if ref.memoStale != 0 {
-		t.Errorf("ε=0 memoStale = %d, want 0", ref.memoStale)
-	}
-}

@@ -94,7 +94,7 @@ func TestScheduleGolden(t *testing.T) {
 }
 
 // TestScheduleGoldenFast pins the fast-profile schedules (DefaultFast:
-// AlignAuto at FastAlignCap, FastMemoEps, the replay threshold living at
+// AlignAuto at FastAlignCap, the replay threshold living at
 // the sim layer) on the same cross-section. Every digest coincides with
 // the reference one: the golden graphs' redistributions all sit at or
 // under the cap, where AlignAuto solves them exactly — the profiles only

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/moldable"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/platform"
 	"repro/internal/redist"
 )
@@ -80,13 +79,6 @@ type Options struct {
 	// pins the measured value.
 	AlignCap int
 
-	// MemoEps, when positive, lets the estimator's EdgeRedistTime memo
-	// answer a probe from an entry whose receiver rank order differs in at
-	// most ⌊ε·q⌋ positions instead of re-walking the block matrix (see
-	// Estimator.MemoEps). Zero keeps exact memo keying — the reference
-	// behaviour.
-	MemoEps float64
-
 	// PredOverlap is an ablation of the *baseline* mapping: when true, the
 	// earliest-available processor selection is augmented with candidate
 	// sets overlapping each predecessor's processors (keeping the fixed
@@ -111,18 +103,10 @@ type Options struct {
 	// benches quantify it.
 	NoClaiming bool
 
-	// Workers fans each task's candidate evaluations out over a pool of
-	// that many workers (the calling goroutine included). Values ≤ 1 run
-	// the serial engine, which remains the oracle; any larger count
-	// produces byte-identical schedules — candidate evaluation is pure
-	// given the committed state, every worker owns its own scratch, and
-	// the reduction replays the serial comparison order (see parallel.go).
-	Workers int
-
 	// Tracer, when non-nil, records one span per task placement
 	// (category "map", Arg1 = task ID, Arg2 = candidate evaluations the
-	// placement cost across all lanes). Placement decisions are
-	// unaffected: the tracer observes, never steers.
+	// placement cost). Placement decisions are unaffected: the tracer
+	// observes, never steers.
 	Tracer *obs.Tracer
 
 	// disableDedup turns off the baseline-versus-reference candidate
@@ -159,14 +143,6 @@ const (
 	// at a worst-case makespan delta of 0.011% across all classes, far
 	// inside the 0.5% profile contract.
 	FastAlignCap = 32
-	// FastMemoEps is the estimator memo staleness bound. The ablation
-	// REJECTED a positive ε: across the full sweep the stale-neighbor path
-	// fired 2 times in ~78k probes even at ε = 0.15 — mapping either hits
-	// the exact memo or moves receiver orders wholesale — while the
-	// neighbor comparison slowed big-scale mapping up to 1.6×. The knob
-	// stays plumbed (Options.MemoEps) for workloads with jittery
-	// availability, but the shipped profile keeps exact memo keying.
-	FastMemoEps = 0.0
 	// FastScratchThreshold quadruples the flownet scratch-solve cutoff
 	// (latency-only: all solve regimes are exact; paper-scale replay p50
 	// dropped ~19% in the sweep, big scales were neutral).
@@ -181,7 +157,6 @@ func DefaultFast(s Strategy) Options {
 	o := DefaultNaive(s)
 	o.Align = redist.AlignAuto
 	o.AlignCap = FastAlignCap
-	o.MemoEps = FastMemoEps
 	return o
 }
 
@@ -197,45 +172,25 @@ func Map(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, alloc []int,
 	return NewMapContext(cl).Map(g, costs, alloc, opts)
 }
 
-// evalWorker owns the mutable state one evaluation lane needs to score a
-// candidate placement: the estimator (redistribution memo + block-walk
-// scratch), the receiver-rank alignment scratch, and the candidate-buffer
-// pool. The serial engine uses lane 0 only; the parallel engine binds lane
-// w to pool worker w, so concurrent evaluations never share scratch.
-//
-// Every lane's estimator memoizes (edge, receiver rank order)
-// independently; RedistTime is a pure function of those inputs plus the
-// committed sender sets, so the memos return identical values regardless
-// of which lane — or how many — evaluated an edge first.
-type evalWorker struct {
-	est          *Estimator
-	alignScratch redist.AlignScratch
-	bufPool      [][]int
-
-	// nEval counts evalOn calls on this lane within the current run
-	// (diagnostics; the dedup tests assert on the sum across lanes).
-	nEval int
-}
-
-// getBuf returns an empty processor-set buffer from the lane's pool. A pool
-// miss returns nil on purpose: the subsequent append (or AlignReceiversInto)
-// sizes the allocation to the candidate itself, not to the cluster, so
-// committed sets never pin cluster-sized backing arrays.
-func (w *evalWorker) getBuf() []int {
-	if n := len(w.bufPool); n > 0 {
-		b := w.bufPool[n-1][:0]
-		w.bufPool = w.bufPool[:n-1]
+// getBuf returns an empty processor-set buffer from the candidate-buffer
+// pool. A pool miss returns nil on purpose: the subsequent append (or
+// AlignReceiversInto) sizes the allocation to the candidate itself, not to
+// the cluster, so committed sets never pin cluster-sized backing arrays.
+func (m *mapper) getBuf() []int {
+	if n := len(m.bufPool); n > 0 {
+		b := m.bufPool[n-1][:0]
+		m.bufPool = m.bufPool[:n-1]
 		return b
 	}
 	return nil
 }
 
-// putBuf returns a discarded candidate buffer to the lane's pool. Callers
-// must only pass buffers that lost their placement race — a committed
-// buffer is owned by the schedule.
-func (w *evalWorker) putBuf(b []int) {
+// putBuf returns a discarded candidate buffer to the pool. Callers must
+// only pass buffers that lost their placement race — a committed buffer
+// is owned by the schedule.
+func (m *mapper) putBuf(b []int) {
 	if cap(b) > 0 {
-		w.bufPool = append(w.bufPool, b)
+		m.bufPool = append(m.bufPool, b)
 	}
 }
 
@@ -289,26 +244,19 @@ type mapper struct {
 	sortKey  []float64
 	sorter   readySorter
 
-	// ws holds the per-lane evaluation scratch (estimator memo, alignment
-	// scratch, candidate-buffer pool). Lane 0 always exists and serves the
-	// serial engine; ensureWorkers grows the slice when Options.Workers
-	// asks for more lanes and resets every estimator at the start of a run.
-	ws []evalWorker
+	// Candidate-evaluation scratch: the estimator (redistribution memo +
+	// block-walk scratch, reset at the start of every run), the
+	// receiver-rank alignment scratch, and the pool of discarded candidate
+	// processor-set buffers.
+	est          *Estimator
+	alignScratch redist.AlignScratch
+	bufPool      [][]int
 
-	// nDedup counts candidate evaluations skipped by the serial engine's
-	// baseline-versus-reference dedup in the current run (see
-	// baselinePlacementDedup).
+	// nEval counts evalOn calls and nDedup the candidate evaluations
+	// skipped by the baseline-versus-reference dedup (see
+	// baselinePlacementDedup), both within the current run.
+	nEval  int
 	nDedup int
-
-	// Parallel-engine state (nil/unused when Options.Workers ≤ 1): the
-	// per-run worker pool, the per-task candidate list, and the prebuilt
-	// dispatch closure with the task it currently evaluates. parFn is
-	// built once per mapper so pool.Run does not allocate a closure per
-	// task.
-	pool     *par.Pool
-	parCands []parCand
-	parT     int
-	parFn    func(worker, i int)
 
 	// claimed[p] is set once a task has inherited predecessor p's
 	// processor set. Each parent allocation can be adopted by at most one
@@ -321,54 +269,12 @@ type mapper struct {
 	claimed []bool
 }
 
-// ensureWorkers grows the lane slice to n entries and readies lanes
-// [0, n) for a fresh run: estimator memos are dropped (they are keyed per
-// run — sender sets change from graph to graph) and the evaluation
-// counters cleared. Lanes beyond n keep stale memos; they are reset here
-// before any later run uses them.
-func (m *mapper) ensureWorkers(n int) {
-	for len(m.ws) < n {
-		m.ws = append(m.ws, evalWorker{est: NewEstimator(m.cl)})
-	}
-	for i := 0; i < n; i++ {
-		m.ws[i].est.Reset()
-		m.ws[i].est.MemoEps = m.opts.MemoEps
-		m.ws[i].nEval = 0
-		m.ws[i].alignScratch.ResetCounters()
-	}
-	m.nDedup = 0
-}
-
-// evalSum returns total evalOn calls across the first n lanes this run.
-func (m *mapper) evalSum(n int) int {
-	s := 0
-	for i := 0; i < n; i++ {
-		s += m.ws[i].nEval
-	}
-	return s
-}
-
 func (m *mapper) run() *Schedule {
-	workers := m.opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	m.ensureWorkers(workers)
-	if workers > 1 {
-		// The pool is per-run: a persistent pool on a pooled MapContext
-		// would leak its goroutines (contexts have no Close). Spawning
-		// workers−1 goroutines costs far less than one mapping run.
-		m.pool = par.NewPool(workers)
-		defer func() {
-			m.pool.Close()
-			m.pool = nil
-		}()
-		if m.parFn == nil {
-			m.parFn = func(worker, i int) {
-				m.evalCand(worker, m.parT, &m.parCands[i])
-			}
-		}
-	}
+	// The estimator memo is keyed per run (sender sets change from graph
+	// to graph), so it is dropped along with the run's counters.
+	m.est.Reset()
+	m.alignScratch.ResetCounters()
+	m.nEval, m.nDedup = 0, 0
 	n := m.g.N()
 	// Escaping arrays: owned by the returned Schedule, fresh every run.
 	m.procs = make([][]int, n)
@@ -401,7 +307,7 @@ func (m *mapper) run() *Schedule {
 			}
 			return m.costs.Time(t, m.alloc[t])
 		},
-		func(e int) float64 { return m.ws[0].est.EdgeTimeSimple(m.g.Edges[e].Bytes) },
+		func(e int) float64 { return m.est.EdgeTimeSimple(m.g.Edges[e].Bytes) },
 	)
 
 	remaining := n
@@ -432,11 +338,11 @@ func (m *mapper) run() *Schedule {
 			var evalsBefore int
 			if tracer := m.opts.Tracer; tracer != nil {
 				spanStart = tracer.Begin()
-				evalsBefore = m.evalSum(workers)
+				evalsBefore = m.nEval
 			}
 			claimedPred := m.place(t)
 			if tracer := m.opts.Tracer; tracer != nil {
-				tracer.End(spanStart, "map", "place", int64(t), int64(m.evalSum(workers)-evalsBefore))
+				tracer.End(spanStart, "map", "place", int64(t), int64(m.nEval-evalsBefore))
 			}
 			m.mapped[t] = true
 			m.order = append(m.order, t)
@@ -462,34 +368,21 @@ func (m *mapper) run() *Schedule {
 		EstFinish: m.finish,
 		TotalWork: m.totalWork(),
 	}
-	m.snapshotCounters(&sched.Counters, workers)
+	m.snapshotCounters(&sched.Counters)
 	return sched
 }
 
-// snapshotCounters merges the run's lane-local counters — estimator memo,
-// evaluation counts, alignment solves, pool lane claims — into c. It runs
-// once per mapping run, after the last wave and before the pool closes,
-// so every lane is quiescent and plain reads are safe.
-func (m *mapper) snapshotCounters(c *obs.Counters, workers int) {
-	for i := 0; i < workers; i++ {
-		w := &m.ws[i]
-		c.MemoProbes += w.est.memoProbes
-		c.MemoHits += w.est.memoHits
-		c.MemoStale += w.est.memoStale
-		c.CandEvals += uint64(w.nEval)
-		c.AlignExact += w.alignScratch.NExact
-		c.AlignGreedy += w.alignScratch.NGreedy
-		c.AlignCapped += w.alignScratch.NCapped
-	}
+// snapshotCounters copies the run's counters — estimator memo, evaluation
+// counts, alignment solves — into c, once per mapping run after the last
+// wave.
+func (m *mapper) snapshotCounters(c *obs.Counters) {
+	c.MemoProbes = m.est.memoProbes
+	c.MemoHits = m.est.memoHits
+	c.CandEvals = uint64(m.nEval)
+	c.AlignExact = m.alignScratch.NExact
+	c.AlignGreedy = m.alignScratch.NGreedy
+	c.AlignCapped = m.alignScratch.NCapped
 	c.DedupSkips = uint64(m.nDedup)
-	if m.pool != nil {
-		for lane, claimed := range m.pool.LaneCounts() {
-			c.ParTasks += uint64(claimed)
-			if lane >= 1 {
-				c.ParSteals += uint64(claimed)
-			}
-		}
-	}
 }
 
 // growCleared returns a length-n all-false slice, reusing buf's storage
@@ -693,13 +586,9 @@ func (m *mapper) place(t int) int {
 		m.start[t], m.finish[t] = est, est
 		return -1
 	}
-	if m.pool != nil {
-		return m.placeParallel(t)
-	}
-	w := &m.ws[0]
-	best, pred, ok := m.strategyPlacement(w, t)
+	best, pred, ok := m.strategyPlacement(t)
 	if !ok {
-		best = m.baselinePlacement(w, t)
+		best = m.baselinePlacement(t)
 		pred = -1
 	}
 	if pred >= 0 {
@@ -760,13 +649,12 @@ func (m *mapper) reorderAvail(procs []int, eft float64) {
 	}
 }
 
-// evalOn builds the placement of t on an explicit processor set, using
-// lane w's estimator. During one task's evaluation the committed state it
-// reads — avail, finish, procs — is immutable (commit happens after the
-// winner is chosen), which is what makes concurrent evaluations on
-// distinct lanes race-free and value-identical to serial ones.
-func (m *mapper) evalOn(w *evalWorker, t int, procs []int) placement {
-	w.nEval++
+// evalOn builds the placement of t on an explicit processor set. During
+// one task's evaluation the committed state it reads — avail, finish,
+// procs — is immutable (commit happens after the winner is chosen), so a
+// placement's value is a pure function of its processor list.
+func (m *mapper) evalOn(t int, procs []int) placement {
+	m.nEval++
 	est := 0.0
 	for _, p := range procs {
 		if m.avail[p] > est {
@@ -777,10 +665,9 @@ func (m *mapper) evalOn(w *evalWorker, t int, procs []int) placement {
 		pred := m.g.Edges[e].From
 		rt := 0.0
 		if !m.g.Tasks[pred].Virtual {
-			// Memoized per lane: the sender set is fixed once pred is
-			// mapped, and candidate evaluations revisit the same receiver
+			// Memoized: the sender set is fixed once pred is mapped, and candidate evaluations revisit the same receiver
 			// sets.
-			rt = w.est.EdgeRedistTime(e, m.g.Edges[e].Bytes, m.procs[pred], procs)
+			rt = m.est.EdgeRedistTime(e, m.g.Edges[e].Bytes, m.procs[pred], procs)
 		}
 		if v := m.finish[pred] + rt; v > est {
 			est = v
@@ -794,8 +681,8 @@ func (m *mapper) evalOn(w *evalWorker, t int, procs []int) placement {
 // to the heaviest predecessor to maximize self-communication. With
 // Options.PredOverlap (ablation), predecessor-anchored candidate sets of
 // the same size are also evaluated and the best estimated finish wins.
-func (m *mapper) baselinePlacement(w *evalWorker, t int) placement {
-	return m.baselinePlacementDedup(w, t, nil)
+func (m *mapper) baselinePlacement(t int) placement {
+	return m.baselinePlacementDedup(t, nil)
 }
 
 // baselinePlacementDedup is baselinePlacement with a candidate dedup
@@ -810,29 +697,29 @@ func (m *mapper) baselinePlacement(w *evalWorker, t int) placement {
 // The availability order is read straight from m.byAvail, which commit
 // keeps sorted; alignToHeaviestPred copies its input, so no candidate ever
 // aliases the maintained ordering.
-func (m *mapper) baselinePlacementDedup(w *evalWorker, t int, ref *placement) placement {
+func (m *mapper) baselinePlacementDedup(t int, ref *placement) placement {
 	k := m.alloc[t]
 	if k > m.cl.P {
 		k = m.cl.P
 	}
 	byAvail := m.byAvail
-	cand := m.alignToHeaviestPred(w, t, byAvail[:k])
+	cand := m.alignToHeaviestPred(t, byAvail[:k])
 	var best placement
 	if ref != nil && !m.opts.disableDedup && equalInts(cand, ref.procs) {
 		m.nDedup++
 		best = placement{procs: cand, est: ref.est, eft: ref.eft}
 	} else {
-		best = m.evalOn(w, t, cand)
+		best = m.evalOn(t, cand)
 	}
 	if m.opts.PredOverlap {
 		for _, pred := range m.realPreds(t) {
 			set := truncateOrExtend(m.procs[pred], byAvail, k)
-			pl := m.evalOn(w, t, m.alignToHeaviestPred(w, t, set))
+			pl := m.evalOn(t, m.alignToHeaviestPred(t, set))
 			if pl.eft < best.eft {
-				w.putBuf(best.procs)
+				m.putBuf(best.procs)
 				best = pl
 			} else {
-				w.putBuf(pl.procs)
+				m.putBuf(pl.procs)
 			}
 		}
 	}
@@ -887,8 +774,8 @@ func truncateOrExtend(base, byAvail []int, k int) []int {
 // alignToHeaviestPred permutes the rank order of a processor set to
 // maximize self-communication with the predecessor contributing the most
 // bytes (§II-A). The set itself is unchanged; the returned copy lives in
-// a pooled candidate buffer of lane w (see evalWorker.bufPool).
-func (m *mapper) alignToHeaviestPred(w *evalWorker, t int, procs []int) []int {
+// a pooled candidate buffer (see getBuf).
+func (m *mapper) alignToHeaviestPred(t int, procs []int) []int {
 	var heavy int = -1
 	var bytes float64
 	for _, e := range m.g.In(t) {
@@ -902,7 +789,7 @@ func (m *mapper) alignToHeaviestPred(w *evalWorker, t int, procs []int) []int {
 		}
 	}
 	if heavy < 0 || bytes == 0 {
-		return append(w.getBuf(), procs...)
+		return append(m.getBuf(), procs...)
 	}
-	return redist.AlignReceiversCapped(w.getBuf(), bytes, m.procs[heavy], procs, m.opts.Align, m.opts.AlignCap, &w.alignScratch)
+	return redist.AlignReceiversCapped(m.getBuf(), bytes, m.procs[heavy], procs, m.opts.Align, m.opts.AlignCap, &m.alignScratch)
 }

@@ -16,12 +16,12 @@ import "math"
 // The placement is returned by value (ok reports whether one was found):
 // a pointer would force every candidate through the heap, one allocation
 // per evaluated task.
-func (m *mapper) strategyPlacement(w *evalWorker, t int) (pl placement, pred int, ok bool) {
+func (m *mapper) strategyPlacement(t int) (pl placement, pred int, ok bool) {
 	switch m.opts.Strategy {
 	case StrategyDelta:
-		return m.deltaPlacement(w, t)
+		return m.deltaPlacement(t)
 	case StrategyTimeCost:
-		return m.timeCostPlacement(w, t)
+		return m.timeCostPlacement(t)
 	}
 	return placement{}, -1, false
 }
@@ -46,20 +46,20 @@ func (m *mapper) deltaBounds(t int) (dMin, dMax int) {
 //  3. adopt the modification with the smallest |δ| (a stretch wins ties,
 //     since it also shortens the task), mapping the task onto the selected
 //     predecessor's processors.
-func (m *mapper) deltaPlacement(w *evalWorker, t int) (placement, int, bool) {
+func (m *mapper) deltaPlacement(t int) (placement, int, bool) {
 	pred := m.deltaAdoptPred(t)
 	if pred < 0 {
 		return placement{}, -1, false
 	}
-	pl := m.evalOn(w, t, append(w.getBuf(), m.procs[pred]...))
+	pl := m.evalOn(t, append(m.getBuf(), m.procs[pred]...))
 	if m.opts.DeltaEFTGuard {
 		// The adoption candidate pl doubles as the dedup reference: when
 		// the earliest-available set aligns onto exactly the adopted
 		// predecessor's rank order, the baseline re-evaluation is skipped.
-		base := m.baselinePlacementDedup(w, t, &pl)
-		w.putBuf(base.procs)
+		base := m.baselinePlacementDedup(t, &pl)
+		m.putBuf(base.procs)
 		if base.eft < pl.eft {
-			w.putBuf(pl.procs)
+			m.putBuf(pl.procs)
 			return placement{}, -1, false
 		}
 	}
@@ -69,8 +69,7 @@ func (m *mapper) deltaPlacement(w *evalWorker, t int) (placement, int, bool) {
 // deltaAdoptPred runs the delta strategy's estimation-free predecessor
 // selection (steps 1–3 of deltaPlacement's doc comment) and returns the
 // adopted predecessor, or −1 when no inheritable predecessor fits the
-// [δmin, δmax] bounds. Shared by the serial engine and the parallel
-// coordinator, which must enumerate the same adoption candidate.
+// [δmin, δmax] bounds.
 func (m *mapper) deltaAdoptPred(t int) int {
 	dPlus, predPlus, dMinus, predMinus := m.deltas(t)
 	dMin, dMax := m.deltaBounds(t)
@@ -117,7 +116,7 @@ func (m *mapper) rho(t, pPrime int) float64 {
 //     baseline mapping's.
 //
 // When both pass, the candidate with the earliest estimated finish wins.
-func (m *mapper) timeCostPlacement(w *evalWorker, t int) (placement, int, bool) {
+func (m *mapper) timeCostPlacement(t int) (placement, int, bool) {
 	var best placement
 	haveBest := false
 	bestPred := -1
@@ -125,7 +124,7 @@ func (m *mapper) timeCostPlacement(w *evalWorker, t int) (placement, int, bool) 
 
 	// Stretch candidate: maximize ρ over larger-or-equal predecessors.
 	if stretchPred := m.timeCostStretchPred(t); stretchPred >= 0 {
-		pl := m.evalOn(w, t, append(w.getBuf(), m.procs[stretchPred]...))
+		pl := m.evalOn(t, append(m.getBuf(), m.procs[stretchPred]...))
 		best, haveBest, bestPred, bestEFT = pl, true, stretchPred, pl.eft
 	}
 	cands := m.inheritablePreds(t)
@@ -140,22 +139,22 @@ func (m *mapper) timeCostPlacement(w *evalWorker, t int) (placement, int, bool) 
 		if haveBest {
 			stretchRef = &best
 		}
-		baseline := m.baselinePlacementDedup(w, t, stretchRef)
+		baseline := m.baselinePlacementDedup(t, stretchRef)
 		for _, p := range cands {
 			if len(m.procs[p]) >= m.alloc[t] {
 				continue
 			}
-			pl := m.evalOn(w, t, append(w.getBuf(), m.procs[p]...))
+			pl := m.evalOn(t, append(m.getBuf(), m.procs[p]...))
 			if pl.eft <= baseline.eft && pl.eft < bestEFT {
 				if haveBest {
-					w.putBuf(best.procs)
+					m.putBuf(best.procs)
 				}
 				best, haveBest, bestPred, bestEFT = pl, true, p, pl.eft
 			} else {
-				w.putBuf(pl.procs)
+				m.putBuf(pl.procs)
 			}
 		}
-		w.putBuf(baseline.procs)
+		m.putBuf(baseline.procs)
 	}
 	return best, bestPred, haveBest
 }
@@ -163,8 +162,7 @@ func (m *mapper) timeCostPlacement(w *evalWorker, t int) (placement, int, bool) 
 // timeCostStretchPred runs the time-cost strategy's estimation-free
 // stretch selection — maximize ρ over inheritable predecessors with
 // Np(pred) ≥ Np(t), accept when ρ ≥ minrho — and returns the selected
-// predecessor, or −1. Shared by the serial engine and the parallel
-// coordinator.
+// predecessor, or −1.
 func (m *mapper) timeCostStretchPred(t int) int {
 	bestRho := -1.0
 	stretchPred := -1

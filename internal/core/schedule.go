@@ -52,9 +52,9 @@ type Schedule struct {
 	// consumption metric of Figures 3 and 7.
 	TotalWork float64
 	// Counters is the mapping run's observability snapshot (estimator
-	// memo effectiveness, candidate evaluations, alignment solves, pool
-	// lane activity). Pure diagnostics: two schedules are equal when the
-	// fields above are equal, whatever the counters say.
+	// memo effectiveness, candidate evaluations, alignment solves). Pure
+	// diagnostics: two schedules are equal when the fields above are
+	// equal, whatever the counters say.
 	Counters obs.Counters
 }
 

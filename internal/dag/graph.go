@@ -180,11 +180,17 @@ var (
 	ErrMultipleExit  = errors.New("dag: graph has more than one exit task")
 	ErrEmpty         = errors.New("dag: graph has no tasks")
 	ErrDisconnected  = errors.New("dag: task unreachable from the entry task")
+	ErrTaskWork      = errors.New("dag: task needs positive elements and ops factor")
+	ErrTaskAlpha     = errors.New("dag: task serial fraction outside [0, 1)")
+	ErrEdgeBytes     = errors.New("dag: edge carries a negative payload")
 )
 
-// Validate checks the structural invariants assumed by the schedulers:
+// Validate checks the structural invariants assumed by the schedulers —
 // non-empty, acyclic, a single entry, a single exit, and every task
-// reachable from the entry. It returns the first violated invariant.
+// reachable from the entry — and then the §II-A cost model's value ranges:
+// every non-virtual task has positive M and A and an Amdahl fraction in
+// [0, 1), and no edge carries a negative payload. It returns the first
+// violated invariant.
 func (g *Graph) Validate() error {
 	if g.N() == 0 {
 		return ErrEmpty
@@ -209,6 +215,24 @@ func (g *Graph) Validate() error {
 		}
 		for _, e := range g.out[t] {
 			reach[g.Edges[e].To] = true
+		}
+	}
+	// The negated comparisons also reject NaN.
+	for i := range g.Tasks {
+		t := &g.Tasks[i]
+		if t.Virtual {
+			continue
+		}
+		if !(t.M > 0 && t.A > 0) {
+			return fmt.Errorf("%w: task %d (%s) has M=%g, A=%g", ErrTaskWork, i, t.Name, t.M, t.A)
+		}
+		if !(t.Alpha >= 0 && t.Alpha < 1) {
+			return fmt.Errorf("%w: task %d (%s) has alpha %g", ErrTaskAlpha, i, t.Name, t.Alpha)
+		}
+	}
+	for _, e := range g.Edges {
+		if !(e.Bytes >= 0) {
+			return fmt.Errorf("%w: edge %d→%d has %g bytes", ErrEdgeBytes, e.From, e.To, e.Bytes)
 		}
 	}
 	return nil

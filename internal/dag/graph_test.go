@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -70,6 +71,37 @@ func TestValidate(t *testing.T) {
 	g2.AddEdge(1, 2, 0)
 	if err := g2.Validate(); !errors.Is(err, ErrMultipleEntry) {
 		t.Fatalf("got %v, want ErrMultipleEntry", err)
+	}
+}
+
+// TestValidateCostValues pins the value checks: each out-of-model task or
+// edge value fails with its own sentinel, while virtual tasks (zero cost
+// by construction) pass.
+func TestValidateCostValues(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(g *Graph)
+		want error
+	}{
+		{"zero elements", func(g *Graph) { g.Tasks[1].M = 0 }, ErrTaskWork},
+		{"negative elements", func(g *Graph) { g.Tasks[2].M = -4e6 }, ErrTaskWork},
+		{"zero ops factor", func(g *Graph) { g.Tasks[0].A = 0 }, ErrTaskWork},
+		{"NaN elements", func(g *Graph) { g.Tasks[3].M = math.NaN() }, ErrTaskWork},
+		{"alpha one", func(g *Graph) { g.Tasks[1].Alpha = 1 }, ErrTaskAlpha},
+		{"alpha 1.5", func(g *Graph) { g.Tasks[1].Alpha = 1.5 }, ErrTaskAlpha},
+		{"alpha -3", func(g *Graph) { g.Tasks[2].Alpha = -3 }, ErrTaskAlpha},
+		{"negative edge bytes", func(g *Graph) { g.Edges[2].Bytes = -5e6 }, ErrEdgeBytes},
+		{"zero edge bytes", func(g *Graph) { g.Edges[2].Bytes = 0 }, nil},
+		{"alpha zero", func(g *Graph) { g.Tasks[1].Alpha = 0 }, nil},
+		{"virtual zero cost", func(g *Graph) { g.Tasks[0] = Task{ID: 0, Name: "entry", Virtual: true} }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := diamond()
+			tc.edit(g)
+			if err := g.Validate(); !errors.Is(err, tc.want) {
+				t.Fatalf("Validate = %v, want %v", err, tc.want)
+			}
+		})
 	}
 }
 

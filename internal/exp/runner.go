@@ -111,18 +111,11 @@ type Runner struct {
 	// the root ablation benches — are unaffected.
 	Align *redist.AlignMode
 	// Fast overlays the fast speed profile (the rats.ProfileFast bundle:
-	// size-capped auto alignment, memo staleness bound, raised scratch-solve
-	// threshold) on every algorithm's mapping and replay options. Align
+	// size-capped auto alignment and a raised scratch-solve threshold) on every algorithm's mapping and replay options. Align
 	// still wins for the alignment mode when both are set. The zero value
 	// keeps each spec's exact reference options, so the package's golden
 	// figures and tables stay bit-for-bit reproducible.
 	Fast bool
-	// MapWorkers shards each scenario's candidate evaluation across this
-	// many lanes inside the mapper (0 or 1 = serial; results are
-	// byte-identical either way). Composes with Workers, which
-	// parallelizes across scenarios: cross-scenario parallelism wins when
-	// scenarios are plentiful, mapper lanes when a few huge DAGs dominate.
-	MapWorkers int
 }
 
 // NewRunner returns a Runner with the paper's defaults.
@@ -159,13 +152,9 @@ func (r *Runner) Run(scens []Scenario, cl *platform.Cluster, algos []AlgoSpec) (
 			if r.Fast {
 				mapOpts.Align = redist.AlignAuto
 				mapOpts.AlignCap = core.FastAlignCap
-				mapOpts.MemoEps = core.FastMemoEps
 			}
 			if r.Align != nil {
 				mapOpts.Align = *r.Align
-			}
-			if r.MapWorkers > 0 {
-				mapOpts.Workers = r.MapWorkers
 			}
 			sched := core.Map(g, costs, cl, taskAlloc, mapOpts)
 			sig := scheduleSignature(sched)

@@ -4,7 +4,7 @@
 //
 // The design constraint is zero overhead on the scheduling hot paths.
 // Counters are plain uint64 fields owned by each engine context — the
-// estimator memo, the mapping lanes, the allocation refinement loop, the
+// estimator memo, the mapper, the allocation refinement loop, the
 // flownet solver, the replay engine — incremented with ordinary stores (no
 // atomics: every owner is single-writer by construction) and merged into
 // one Counters value at each run's deterministic reduce points. The tracer
@@ -36,26 +36,17 @@ type Counters struct {
 	BulkHeapifies uint64 `json:"bulk_heapifies"`
 
 	// Mapping (internal/core): estimator memo probes and hits
-	// (EdgeRedistTime), stale-tolerant memo reuses (the MemoEps knob:
-	// probes answered from a neighbouring receiver order instead of a
-	// fresh block walk), candidate placements evaluated across all lanes,
-	// evaluations skipped by the baseline-versus-reference dedup, and the
-	// receiver rank-alignment decisions — exact Hungarian solves, greedy
-	// solves, and AlignAuto demotions to greedy at the size cap.
+	// (EdgeRedistTime), candidate placements evaluated, evaluations
+	// skipped by the baseline-versus-reference dedup, and the receiver
+	// rank-alignment decisions — exact Hungarian solves, greedy solves,
+	// and AlignAuto demotions to greedy at the size cap.
 	MemoProbes  uint64 `json:"memo_probes"`
 	MemoHits    uint64 `json:"memo_hits"`
-	MemoStale   uint64 `json:"memo_stale_hits"`
 	CandEvals   uint64 `json:"cand_evals"`
 	DedupSkips  uint64 `json:"dedup_skips"`
 	AlignExact  uint64 `json:"align_exact"`
 	AlignGreedy uint64 `json:"align_greedy"`
 	AlignCapped uint64 `json:"align_capped"`
-
-	// Parallel mapping lanes (internal/par): indices processed by the
-	// pool across all lanes, and the subset claimed by helper lanes
-	// (work stolen from the coordinator's serial order).
-	ParTasks  uint64 `json:"par_tasks"`
-	ParSteals uint64 `json:"par_steals"`
 
 	// Replay rate solving (internal/flownet via internal/sim): how often
 	// Solve ran each regime — full rebuild, incremental merge-replay,

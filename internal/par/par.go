@@ -1,19 +1,15 @@
 // Package par provides small parallel-execution utilities used by the
-// experiment harness to fan simulation scenarios out across CPU cores and
-// by the mapping engine to shard candidate evaluation.
+// experiment harness to fan simulation scenarios out across CPU cores.
 //
 // The helpers deliberately avoid any external dependency: a bounded worker
-// pool over a work channel, a ForEach convenience wrapper with
+// pool over a work channel and a ForEach convenience wrapper with
 // deterministic result ordering (results land at their input index, so
-// parallel runs produce byte-identical reports), and a reusable Pool for
-// callers that fan out many small batches and cannot afford per-batch
-// goroutine churn.
+// parallel runs produce byte-identical reports).
 package par
 
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultWorkers returns the default worker count: GOMAXPROCS, at least 1.
@@ -69,111 +65,4 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	out := make([]T, n)
 	ForEach(n, workers, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// Pool is a reusable sharded-evaluation pool: NewPool spawns workers−1
-// goroutines once, and every Run call fans one batch of indices out over
-// them plus the calling goroutine. It exists for callers that run many
-// small batches back to back (the mapping engine evaluates a handful of
-// candidates per task, thousands of tasks per run): ForEach would pay one
-// goroutine spawn per batch item-set, a Pool pays it once per lifetime.
-//
-// Indices are claimed dynamically from a shared atomic cursor, so the
-// index→worker assignment is nondeterministic — callers needing
-// deterministic output must make fn(w, i)'s effect independent of w
-// (per-worker scratch only) and reduce results by index afterwards.
-//
-// A Pool is owned by one driver goroutine: Run must not be called
-// concurrently, and Close must be called exactly once when done (idle
-// workers block on a channel and would otherwise leak).
-type Pool struct {
-	workers int
-	n       int64
-	fn      func(worker, i int)
-	next    atomic.Int64
-	cmds    []chan struct{}
-	wg      sync.WaitGroup
-	// laneN[w] counts indices lane w claimed over the pool's lifetime.
-	// Each slot is written only by its own lane (single-writer, plain
-	// stores), so reading them is safe whenever no Run is in flight.
-	laneN []int64
-}
-
-// NewPool creates a pool of the given total width (the caller counts as
-// worker 0; workers−1 goroutines are spawned). Widths below 1 are clamped
-// to 1, which degenerates to inline execution.
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{workers: workers, cmds: make([]chan struct{}, workers-1), laneN: make([]int64, workers)}
-	for i := range p.cmds {
-		ch := make(chan struct{}, 1)
-		p.cmds[i] = ch
-		id := i + 1
-		go func() {
-			for range ch {
-				p.work(id)
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// Workers returns the pool's total width, including the caller.
-func (p *Pool) Workers() int { return p.workers }
-
-// Run executes fn(worker, i) for every i in [0, n), with worker ∈
-// [0, Workers()) identifying which lane ran the call (stable scratch
-// binding: two concurrent calls never share a worker id). Run returns when
-// every index has been processed. fn must be safe for concurrent
-// invocation on distinct indices.
-func (p *Pool) Run(n int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	p.fn = fn
-	p.n = int64(n)
-	p.next.Store(0)
-	// Never wake more helpers than there are indices beyond the caller's
-	// first claim: a starved worker would only bump the cursor and leave.
-	extra := p.workers - 1
-	if extra > n-1 {
-		extra = n - 1
-	}
-	p.wg.Add(extra)
-	for i := 0; i < extra; i++ {
-		p.cmds[i] <- struct{}{}
-	}
-	p.work(0)
-	p.wg.Wait()
-	p.fn = nil
-}
-
-func (p *Pool) work(worker int) {
-	for {
-		i := p.next.Add(1) - 1
-		if i >= p.n {
-			return
-		}
-		p.laneN[worker]++
-		p.fn(worker, int(i))
-	}
-}
-
-// LaneCounts returns how many indices each lane claimed over the pool's
-// lifetime (index 0 is the calling goroutine's lane). The returned slice
-// is a copy; call between Run invocations, not during one.
-func (p *Pool) LaneCounts() []int64 {
-	out := make([]int64, len(p.laneN))
-	copy(out, p.laneN)
-	return out
-}
-
-// Close releases the pool's goroutines. The pool must not be used after.
-func (p *Pool) Close() {
-	for _, ch := range p.cmds {
-		close(ch)
-	}
 }

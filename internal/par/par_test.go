@@ -56,109 +56,6 @@ func TestMapPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestPoolVisitsEveryIndexOnce(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const n = 500
-	// Three back-to-back batches on one pool: reuse must not drop or
-	// double-run indices.
-	for round := 0; round < 3; round++ {
-		var counts [n]int32
-		p.Run(n, func(w, i int) { atomic.AddInt32(&counts[i], 1) })
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("round %d: index %d visited %d times", round, i, c)
-			}
-		}
-	}
-}
-
-func TestPoolWorkerIDsStayInRange(t *testing.T) {
-	const workers = 3
-	p := NewPool(workers)
-	defer p.Close()
-	var hit [workers]int32
-	p.Run(200, func(w, i int) {
-		if w < 0 || w >= workers {
-			t.Errorf("worker id %d out of range", w)
-			return
-		}
-		atomic.AddInt32(&hit[w], 1)
-	})
-	var total int32
-	for _, h := range hit {
-		total += h
-	}
-	if total != 200 {
-		t.Fatalf("ran %d of 200 indices", total)
-	}
-	if hit[0] == 0 {
-		t.Error("the calling goroutine (worker 0) must participate")
-	}
-}
-
-func TestPoolSingleWorkerRunsInline(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	order := []int{}
-	p.Run(6, func(w, i int) {
-		if w != 0 {
-			t.Errorf("worker %d in a width-1 pool", w)
-		}
-		order = append(order, i) // safe: single worker, no goroutines
-	})
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("width-1 pool out of order: %v", order)
-		}
-	}
-}
-
-func TestPoolMoreWorkersThanItems(t *testing.T) {
-	p := NewPool(16)
-	defer p.Close()
-	for _, n := range []int{0, 1, 2, 3} {
-		var count int32
-		p.Run(n, func(w, i int) { atomic.AddInt32(&count, 1) })
-		if int(count) != n {
-			t.Fatalf("n=%d: ran %d indices", n, count)
-		}
-	}
-}
-
-func TestPoolClampsWidth(t *testing.T) {
-	p := NewPool(0)
-	defer p.Close()
-	if p.Workers() != 1 {
-		t.Fatalf("Workers() = %d, want 1", p.Workers())
-	}
-	ran := false
-	p.Run(1, func(w, i int) { ran = true })
-	if !ran {
-		t.Fatal("clamped pool did not run")
-	}
-}
-
-// Property: a pooled sum over any (n, width) equals the serial sum.
-func TestPropertyPoolEquivalence(t *testing.T) {
-	f := func(nRaw, wRaw uint8) bool {
-		n := int(nRaw) % 128
-		w := int(wRaw)%8 + 1
-		p := NewPool(w)
-		defer p.Close()
-		var got int64
-		p.Run(n, func(_, i int) { atomic.AddInt64(&got, int64(3*i+1)) })
-		want := int64(0)
-		for i := 0; i < n; i++ {
-			want += int64(3*i + 1)
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Map with any worker count equals the sequential map.
 func TestPropertyMapEquivalence(t *testing.T) {
 	f := func(nRaw, wRaw uint8) bool {

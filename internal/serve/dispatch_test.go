@@ -115,7 +115,7 @@ func TestDispatcherRunsInFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestBatcherShedsPastMaxQueue(t *testing.T) {
+func TestDispatcherShedsPastMaxQueue(t *testing.T) {
 	held, release := make(chan struct{}), make(chan struct{})
 	d := newDispatcher(2, 1, func(j *job) jobResult {
 		if j.m.ID == 1 {
@@ -199,10 +199,10 @@ func TestDispatcherIsolatesPanics(t *testing.T) {
 	}
 }
 
-// TestBatcherDrainAnswersEveryAcceptedJob is the graceful-shutdown
+// TestDispatcherDrainAnswersEveryAcceptedJob is the graceful-shutdown
 // contract: once a job is accepted its run is guaranteed, and Drain
 // returns only after it, even when Drain races with submission.
-func TestBatcherDrainAnswersEveryAcceptedJob(t *testing.T) {
+func TestDispatcherDrainAnswersEveryAcceptedJob(t *testing.T) {
 	var ran atomic.Int64
 	d := newDispatcher(1024, 2, func(j *job) jobResult {
 		time.Sleep(200 * time.Microsecond) // make drain race mid-run

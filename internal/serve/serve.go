@@ -67,8 +67,7 @@ type ScheduleRequest struct {
 	MaxDelta    *float64     `json:"max_delta,omitempty"`
 	MinRho      *float64     `json:"min_rho,omitempty"`
 	Packing     *bool        `json:"packing,omitempty"`
-	MapWorkers  int          `json:"map_workers,omitempty"` // mapper evaluation lanes; 0 = ServerConfig.MapWorkers
-	TimeoutMs   int          `json:"timeout_ms,omitempty"`  // per-request deadline; default ServerConfig.DefaultTimeout
+	TimeoutMs   int          `json:"timeout_ms,omitempty"` // per-request deadline; default ServerConfig.DefaultTimeout
 
 	DAG json.RawMessage `json:"dag"` // rats.DAG wire format (MarshalJSON schema)
 }
@@ -104,12 +103,11 @@ type requestSpec struct {
 	minRho             float64
 	hasRho             bool
 	packing            *bool
-	mapWorkers         int // resolved lanes; 0 = library default (serial)
 
 	clusterKey string // context-pool key: cluster identity only
 }
 
-func parseSpec(req *ScheduleRequest, defaultMapWorkers int, defaultProfile rats.Profile) (*requestSpec, error) {
+func parseSpec(req *ScheduleRequest, defaultProfile rats.Profile) (*requestSpec, error) {
 	sp := &requestSpec{}
 	switch {
 	case req.ClusterSpec != nil:
@@ -187,19 +185,6 @@ func parseSpec(req *ScheduleRequest, defaultMapWorkers int, defaultProfile rats.
 		sp.minRho, sp.hasRho = *req.MinRho, true
 	}
 	sp.packing = req.Packing
-	// Resolve the mapper's evaluation-lane count: an explicit request
-	// wins, 0 inherits the server default, and negative values are a 400 —
-	// the same stance WithMapWorkers takes, but caught before the
-	// scheduler so the client sees a malformed request, not a failed run.
-	switch {
-	case req.MapWorkers < 0:
-		return nil, fmt.Errorf("serve: map_workers must be ≥ 0, got %d", req.MapWorkers)
-	case req.MapWorkers > 0:
-		sp.mapWorkers = req.MapWorkers
-	default:
-		sp.mapWorkers = defaultMapWorkers
-	}
-
 	return sp, nil
 }
 
@@ -224,9 +209,6 @@ func (sp *requestSpec) options() []rats.Option {
 	if sp.packing != nil {
 		opts = append(opts, rats.WithPacking(*sp.packing))
 	}
-	if sp.mapWorkers > 0 {
-		opts = append(opts, rats.WithMapWorkers(sp.mapWorkers))
-	}
 	return opts
 }
 
@@ -244,11 +226,6 @@ type ServerConfig struct {
 	// DefaultTimeout is the per-request deadline applied when a request
 	// does not carry timeout_ms (default 30s).
 	DefaultTimeout time.Duration
-	// MapWorkers is the mapper evaluation-lane count applied to requests
-	// that do not carry map_workers (default 0 = serial mapping). The
-	// parallel mapper is byte-identical to the serial one, so this knob
-	// only trades throughput against per-request latency.
-	MapWorkers int
 	// Profile is the exactness/speed profile applied to requests that do
 	// not carry the profile field (default rats.ProfileFast, the library
 	// default; set rats.ProfileReference for a service pinned to the
@@ -359,7 +336,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, m, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	spec, err := parseSpec(&req, s.cfg.MapWorkers, s.cfg.Profile)
+	spec, err := parseSpec(&req, s.cfg.Profile)
 	if err != nil {
 		m.Status = http.StatusBadRequest
 		s.writeError(w, m, err)

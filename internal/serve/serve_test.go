@@ -133,8 +133,8 @@ func TestServedResultMatchesLibrary(t *testing.T) {
 }
 
 // TestServedBatchSharesContext pushes many concurrent requests through
-// the server — mixing clusters, strategies, profiles, alignments and
-// map_workers in flight at once — and verifies each response equals the
+// the server — mixing clusters, strategies, profiles and alignments in
+// flight at once — and verifies each response equals the
 // library result for its own configuration. Under -race this also proves
 // the per-request schedulers and the shared context pool are
 // data-race-free.
@@ -154,13 +154,10 @@ func TestServedBatchSharesContext(t *testing.T) {
 		{map[string]any{"cluster": "grelon", "strategy": "time-cost"}, grelonTC},
 		{map[string]any{"cluster": "grelon", "strategy": "time-cost", "profile": "reference"},
 			append(grelonTC[:2:2], rats.WithProfile(rats.ProfileReference))},
-		{map[string]any{"cluster": "grelon", "strategy": "time-cost", "map_workers": 2},
-			append(grelonTC[:2:2], rats.WithMapWorkers(2))},
 		{map[string]any{"cluster": "grelon", "strategy": "delta", "profile": "reference",
-			"alignment": "greedy", "map_workers": 3},
+			"alignment": "greedy"},
 			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.Delta),
-				rats.WithProfile(rats.ProfileReference), rats.WithAlignment(rats.AlignmentGreedy),
-				rats.WithMapWorkers(3)}},
+				rats.WithProfile(rats.ProfileReference), rats.WithAlignment(rats.AlignmentGreedy)}},
 		{map[string]any{"cluster": "chti", "strategy": "delta", "allocator": "cpa"},
 			[]rats.Option{rats.WithCluster(rats.Chti()), rats.WithStrategy(rats.Delta), rats.WithAllocator(rats.CPA)}},
 		{map[string]any{"cluster_spec": map[string]any{"name": "lab", "procs": 24, "speed_gflops": 5},
@@ -453,6 +450,42 @@ func TestServeRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOutOfModelDAG: a decoded DAG passes the same cost-value
+// checks as a built one, so task and edge values outside the §II-A model
+// are answered 422 instead of being scheduled.
+func TestServeRejectsOutOfModelDAG(t *testing.T) {
+	_, ts := newTestServer(t, ServerConfig{})
+	chain := func(m, alpha, bytes float64) []byte {
+		return []byte(fmt.Sprintf(`{"cluster":"chti","dag":{"graph":{"tasks":[`+
+			`{"ID":0,"Name":"a","M":4e6,"A":64,"Alpha":0.1},`+
+			`{"ID":1,"Name":"b","M":%g,"A":64,"Alpha":%g}],`+
+			`"edges":[{"From":0,"To":1,"Bytes":%g}]}}}`, m, alpha, bytes))
+	}
+	if resp, sr := postSchedule(t, ts.URL, chain(4e6, 0.1, 4e6)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("in-model chain: HTTP %d (%s), want 200", resp.StatusCode, sr.Error)
+	}
+	for _, tc := range []struct {
+		name  string
+		body  []byte
+		error string
+	}{
+		{"alpha 1.5", chain(4e6, 1.5, 4e6), "serial fraction"},
+		{"alpha -3", chain(4e6, -3, 4e6), "serial fraction"},
+		{"negative elements", chain(-4e6, 0.1, 4e6), "positive elements"},
+		{"negative edge bytes", chain(4e6, 0.1, -5e6), "negative payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, sr := postSchedule(t, ts.URL, tc.body)
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("HTTP %d, want 422 (error %q)", resp.StatusCode, sr.Error)
+			}
+			if !strings.Contains(sr.Error, tc.error) {
+				t.Fatalf("error %q does not name %q", sr.Error, tc.error)
+			}
+		})
+	}
+}
+
 func TestServeMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{})
 	body := scheduleBody(t, rats.Strassen(1), map[string]any{"cluster": "chti"})
@@ -508,12 +541,12 @@ func TestServeCustomClusterSpec(t *testing.T) {
 	}
 }
 
-// TestServeMapWorkers covers the map_workers knob end to end: an explicit
-// request value produces a result byte-identical to a serial library run
-// (the parallel mapper may never change a schedule), a server-wide default
-// applies to requests that omit the field, and a negative value is a 400.
-func TestServeMapWorkers(t *testing.T) {
-	_, ts := newTestServer(t, ServerConfig{MapWorkers: 2})
+// TestServeIgnoresDroppedWireField pins wire compatibility for the
+// removed map_workers field: it never changed a schedule, and unknown
+// request fields are ignored, so a client that still sends it gets a 200
+// byte-equal to the library result.
+func TestServeIgnoresDroppedWireField(t *testing.T) {
+	_, ts := newTestServer(t, ServerConfig{})
 	d := rats.FFT(16, 5)
 
 	want, err := rats.New(rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost)).Schedule(d)
@@ -524,35 +557,13 @@ func TestServeMapWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, fields := range []map[string]any{
-		{"cluster": "grelon", "strategy": "time-cost", "map_workers": 4}, // explicit
-		{"cluster": "grelon", "strategy": "time-cost"},                   // server default (2)
-	} {
-		resp, sr := postSchedule(t, ts.URL, scheduleBody(t, d, fields))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("fields %v: HTTP %d: %s", fields, resp.StatusCode, sr.Error)
-		}
-		if string(sr.Result) != string(wantBlob) {
-			t.Fatalf("fields %v: parallel-mapped served result diverges from serial library run", fields)
-		}
-	}
-
 	resp, sr := postSchedule(t, ts.URL, scheduleBody(t, d,
-		map[string]any{"cluster": "grelon", "map_workers": -1}))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("map_workers=-1: HTTP %d (%s), want 400", resp.StatusCode, sr.Error)
+		map[string]any{"cluster": "grelon", "strategy": "time-cost", "map_workers": 3}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", resp.StatusCode, sr.Error)
 	}
-
-	// The server default applies only to requests that omit the field.
-	for _, tc := range []struct{ req, want int }{{0, 2}, {4, 4}} {
-		sp, err := parseSpec(&ScheduleRequest{Cluster: "grelon", MapWorkers: tc.req}, 2, rats.ProfileFast)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sp.mapWorkers != tc.want {
-			t.Fatalf("map_workers %d under server default 2 resolved to %d, want %d", tc.req, sp.mapWorkers, tc.want)
-		}
+	if string(sr.Result) != string(wantBlob) {
+		t.Fatalf("served result diverges from library:\n%s\nvs\n%s", sr.Result, wantBlob)
 	}
 }
 
@@ -615,7 +626,7 @@ func TestServedProfileField(t *testing.T) {
 	}
 
 	// A server default of reference applies to requests without the field.
-	sp, err := parseSpec(&ScheduleRequest{}, 0, rats.ProfileReference)
+	sp, err := parseSpec(&ScheduleRequest{}, rats.ProfileReference)
 	if err != nil {
 		t.Fatal(err)
 	}

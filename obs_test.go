@@ -21,14 +21,13 @@ import (
 	"repro/rats"
 )
 
-// TestObserverByteIdenticalSchedules randomizes DAG shapes across clusters,
-// strategies and mapper lane counts and requires the marshaled wire
-// document of an observed run to equal the unobserved run's byte for byte.
+// TestObserverByteIdenticalSchedules randomizes DAG shapes across clusters
+// and strategies and requires the marshaled wire document of an observed
+// run to equal the unobserved run's byte for byte.
 func TestObserverByteIdenticalSchedules(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	clusters := []string{"grillon", "grelon", "grelon-het"}
 	strategies := []rats.Strategy{rats.Baseline, rats.Delta, rats.TimeCost}
-	workerCounts := []int{1, 2, 7}
 	for i := 0; i < 6; i++ {
 		d := rats.Random(rats.RandomSpec{
 			N: 20 + rng.Intn(30), Width: 0.3 + 0.5*rng.Float64(),
@@ -40,38 +39,33 @@ func TestObserverByteIdenticalSchedules(t *testing.T) {
 		}
 		cluster := clusters[rng.Intn(len(clusters))]
 		strategy := strategies[rng.Intn(len(strategies))]
-		for _, workers := range workerCounts {
-			name := fmt.Sprintf("case%d/%s/%v/workers=%d", i, cluster, strategy, workers)
-			cl, err := rats.ClusterByName(cluster)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := []rats.Option{rats.WithCluster(cl), rats.WithStrategy(strategy)}
-			if workers > 1 {
-				base = append(base, rats.WithMapWorkers(workers))
-			}
-			plain, err := rats.New(base...).Schedule(d)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			observed, err := rats.New(append(base,
-				rats.WithObserver(rats.NewTracer(256)))...).Schedule(d)
-			if err != nil {
-				t.Fatalf("%s observed: %v", name, err)
-			}
-			pb, err1 := json.Marshal(plain)
-			ob, err2 := json.Marshal(observed)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s: marshal: %v / %v", name, err1, err2)
-			}
-			if !bytes.Equal(pb, ob) {
-				t.Errorf("%s: observer changed the wire document:\nplain    %s\nobserved %s",
-					name, pb, ob)
-			}
-			// The observed run must actually have counted something.
-			if observed.Counters.AllocGrants == 0 {
-				t.Errorf("%s: observed run recorded no allocation grants", name)
-			}
+		name := fmt.Sprintf("case%d/%s/%v", i, cluster, strategy)
+		cl, err := rats.ClusterByName(cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := []rats.Option{rats.WithCluster(cl), rats.WithStrategy(strategy)}
+		plain, err := rats.New(base...).Schedule(d)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		observed, err := rats.New(append(base,
+			rats.WithObserver(rats.NewTracer(256)))...).Schedule(d)
+		if err != nil {
+			t.Fatalf("%s observed: %v", name, err)
+		}
+		pb, err1 := json.Marshal(plain)
+		ob, err2 := json.Marshal(observed)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: marshal: %v / %v", name, err1, err2)
+		}
+		if !bytes.Equal(pb, ob) {
+			t.Errorf("%s: observer changed the wire document:\nplain    %s\nobserved %s",
+				name, pb, ob)
+		}
+		// The observed run must actually have counted something.
+		if observed.Counters.AllocGrants == 0 {
+			t.Errorf("%s: observed run recorded no allocation grants", name)
 		}
 	}
 }

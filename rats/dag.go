@@ -69,7 +69,8 @@ func (d *DAG) mutable(op string) {
 }
 
 // Task appends a moldable task. Names must be unique within the DAG;
-// Elements and OpsFactor must be positive and Alpha in [0, 1).
+// Elements and OpsFactor must be positive and Alpha in [0, 1) (checked by
+// Build, for built and JSON-decoded DAGs alike).
 func (d *DAG) Task(name string, spec TaskSpec) *DAG {
 	d.mutable("Task")
 	if name == "" {
@@ -77,13 +78,6 @@ func (d *DAG) Task(name string, spec TaskSpec) *DAG {
 	}
 	if _, dup := d.byName[name]; dup {
 		return d.fail("rats: duplicate task name %q", name)
-	}
-	if spec.Elements <= 0 || spec.OpsFactor <= 0 {
-		return d.fail("rats: task %q needs positive Elements and OpsFactor (got %g, %g)",
-			name, spec.Elements, spec.OpsFactor)
-	}
-	if spec.Alpha < 0 || spec.Alpha >= 1 {
-		return d.fail("rats: task %q has Alpha %g outside [0, 1)", name, spec.Alpha)
 	}
 	id := d.g.AddTask(dag.Task{
 		Name:  name,
@@ -107,7 +101,8 @@ func (d *DAG) Edge(from, to string) *DAG {
 }
 
 // EdgeBytes adds a data dependence with an explicit payload in bytes,
-// overriding the default full-dataset volume.
+// overriding the default full-dataset volume. A negative payload fails
+// Build.
 func (d *DAG) EdgeBytes(from, to string, bytes float64) *DAG {
 	d.mutable("EdgeBytes")
 	src, ok := d.byName[from]
@@ -118,9 +113,6 @@ func (d *DAG) EdgeBytes(from, to string, bytes float64) *DAG {
 	if !ok {
 		return d.fail("rats: edge target %q is not a task", to)
 	}
-	if bytes < 0 {
-		return d.fail("rats: edge %s→%s has negative payload %g", from, to, bytes)
-	}
 	d.g.AddEdge(src, dst, bytes)
 	return d
 }
@@ -130,8 +122,9 @@ func (d *DAG) Err() error { return d.err }
 
 // Build finalizes the DAG: it normalizes the graph to a single entry and
 // exit (adding zero-cost virtual connectors when needed), validates its
-// structure, and freezes it. Build is idempotent; the first call decides
-// the outcome. Schedule and ScheduleAll call it implicitly.
+// structure and cost values, and freezes it. Build is idempotent; the
+// first call decides the outcome. Schedule and ScheduleAll call it
+// implicitly.
 func (d *DAG) Build() error {
 	d.once.Do(func() {
 		d.frozen.Store(true)

@@ -52,6 +52,7 @@
 //
 // ScheduleAll is the scale-oriented entry point: scheduling is CPU-bound
 // and allocation-free of shared state, so throughput scales with cores
-// until the batch is exhausted. The contract is exercised under the race
+// until the batch is exhausted. Parallelism is across DAGs only: each
+// DAG is mapped serially, on one goroutine. The contract is exercised under the race
 // detector in the package tests.
 package rats

@@ -9,14 +9,13 @@ import (
 // bundle instead of individual knobs. Two profiles exist:
 //
 //   - ProfileFast (the default): the ablation-backed approximation point —
-//     size-capped exact alignment (AlignmentAuto at core.FastAlignCap), a
-//     small estimator-memo staleness bound, and a raised flownet
-//     scratch-solve threshold. The internal/ablate harness measured zero
+//     size-capped exact alignment (AlignmentAuto at core.FastAlignCap) and
+//     a raised flownet scratch-solve threshold. The internal/ablate harness measured zero
 //     changed schedules and 0.00% makespan delta for this bundle on every
 //     scenario class (docs/ablation_pr10.json); the profile's contract is
 //     ≤0.5% mean makespan delta against the reference.
-//   - ProfileReference: the exact pipeline — full Hungarian alignment,
-//     exact memo keying, default scratch threshold. The permanent oracle:
+//   - ProfileReference: the exact pipeline — full Hungarian alignment and
+//     the default scratch threshold. The permanent oracle:
 //     golden digests and cross-checks pin it, and
 //     TestProfileFastMakespanBound bounds fast against it.
 //

@@ -33,7 +33,7 @@ func TestProfileDefaults(t *testing.T) {
 			ref.Profile(), ref.Alignment())
 	}
 	if ref.mapOpts.Align != redist.AlignHungarian || ref.mapOpts.AlignCap != 0 ||
-		ref.mapOpts.MemoEps != 0 || ref.simOpts.ScratchThreshold != 0 {
+		ref.simOpts.ScratchThreshold != 0 {
 		t.Errorf("reference profile is not the exact pipeline: %+v", ref.mapOpts)
 	}
 

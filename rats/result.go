@@ -51,10 +51,9 @@ type Result struct {
 	// across all three phases (allocation refinement, mapping, replay).
 	// Diagnostics only: never an input to any scheduling decision. Like
 	// Phases, counters are measurements, not part of the versioned wire
-	// format — lane scheduling makes memo and steal counts vary run to
-	// run under parallel mapping, and the wire document is guaranteed
-	// byte-identical at every worker count. The service layer carries
-	// them per request in its own envelope (serve.RequestMetrics).
+	// format, so counters can be added or dropped without a schema
+	// change. The service layer carries them per request in its own
+	// envelope (serve.RequestMetrics).
 	Counters Counters
 
 	Makespan    float64 // simulated, contention-aware makespan, seconds

@@ -92,7 +92,6 @@ func New(opts ...Option) *Scheduler {
 		switch s.profile {
 		case ProfileFast:
 			s.mapOpts.AlignCap = core.FastAlignCap
-			s.mapOpts.MemoEps = core.FastMemoEps
 			s.simOpts.ScratchThreshold = core.FastScratchThreshold
 			if !s.alignmentSet {
 				s.alignment = AlignmentAuto
@@ -222,23 +221,6 @@ func WithWorkers(n int) Option {
 			return
 		}
 		s.workers = n
-	}
-}
-
-// WithMapWorkers shards each DAG's candidate evaluation across n worker
-// lanes inside the mapping phase (default 1 = serial). The parallel mapper
-// is byte-identical to the serial one at any n — schedules never depend on
-// this knob, only latency does — so it composes freely with WithWorkers:
-// that one spreads a batch across DAGs, this one spreads a single large
-// DAG's mapping across cores. n ≤ 0 is rejected like WithWorkers, and for
-// the same reason.
-func WithMapWorkers(n int) Option {
-	return func(s *Scheduler) {
-		if n <= 0 {
-			s.fail("rats: WithMapWorkers(%d): want ≥ 1", n)
-			return
-		}
-		s.mapOpts.Workers = n
 	}
 }
 
