@@ -361,20 +361,21 @@ func BenchmarkAlloc(b *testing.B) {
 // BenchmarkMap runs the full mapping phase (time-cost strategy, the most
 // estimator-intensive) over cluster size × DAG width, the two axes that
 // drive candidate-placement cost. Layered 100-task graphs keep the DAG
-// shape comparable across widths. Each shape runs under both speed
-// profiles: the reference pipeline keeps the bare <cluster>/w=<w> name so
-// the benchtraj trajectory stays continuous with pre-profile entries, and
-// the fast profile rides along under a /fast suffix. At this 100-task
-// paper scale the profiles mostly coincide (redistributions sit under the
-// auto-alignment cap) — the fast profile's headroom lives in the
-// ablation's big-scale classes, not here.
+// shape comparable across widths. Each shape runs under both the exact
+// Hungarian alignment, which keeps the bare <cluster>/w=<w> name so the
+// benchtraj trajectory stays continuous, and the default auto alignment
+// under an /auto suffix. At this 100-task paper scale the two mostly
+// coincide (redistributions sit under the auto-alignment cap); auto's
+// headroom lives in the ablation's big-scale classes, not here.
 func BenchmarkMap(b *testing.B) {
-	profiles := []struct {
+	auto := core.DefaultNaive(core.StrategyTimeCost)
+	auto.Align = redist.AlignAuto
+	aligns := []struct {
 		suffix string
 		opts   core.Options
 	}{
 		{"", core.DefaultNaive(core.StrategyTimeCost)},
-		{"/fast", core.DefaultFast(core.StrategyTimeCost)},
+		{"/auto", auto},
 	}
 	for _, cl := range hotPathClusters() {
 		for _, width := range []float64{0.2, 0.5, 0.8} {
@@ -382,9 +383,9 @@ func BenchmarkMap(b *testing.B) {
 				N: 100, Width: width, Regularity: 0.8, Density: 0.5, Layered: true, Seed: 7})
 			costs := moldable.NewCosts(g, cl.PlanSpeedGFlops())
 			a := alloc.Compute(g, costs, cl, alloc.DefaultOptions())
-			for _, prof := range profiles {
-				opts := prof.opts
-				b.Run(fmt.Sprintf("%s/w=%.1f%s", cl.Name, width, prof.suffix), func(b *testing.B) {
+			for _, al := range aligns {
+				opts := al.opts
+				b.Run(fmt.Sprintf("%s/w=%.1f%s", cl.Name, width, al.suffix), func(b *testing.B) {
 					b.ReportAllocs()
 					var last *core.Schedule
 					for i := 0; i < b.N; i++ {
@@ -590,8 +591,9 @@ func benchAblation(b *testing.B, set func(r *exp.Runner, with bool)) {
 	}
 }
 
-// simBenchScenario locates one scenario of a big-scale inventory by its
-// benchmark label.
+// simBenchScenario locates one scenario of an inventory by its benchmark
+// label: the first sample of the kind, or for random kinds the n-task
+// width-0.8, density-0.8 configuration.
 func simBenchScenario(sc exp.Scale, kind exp.AppKind, n int) exp.Scenario {
 	for _, s := range exp.ScenariosAt(sc) {
 		if s.Kind != kind || s.Sample != 0 {
@@ -618,28 +620,40 @@ type simBenchCase struct {
 	ref   float64
 }
 
-// BenchmarkSim replays fixed big512/big1024 schedules under contention on
-// both fluid-network engines: the incremental flownet solver (the
-// default) and the from-scratch maxmin reference it is verified against.
-// The per-(cluster, scenario) ratio is the replay speedup of the
-// incremental subsystem; cmd/benchtraj tracks its per-cluster geometric
-// mean across PRs in BENCH_sim.json together with the allocs/op ratio of
-// the steady-state recompute path. Both engines are asserted to agree on
-// the makespan within the fuzz tolerance here too — a diverging
-// "speedup" would be a simulation change, not an optimization.
+// BenchmarkSim replays fixed schedules under contention on both
+// fluid-network engines: the incremental flownet solver (the default) and
+// the from-scratch maxmin reference it is verified against. The shapes
+// cover both regimes the served path sees: Table III layered DAGs
+// (25/50/100 tasks) on grillon and grelon, and the big512/big1024
+// scenario classes. The per-(cluster, scenario) ratio is the replay
+// speedup of the incremental subsystem; cmd/benchtraj tracks its
+// per-cluster geometric mean across PRs in BENCH_sim.json together with
+// the allocs/op ratio of the steady-state recompute path. Both engines are
+// asserted to agree on the makespan within the fuzz tolerance here too —
+// a diverging "speedup" would be a simulation change, not an
+// optimization.
 func BenchmarkSim(b *testing.B) {
-	for _, bc := range []struct {
+	type simCase struct {
+		cl    *platform.Cluster
 		scale exp.Scale
 		kind  exp.AppKind
 		n     int
 		label string
-	}{
-		{exp.ScaleBig512, exp.Layered, 200, "layered-n200"},
-		{exp.ScaleBig512, exp.Layered, 400, "layered-n400"},
-		{exp.ScaleBig512, exp.FFT, 0, "fft-k32"},
-		{exp.ScaleBig1024, exp.Layered, 400, "layered-n400"},
-		{exp.ScaleBig1024, exp.FFT, 0, "fft-k64"},
-	} {
+	}
+	var cases []simCase
+	for _, cl := range []*platform.Cluster{platform.Grillon(), platform.Grelon()} {
+		for _, n := range []int{25, 50, 100} {
+			cases = append(cases, simCase{cl, exp.ScalePaper, exp.Layered, n, fmt.Sprintf("layered-n%d", n)})
+		}
+	}
+	cases = append(cases,
+		simCase{platform.Big512(), exp.ScaleBig512, exp.Layered, 200, "layered-n200"},
+		simCase{platform.Big512(), exp.ScaleBig512, exp.Layered, 400, "layered-n400"},
+		simCase{platform.Big512(), exp.ScaleBig512, exp.FFT, 0, "fft-k32"},
+		simCase{platform.Big1024(), exp.ScaleBig1024, exp.Layered, 400, "layered-n400"},
+		simCase{platform.Big1024(), exp.ScaleBig1024, exp.FFT, 0, "fft-k64"},
+	)
+	for _, bc := range cases {
 		bc := bc
 		for _, engine := range []struct {
 			name   string
@@ -648,11 +662,11 @@ func BenchmarkSim(b *testing.B) {
 			{"flownet", core.FlowSolverNet},
 			{"maxmin", core.FlowSolverMaxMin},
 		} {
-			b.Run(fmt.Sprintf("%s/%s/%s", bc.scale.Cluster().Name, bc.label, engine.name), func(b *testing.B) {
-				key := bc.scale.String() + "/" + bc.label
+			b.Run(fmt.Sprintf("%s/%s/%s", bc.cl.Name, bc.label, engine.name), func(b *testing.B) {
+				key := bc.cl.Name + "/" + bc.label
 				st := simBenchState[key]
 				if st == nil {
-					cl := bc.scale.Cluster()
+					cl := bc.cl
 					scen := simBenchScenario(bc.scale, bc.kind, bc.n)
 					g := scen.Graph()
 					costs := moldable.NewCosts(g, cl.PlanSpeedGFlops())

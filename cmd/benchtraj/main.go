@@ -11,9 +11,10 @@
 // mapping and redistribution-estimation benchmarks; its derived summary is
 // the geometric-mean speedup of the incremental allocator over the
 // preserved full-rewalk reference, per cluster preset. The sim family
-// (BENCH_sim.json) runs the BenchmarkSim replay benches — big512/big1024
-// scenario classes replayed under both the incremental flownet engine and
-// the from-scratch maxmin reference — and derives per cluster the
+// (BENCH_sim.json) runs the BenchmarkSim replay benches — Table III
+// layered DAGs on grillon and grelon plus the big512/big1024 scenario
+// classes, replayed under both the incremental flownet engine and the
+// from-scratch maxmin reference — and derives per cluster the
 // geometric-mean replay speedup and allocation reduction of flownet over
 // the reference. The map family (BENCH_map.json) runs the full mapping
 // phase (BenchmarkMap, cluster × width) and derives the per-cluster
@@ -50,11 +51,6 @@ type Measurement struct {
 	AllocsOp  float64 `json:"allocs_op,omitempty"`
 	MallocsOp float64 `json:"mallocs_op,omitempty"`
 
-	// BenchmarkServe custom metrics (b.ReportMetric units).
-	P50Ns       float64 `json:"p50_ns,omitempty"`
-	P99Ns       float64 `json:"p99_ns,omitempty"`
-	SchedPerSec float64 `json:"sched_per_sec,omitempty"`
-
 	// Engine counter rates (b.ReportMetric units of the map and sim
 	// families).
 	MemoHitPct    float64 `json:"memo_hit_pct,omitempty"`
@@ -76,14 +72,11 @@ type Entry struct {
 	MapAllocs     map[string]float64 `json:"map_allocs_mean,omitempty"`
 	MapMemoHit    map[string]float64 `json:"map_memo_hit_pct,omitempty"`
 	SimScratch    map[string]float64 `json:"sim_scratch_solve_pct,omitempty"`
-	ServeP50Ms    map[string]float64 `json:"serve_p50_ms,omitempty"`
-	ServeP99Ms    map[string]float64 `json:"serve_p99_ms,omitempty"`
-	ServeRate     map[string]float64 `json:"serve_sched_per_sec,omitempty"`
 	Benchmarks    []Measurement      `json:"benchmarks"`
 }
 
 func main() {
-	family := flag.String("family", "alloc", "benchmark family: alloc (allocation/mapping/estimation), sim (flow-level replay), map (mapping phase) or serve (ratsd service)")
+	family := flag.String("family", "alloc", "benchmark family: alloc (allocation/mapping/estimation), sim (flow-level replay) or map (mapping phase)")
 	file := flag.String("file", "", "trajectory file to append to (default: BENCH_<family>.json)")
 	benchtime := flag.String("benchtime", "3x", "go test -benchtime value")
 	label := flag.String("label", "", "entry label (default: current git short hash)")
@@ -95,9 +88,9 @@ func main() {
 		*file = "BENCH_" + *family + ".json"
 	}
 	switch *family {
-	case "alloc", "sim", "map", "serve":
+	case "alloc", "sim", "map":
 	default:
-		fmt.Fprintf(os.Stderr, "benchtraj: unknown family %q (want alloc, sim, map or serve)\n", *family)
+		fmt.Fprintf(os.Stderr, "benchtraj: unknown family %q (want alloc, sim or map)\n", *family)
 		os.Exit(1)
 	}
 	if *pattern == "" {
@@ -106,15 +99,14 @@ func main() {
 			*pattern = "^(BenchmarkAlloc|BenchmarkMap|BenchmarkRedistTime)$"
 		case "map":
 			*pattern = "^BenchmarkMap$"
-		case "serve":
-			*pattern = "^BenchmarkServe$"
 		case "sim":
 			*pattern = "^BenchmarkSim$"
 			if *smoke {
-				// Wiring proof only: the sub-second FFT replays parse and
-				// derive identically to the full set, without the
-				// multi-minute layered replays on shared runners.
-				*pattern = "^BenchmarkSim$/.*/^fft-"
+				// Wiring proof only: the paper-scale and sub-second FFT
+				// replays parse and derive identically to the full set,
+				// without the multi-minute big layered replays on shared
+				// runners.
+				*pattern = "^BenchmarkSim$/.*/^(fft-|layered-n(25|50|100)$)"
 			}
 		}
 	}
@@ -138,12 +130,8 @@ func run(family, file, benchtime, label, pattern string, smoke bool) error {
 		}
 	}
 
-	pkg := "."
-	if family == "serve" {
-		pkg = "./internal/serve/"
-	}
 	out, err := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
-		"-benchtime", benchtime, "-benchmem", pkg).CombinedOutput()
+		"-benchtime", benchtime, "-benchmem", ".").CombinedOutput()
 	if err != nil {
 		return fmt.Errorf("go test -bench failed: %w\n%s", err, out)
 	}
@@ -194,10 +182,6 @@ func run(family, file, benchtime, label, pattern string, smoke bool) error {
 		entry.MapNs = mapGeomeans(ms, func(m Measurement) float64 { return m.NsPerOp })
 		entry.MapAllocs = mapMeans(ms, func(m Measurement) float64 { return m.AllocsOp })
 		entry.MapMemoHit = mapMeans(ms, func(m Measurement) float64 { return m.MemoHitPct })
-	case "serve":
-		entry.ServeP50Ms = serveMetric(ms, func(m Measurement) float64 { return m.P50Ns / 1e6 })
-		entry.ServeP99Ms = serveMetric(ms, func(m Measurement) float64 { return m.P99Ns / 1e6 })
-		entry.ServeRate = serveMetric(ms, func(m Measurement) float64 { return m.SchedPerSec })
 	}
 
 	if smoke {
@@ -251,12 +235,6 @@ func parseBenchOutput(out string) []Measurement {
 				m.AllocsOp = v
 			case "mallocs/op":
 				m.MallocsOp = v
-			case "p50-ns":
-				m.P50Ns = v
-			case "p99-ns":
-				m.P99Ns = v
-			case "sched/s":
-				m.SchedPerSec = v
 			case "memo-hit-pct":
 				m.MemoHitPct = v
 			case "scratch-solve-pct":
@@ -423,27 +401,6 @@ func mapMeans(ms []Measurement, metric func(Measurement) float64) map[string]flo
 	return out
 }
 
-// serveMetric extracts one BenchmarkServe/<cluster> custom metric per
-// cluster. The serve family has exactly one shape per cluster, so no
-// averaging is involved — the derivation just lifts the custom-unit
-// metrics into the per-cluster summary maps the trajectory compares.
-func serveMetric(ms []Measurement, metric func(Measurement) float64) map[string]float64 {
-	out := map[string]float64{}
-	for _, m := range ms {
-		parts := strings.Split(m.Name, "/")
-		if len(parts) != 2 || parts[0] != "BenchmarkServe" {
-			continue
-		}
-		if v := metric(m); v > 0 {
-			out[parts[1]] = math.Round(v*100) / 100
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // simScratchPcts derives, per cluster, the arithmetic mean of the
 // scratch-solve-pct counter rate over the flownet replay shapes (the
 // maxmin reference has no scratch path, so its points are skipped). The
@@ -472,10 +429,11 @@ func simScratchPcts(ms []Measurement) map[string]float64 {
 }
 
 // mapCluster extracts the aggregation key of a BenchmarkMap sub-benchmark.
-// Reference-profile rows (BenchmarkMap/<cluster>/w=<w>) keep the bare
-// cluster key so the trajectory stays comparable with entries recorded
-// before the speed profiles existed; fast-profile rows
-// (BenchmarkMap/<cluster>/w=<w>/fast) aggregate under "<cluster>/fast".
+// Hungarian-alignment rows (BenchmarkMap/<cluster>/w=<w>) keep the bare
+// cluster key so the trajectory stays comparable with the earliest
+// entries; auto-alignment rows (BenchmarkMap/<cluster>/w=<w>/auto)
+// aggregate under "<cluster>/auto" (recorded as "<cluster>/fast" before
+// the alignment option replaced the speed profiles).
 func mapCluster(name string) (string, bool) {
 	parts := strings.Split(name, "/")
 	if parts[0] != "BenchmarkMap" {
@@ -484,8 +442,8 @@ func mapCluster(name string) (string, bool) {
 	switch {
 	case len(parts) == 3:
 		return parts[1], true
-	case len(parts) == 4 && parts[3] == "fast":
-		return parts[1] + "/fast", true
+	case len(parts) == 4 && parts[3] == "auto":
+		return parts[1] + "/auto", true
 	}
 	return "", false
 }

@@ -5,16 +5,16 @@
 // Usage:
 //
 //	expdriver [-stride N] [-workers N] [-out DIR] [-only LIST] [-solver NAME]
-//	          [-align NAME] [-profile NAME] [-counters]
+//	          [-align NAME] [-counters]
 //	          [-ablate [-smoke] [-o FILE]]
 //
 // -ablate switches to the exactness-renegotiation ablation (package
 // internal/ablate): every scenario class under all strategy × allocator
-// combinations, swept across the approximation knobs (alignment mode and
-// AlignAuto cap, flownet scratch threshold), reporting per-configuration
-// makespan deltas, mapping latency percentiles and engine counter rates. The machine-readable
-// report lands at -o (default <out>/ablation.json); -smoke shrinks the
-// sweep to the CI-sized reference-versus-fast check.
+// combinations, swept across the alignment modes, reporting
+// per-configuration makespan deltas, mapping latency percentiles and
+// engine counter rates. The machine-readable report lands at -o (default
+// <out>/ablation.json); -smoke shrinks the sweep to the CI-sized
+// reference-versus-fast (Hungarian versus auto) check.
 //
 // -counters switches to a diagnostics report instead of the paper
 // experiments: it runs the three naive-parameter algorithms over the
@@ -42,15 +42,11 @@
 // RATS-delta, RATS-time-cost} mapping → contention-aware replay on the
 // simulated chti / grillon / grelon clusters. -solver selects the replay's
 // rate solver: the incremental flownet engine (default) or the
-// from-scratch maxmin reference for cross-checking. -align overrides the
-// receiver rank-order alignment of every algorithm (§II-A ablation):
-// hungarian (exact), greedy, none, or auto (size-capped exact).
-//
-// -profile selects the speed profile: "fast" (the default — size-capped
-// auto alignment plus the raised scratch-solve threshold, vetted by the
-// -ablate sweep to stay within 0.5% of the exact makespans) or
-// "reference" (the exact pipeline the golden figures are pinned
-// against). An explicit -align wins over the profile's alignment mode.
+// from-scratch maxmin reference for cross-checking. -align sets the
+// receiver rank-order alignment of every algorithm (§II-A): auto (the
+// default — exact up to 32 receivers, greedy above, vetted by the -ablate
+// sweep to stay within 0.5% of the exact makespans), hungarian (the exact
+// pipeline the golden figures are pinned against), greedy or none.
 package main
 
 import (
@@ -77,8 +73,7 @@ func main() {
 	outDir := flag.String("out", "results", "output directory for per-experiment files")
 	only := flag.String("only", "", "comma-separated experiment subset (default: all)")
 	solver := flag.String("solver", "flownet", "replay rate solver: flownet (incremental) or maxmin (reference)")
-	align := flag.String("align", "", "override receiver rank alignment for every algorithm: hungarian, greedy, none or auto (default: per-algorithm)")
-	profile := flag.String("profile", "fast", "speed profile: fast (capped-exact alignment, ablation-vetted) or reference (exact pipeline)")
+	align := flag.String("align", "auto", "receiver rank alignment for every algorithm: auto (capped-exact, ablation-vetted), hungarian (exact), greedy or none")
 	cluster := flag.String("cluster", "grillon",
 		"cluster preset for the single-cluster experiments: "+strings.Join(platform.Names(), ", "))
 	counters := flag.Bool("counters", false, "report engine counter rates per scenario class instead of the paper experiments")
@@ -94,7 +89,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*stride, *workers, *outDir, *only, *solver, *align, *profile, *cluster, *counters); err != nil {
+	if err := run(*stride, *workers, *outDir, *only, *solver, *align, *cluster, *counters); err != nil {
 		fmt.Fprintln(os.Stderr, "expdriver:", err)
 		os.Exit(1)
 	}
@@ -131,7 +126,7 @@ func runAblation(smoke bool, outDir, reportPath string) error {
 	return nil
 }
 
-func run(stride, workers int, outDir, only, solver, align, profile, cluster string, counters bool) error {
+func run(stride, workers int, outDir, only, solver, align, cluster string, counters bool) error {
 	want := map[string]bool{}
 	for _, s := range strings.Split(only, ",") {
 		if s = strings.TrimSpace(s); s != "" {
@@ -154,13 +149,6 @@ func run(stride, workers int, outDir, only, solver, align, profile, cluster stri
 		runner.Solver = core.FlowSolverMaxMin
 	default:
 		return fmt.Errorf("unknown -solver %q (want flownet or maxmin)", solver)
-	}
-	switch profile {
-	case "", "fast":
-		runner.Fast = true
-	case "reference":
-	default:
-		return fmt.Errorf("unknown -profile %q (want fast or reference)", profile)
 	}
 	if align != "" {
 		mode, err := redist.ParseAlignMode(align)

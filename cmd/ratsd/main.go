@@ -8,12 +8,9 @@
 // Usage:
 //
 //	ratsd [-addr :8080] [-max-queue 1024] [-workers N] [-timeout 30s]
-//	      [-profile fast] [-log-level info] [-pprof]
+//	      [-log-level info] [-pprof]
 //
-// -profile sets the default speed profile ("fast" or "reference") for
-// requests that do not carry their own "profile" field; per-request
-// values always win. Each request is mapped serially; -workers is the
-// only parallelism knob. A DAG that fails validation (its structure, or
+// Each request is mapped serially; -workers is the only parallelism knob. A DAG that fails validation (its structure, or
 // task and edge values outside the cost model) is answered 422.
 //
 // Endpoints:
@@ -44,7 +41,6 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/rats"
 )
 
 func main() {
@@ -52,7 +48,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 1024, "shed load beyond this many queued requests")
 	workers := flag.Int("workers", 0, "requests run at once (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
-	profileName := flag.String("profile", "fast", "default speed profile for requests without one: fast or reference")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	pprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	flag.Parse()
@@ -64,17 +59,10 @@ func main() {
 	}
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	profile, err := rats.ParseProfile(*profileName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ratsd: bad -profile: %v\n", err)
-		os.Exit(2)
-	}
-
 	srv := serve.NewServer(serve.ServerConfig{
 		MaxQueue:       *maxQueue,
 		Workers:        *workers,
 		DefaultTimeout: *timeout,
-		Profile:        profile,
 		EnablePprof:    *pprof,
 		Log:            log,
 	})

@@ -5,12 +5,11 @@
 // Usage:
 //
 //	ratsim [-app KIND] [-n N] [-k K] [-width W] [-density D] [-regularity R]
-//	       [-jump J] [-seed S] [-cluster NAME] [-solver NAME] [-profile NAME]
-//	       [-align NAME] [-gantt] [-algo NAME] [-json] [-counters]
+//	       [-jump J] [-seed S] [-cluster NAME] [-solver NAME] [-align NAME]
+//	       [-gantt] [-algo NAME] [-json] [-counters]
 //
-// -profile picks the speed profile ("fast", the default, or "reference"
-// for the exact pipeline); -align, when given, overrides the profile's
-// alignment mode.
+// -align picks the receiver rank alignment: "auto" (the default) or
+// "hungarian" for the exact pipeline, or "greedy" or "none".
 //
 // -counters prints the run's engine counter rates per algorithm (estimator
 // memo hits, candidate dedup skips, replay solver regimes). With -trace, a
@@ -49,14 +48,13 @@ func main() {
 	algoFilter := flag.String("algo", "", "run only one algorithm: hcpa, delta, time-cost")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file per algorithm (prefix)")
 	solverName := flag.String("solver", "flownet", "replay rate solver: flownet (incremental) or maxmin (reference)")
-	alignName := flag.String("align", "", "receiver rank alignment: hungarian, greedy, none or auto (default: the profile's choice)")
-	profileName := flag.String("profile", "fast", "speed profile: fast or reference")
+	alignName := flag.String("align", "auto", "receiver rank alignment: auto, hungarian, greedy or none")
 	asJSON := flag.Bool("json", false, "emit one JSON result per algorithm instead of text")
 	counters := flag.Bool("counters", false, "print engine counter rates per algorithm")
 	flag.Parse()
 
 	if err := run(*app, *n, *k, *width, *density, *regularity, *jump, *seed,
-		*clusterName, *solverName, *alignName, *profileName, *gantt, *algoFilter, *traceOut, *asJSON, *counters); err != nil {
+		*clusterName, *solverName, *alignName, *gantt, *algoFilter, *traceOut, *asJSON, *counters); err != nil {
 		fmt.Fprintln(os.Stderr, "ratsim:", err)
 		os.Exit(1)
 	}
@@ -79,7 +77,7 @@ func buildDAG(app string, n, k int, width, density, regularity float64, jump int
 }
 
 func run(app string, n, k int, width, density, regularity float64, jump int, seed int64,
-	clusterName, solverName, alignName, profileName string, gantt bool, algoFilter, traceOut string, asJSON bool,
+	clusterName, solverName, alignName string, gantt bool, algoFilter, traceOut string, asJSON bool,
 	counters bool) error {
 	cl, err := rats.ClusterByName(clusterName)
 	if err != nil {
@@ -89,15 +87,9 @@ func run(app string, n, k int, width, density, regularity float64, jump int, see
 	if err != nil {
 		return err
 	}
-	profile, err := rats.ParseProfile(profileName)
+	align, err := rats.ParseAlignment(alignName)
 	if err != nil {
 		return err
-	}
-	var align rats.AlignmentMode
-	if alignName != "" {
-		if align, err = rats.ParseAlignment(alignName); err != nil {
-			return err
-		}
 	}
 	// One DAG for the whole run: finalized here, read-only for every
 	// algorithm afterwards.
@@ -137,10 +129,7 @@ func run(app string, n, k int, width, density, regularity float64, jump int, see
 			continue
 		}
 		opts := []rats.Option{rats.WithCluster(cl), rats.WithStrategy(v.strategy),
-			rats.WithFlowSolver(solver), rats.WithProfile(profile)}
-		if alignName != "" {
-			opts = append(opts, rats.WithAlignment(align))
-		}
+			rats.WithFlowSolver(solver), rats.WithAlignment(align)}
 		// The self-tracer records the scheduler's own execution; it rides
 		// along only when the run writes trace files anyway.
 		var tracer *rats.Tracer

@@ -1,18 +1,18 @@
 // Package ablate is the exactness-renegotiation harness: it runs every
 // scenario class (paper-scale grelon, the big512/big1024 production
 // scales, and both heterogeneous presets) under all five strategy ×
-// allocator combinations while sweeping the pipeline's approximation
-// knobs — the receiver rank-alignment mode and its AlignAuto exact cap,
-// and the flownet scratch-solve threshold — and reports, per knob
+// allocator combinations while sweeping the pipeline's one approximation
+// option — the receiver rank-alignment mode — and reports, per
 // configuration, the makespan delta against the exact reference,
-// mapping-latency percentiles, replay latency where the configuration
-// forces fresh replays, and the summed engine counters from internal/obs.
+// mapping-latency percentiles, replay latency of the schedules the
+// configuration changed, and the summed engine counters from internal/obs.
 //
-// The report is the evidence base for rats.ProfileFast: the shipped fast
-// profile pins exactly the knob values the ablation shows to be
-// schedule-preserving (zero changed schedules, 0.00% makespan delta)
-// while reducing latency. Re-run it with `expdriver -ablate` whenever a
-// knob's semantics change; `-ablate -smoke` is the CI-sized subset.
+// The report is the evidence base for AlignAuto as the library default
+// (the "fast" configuration). The cap ladder and scratch-threshold sweep
+// that fixed redist.AlignAutoExactCap and flownet.DefaultScratchThreshold
+// are recorded in docs/ablation_pr10.json. Re-run it with
+// `expdriver -ablate` whenever alignment semantics change;
+// `-ablate -smoke` is the CI-sized subset.
 package ablate
 
 import (
@@ -35,68 +35,31 @@ import (
 	"repro/internal/simdag"
 )
 
-// Knobs is one point in the approximation-knob space. The zero value is
-// NOT the reference configuration (AlignHungarian happens to be the zero
-// AlignMode, but use Reference() for intent).
-type Knobs struct {
-	// Align is the receiver rank-order alignment mode.
-	Align redist.AlignMode
-	// AlignCap bounds AlignAuto's exact Hungarian assignment
-	// (0 = redist.AlignAutoExactCap). Ignored by explicit modes.
-	AlignCap int
-	// ScratchThreshold is the flownet scratch-solve cutoff
-	// (0 = flownet.DefaultScratchThreshold). Latency-only: every solve
-	// regime is exact, so replays agree bit-for-bit at any value.
-	ScratchThreshold int
-}
-
-// apply overlays the knobs on a mapping configuration.
-func (k Knobs) apply(o core.Options) core.Options {
-	o.Align = k.Align
-	o.AlignCap = k.AlignCap
-	return o
-}
-
-// Config is a named knob configuration.
+// Config is a named alignment configuration.
 type Config struct {
 	Name  string
-	Knobs Knobs
+	Align redist.AlignMode
 }
 
-// Reference returns the exact configuration: Hungarian alignment and the
-// default scratch threshold. It is the delta baseline of every report and
-// the knob content of rats.ProfileReference.
+// Reference returns the exact configuration, Hungarian alignment: the
+// delta baseline of every report.
 func Reference() Config {
-	return Config{Name: "reference", Knobs: Knobs{Align: redist.AlignHungarian}}
+	return Config{Name: "reference", Align: redist.AlignHungarian}
 }
 
-// Fast returns the shipped fast-profile configuration (the knob content
-// of rats.ProfileFast): AlignAuto under the measured cap and a raised
-// scratch threshold.
+// Fast returns the library default configuration, AlignAuto (exact up to
+// redist.AlignAutoExactCap receivers, greedy above).
 func Fast() Config {
-	return Config{Name: "fast", Knobs: Knobs{
-		Align:            redist.AlignAuto,
-		AlignCap:         core.FastAlignCap,
-		ScratchThreshold: core.FastScratchThreshold,
-	}}
+	return Config{Name: "fast", Align: redist.AlignAuto}
 }
 
-// Configs enumerates the full knob sweep: the reference, each alignment
-// mode in isolation, the AlignAuto cap ladder, the scratch threshold
-// ladder (on the exact Hungarian base so the threshold is the only
-// variable), and the combined fast candidate.
+// Configs enumerates the full sweep: the reference, the two cheaper
+// alignment modes in isolation, and the shipped default.
 func Configs() []Config {
-	h := redist.AlignHungarian
 	return []Config{
 		Reference(),
-		{Name: "align-none", Knobs: Knobs{Align: redist.AlignNone}},
-		{Name: "align-greedy", Knobs: Knobs{Align: redist.AlignGreedy}},
-		{Name: "auto-cap128", Knobs: Knobs{Align: redist.AlignAuto, AlignCap: 128}},
-		{Name: "auto-cap64", Knobs: Knobs{Align: redist.AlignAuto, AlignCap: 64}},
-		{Name: "auto-cap32", Knobs: Knobs{Align: redist.AlignAuto, AlignCap: 32}},
-		{Name: "auto-cap16", Knobs: Knobs{Align: redist.AlignAuto, AlignCap: 16}},
-		{Name: "scratch64", Knobs: Knobs{Align: h, ScratchThreshold: 64}},
-		{Name: "scratch128", Knobs: Knobs{Align: h, ScratchThreshold: 128}},
+		{Name: "align-none", Align: redist.AlignNone},
+		{Name: "align-greedy", Align: redist.AlignGreedy},
 		Fast(),
 	}
 }
@@ -126,7 +89,7 @@ func pick(scens []exp.Scenario, idx ...int) []exp.Scenario {
 // default grillon is flat, which would blind the sweep to the cabinet
 // links); the big classes keep one scenario per application shape
 // because a single 400-task replay costs ~13 s on this harness's
-// reference hardware and the knob deltas stabilize immediately.
+// reference hardware and the alignment deltas stabilize immediately.
 func Classes(smoke bool) []Class {
 	paper := exp.Scenarios()
 	if smoke {
@@ -188,7 +151,7 @@ type Options struct {
 	// classes, two scenarios each, the three naive algorithms, and only
 	// the reference and fast configurations.
 	Smoke bool
-	// Configs overrides the knob sweep (nil = Configs(), or
+	// Configs overrides the sweep (nil = Configs(), or
 	// {Reference(), Fast()} in smoke mode). The first entry must be the
 	// reference — deltas are measured against it.
 	Configs []Config
@@ -217,14 +180,12 @@ type ClassReport struct {
 	Configs   []ConfigReport `json:"configs"`
 }
 
-// ConfigReport is one knob configuration's measurements on one class.
+// ConfigReport is one configuration's measurements on one class.
 // Latencies are wall-clock nanoseconds on the run's hardware; deltas are
 // relative to the class's reference configuration.
 type ConfigReport struct {
-	Name             string `json:"name"`
-	Align            string `json:"align"`
-	AlignCap         int    `json:"align_cap"`
-	ScratchThreshold int    `json:"scratch_threshold"`
+	Name  string `json:"name"`
+	Align string `json:"align"`
 
 	Runs int `json:"runs"` // scenario × algorithm pairs
 
@@ -235,7 +196,7 @@ type ConfigReport struct {
 	MapSpeedup float64 `json:"map_speedup_vs_reference"`
 
 	// Replay latency over the replays this configuration actually ran
-	// fresh (schedule signatures unseen at its scratch threshold);
+	// fresh (schedule signatures no earlier configuration replayed);
 	// configurations whose schedules all collapse onto already-replayed
 	// signatures report zeros here.
 	FreshReplays int   `json:"fresh_replays"`
@@ -308,11 +269,8 @@ func stats(ns []int64) (mean, p50, p99 int64) {
 // Run executes the ablation and returns the report. Mapping runs are
 // serial on one pooled MapContext per class (latency measurements need an
 // unloaded core more than the sweep needs wall-clock); replays are
-// memoized per (scenario, scratch threshold, schedule signature), so knob
-// configurations that do not change schedules pay no replay cost beyond
-// the reference — except the scratch-threshold configurations, whose
-// distinct threshold forces fresh replays on purpose: replay latency at
-// that threshold is exactly what they measure.
+// memoized per (scenario, schedule signature), so configurations that do
+// not change schedules pay no replay cost beyond the reference.
 func Run(opts Options) (*Report, error) {
 	classes := opts.Classes
 	if classes == nil {
@@ -404,7 +362,8 @@ func Run(opts Options) (*Report, error) {
 			for si := range class.Scens {
 				st := &states[si]
 				for ai, spec := range algos {
-					mo := cfg.Knobs.apply(spec.Map)
+					mo := spec.Map
+					mo.Align = cfg.Align
 					t0 := time.Now()
 					sched := mc.Map(st.g, st.costs, st.allocs[ai], mo)
 					mapNs = append(mapNs, time.Since(t0).Nanoseconds())
@@ -412,14 +371,11 @@ func Run(opts Options) (*Report, error) {
 					runs++
 
 					sig := signature(sched)
-					key := fmt.Sprintf("%d|%d|%s", si, cfg.Knobs.ScratchThreshold, sig)
+					key := fmt.Sprintf("%d|%s", si, sig)
 					res, ok := replays[key]
 					if !ok {
 						t1 := time.Now()
-						out, err := simdag.ExecuteOpts(st.g, st.costs, cl, sched, simdag.Options{
-							Solver:           core.FlowSolverNet,
-							ScratchThreshold: cfg.Knobs.ScratchThreshold,
-						})
+						out, err := simdag.Execute(st.g, st.costs, cl, sched)
 						if err != nil {
 							return nil, fmt.Errorf("ablate %s/%s/%s: %w", class.Name, cfg.Name, spec.Name, err)
 						}
@@ -459,9 +415,7 @@ func Run(opts Options) (*Report, error) {
 			}
 			cfgRep := ConfigReport{
 				Name:             cfg.Name,
-				Align:            cfg.Knobs.Align.String(),
-				AlignCap:         cfg.Knobs.AlignCap,
-				ScratchThreshold: cfg.Knobs.ScratchThreshold,
+				Align:            cfg.Align.String(),
 				Runs:             runs,
 				MapMeanNs:        mapMean,
 				MapP50Ns:         mapP50,

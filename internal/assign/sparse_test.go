@@ -21,7 +21,7 @@ func denseOf(n int, rowPtr, cols []int, weights []float64) [][]float64 {
 
 // randBanded builds a random banded CSR instance: each of the first s rows
 // carries one contiguous band of positive weights, the rest are empty —
-// the shape AlignReceiversInto generates from the block-overlap structure.
+// the shape AlignReceiversScratch generates from the block-overlap structure.
 func randBanded(rng *rand.Rand, n int) (rowPtr, cols []int, weights []float64) {
 	s := rng.Intn(n + 1)
 	rowPtr = []int{0}

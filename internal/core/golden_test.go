@@ -9,6 +9,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/platform"
+	"repro/internal/redist"
 )
 
 // scheduleDigest hashes every field of a schedule that the simulator or a
@@ -93,14 +94,14 @@ func TestScheduleGolden(t *testing.T) {
 	}
 }
 
-// TestScheduleGoldenFast pins the fast-profile schedules (DefaultFast:
-// AlignAuto at FastAlignCap, the replay threshold living at
-// the sim layer) on the same cross-section. Every digest coincides with
-// the reference one: the golden graphs' redistributions all sit at or
-// under the cap, where AlignAuto solves them exactly — the profiles only
-// diverge on redistributions wider than FastAlignCap (the ablation's
-// big-scale FFT classes). Both profiles are pinned independently so a
-// change to either is a loud diff.
+// TestScheduleGoldenFast pins the auto-alignment schedules (DefaultNaive
+// with Align = AlignAuto, the library default) on the same cross-section.
+// Every digest coincides with the Hungarian one: the golden graphs'
+// redistributions all sit at or under redist.AlignAutoExactCap, where
+// AlignAuto solves them exactly — the two modes only diverge on wider
+// redistributions (the ablation's big-scale FFT classes). Both sets are
+// pinned independently so a change to either is a loud diff. The name
+// predates the alignment option: this set used to be the fast profile's.
 func TestScheduleGoldenFast(t *testing.T) {
 	cases := []struct {
 		cl    *platform.Cluster
@@ -124,7 +125,9 @@ func TestScheduleGoldenFast(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%s/%v", c.cl.Name, c.class, c.st), func(t *testing.T) {
 			g := goldenGraph(c.class)
 			costs, a := setup(g, c.cl)
-			s := Map(g, costs, c.cl, a, DefaultFast(c.st))
+			opts := DefaultNaive(c.st)
+			opts.Align = redist.AlignAuto
+			s := Map(g, costs, c.cl, a, opts)
 			if err := s.Validate(g, c.cl); err != nil {
 				t.Fatal(err)
 			}

@@ -72,13 +72,6 @@ type Options struct {
 	// maximization). Default: Hungarian.
 	Align redist.AlignMode
 
-	// AlignCap overrides the receiver count up to which AlignAuto still
-	// runs the exact Hungarian assignment (0 = redist.AlignAutoExactCap).
-	// Ignored by the explicit alignment modes. One of the renegotiated
-	// exactness knobs: the ablation harness sweeps it, the fast profile
-	// pins the measured value.
-	AlignCap int
-
 	// PredOverlap is an ablation of the *baseline* mapping: when true, the
 	// earliest-available processor selection is augmented with candidate
 	// sets overlapping each predecessor's processors (keeping the fixed
@@ -130,36 +123,6 @@ func DefaultNaive(s Strategy) Options {
 	}
 }
 
-// Fast-profile knob values: the renegotiated exactness point measured by
-// the internal/ablate harness (docs/ablation_pr10.json). Every value sits
-// where the ablation saw zero schedule changes across all scenario classes
-// while shaving mapping and replay latency; rats.ProfileFast bundles them
-// as the default service configuration, DefaultNaive stays the reference.
-const (
-	// FastAlignCap is the AlignAuto exact-assignment cap: redistributions
-	// wider than this fall back to the greedy alignment. 32 is the sweep's
-	// sweet spot — it collapses the Hungarian tail that dominates wide
-	// redistributions (reference Map p99 on big512 is ~870 ms, capped ~3 ms)
-	// at a worst-case makespan delta of 0.011% across all classes, far
-	// inside the 0.5% profile contract.
-	FastAlignCap = 32
-	// FastScratchThreshold quadruples the flownet scratch-solve cutoff
-	// (latency-only: all solve regimes are exact; paper-scale replay p50
-	// dropped ~19% in the sweep, big scales were neutral).
-	FastScratchThreshold = 64
-)
-
-// DefaultFast returns the fast-profile mapping options for a strategy:
-// DefaultNaive with the approximation knobs set to the ablation-backed
-// values above. Schedules stay within the ≤0.5% makespan-delta bound the
-// profile contract promises (the ablation's worst case is 0.011%).
-func DefaultFast(s Strategy) Options {
-	o := DefaultNaive(s)
-	o.Align = redist.AlignAuto
-	o.AlignCap = FastAlignCap
-	return o
-}
-
 // Map runs the mapping phase on graph g with the given first-step
 // allocation and returns the resulting schedule. The allocation slice is
 // not modified (RATS adaptations are recorded in Schedule.Alloc).
@@ -174,7 +137,7 @@ func Map(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, alloc []int,
 
 // getBuf returns an empty processor-set buffer from the candidate-buffer
 // pool. A pool miss returns nil on purpose: the subsequent append (or
-// AlignReceiversInto) sizes the allocation to the candidate itself, not to
+// AlignReceiversScratch) sizes the allocation to the candidate itself, not to
 // the cluster, so committed sets never pin cluster-sized backing arrays.
 func (m *mapper) getBuf() []int {
 	if n := len(m.bufPool); n > 0 {
@@ -791,5 +754,5 @@ func (m *mapper) alignToHeaviestPred(t int, procs []int) []int {
 	if heavy < 0 || bytes == 0 {
 		return append(m.getBuf(), procs...)
 	}
-	return redist.AlignReceiversCapped(m.getBuf(), bytes, m.procs[heavy], procs, m.opts.Align, m.opts.AlignCap, &m.alignScratch)
+	return redist.AlignReceiversScratch(m.getBuf(), bytes, m.procs[heavy], procs, m.opts.Align, &m.alignScratch)
 }

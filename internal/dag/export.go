@@ -56,7 +56,9 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	}
 	*g = Graph{}
 	for _, t := range jg.Tasks {
-		g.AddTask(t)
+		// AddTask renumbers; keep the decoded ID so Validate can reject
+		// one that does not match the task's position.
+		g.Tasks[g.AddTask(t)].ID = t.ID
 	}
 	for _, e := range jg.Edges {
 		if e.From < 0 || e.From >= g.N() || e.To < 0 || e.To >= g.N() {

@@ -183,14 +183,15 @@ var (
 	ErrTaskWork      = errors.New("dag: task needs positive elements and ops factor")
 	ErrTaskAlpha     = errors.New("dag: task serial fraction outside [0, 1)")
 	ErrEdgeBytes     = errors.New("dag: edge carries a negative payload")
+	ErrTaskID        = errors.New("dag: task ID does not match its position")
 )
 
 // Validate checks the structural invariants assumed by the schedulers —
 // non-empty, acyclic, a single entry, a single exit, and every task
-// reachable from the entry — and then the §II-A cost model's value ranges:
-// every non-virtual task has positive M and A and an Amdahl fraction in
-// [0, 1), and no edge carries a negative payload. It returns the first
-// violated invariant.
+// reachable from the entry — then that every task's ID is its index, and
+// then the §II-A cost model's value ranges: every non-virtual task has
+// positive M and A and an Amdahl fraction in [0, 1), and no edge carries a
+// negative payload. It returns the first violated invariant.
 func (g *Graph) Validate() error {
 	if g.N() == 0 {
 		return ErrEmpty
@@ -220,6 +221,9 @@ func (g *Graph) Validate() error {
 	// The negated comparisons also reject NaN.
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
+		if t.ID != i {
+			return fmt.Errorf("%w: task %d (%s) has ID %d", ErrTaskID, i, t.Name, t.ID)
+		}
 		if t.Virtual {
 			continue
 		}

@@ -91,6 +91,7 @@ func TestValidateCostValues(t *testing.T) {
 		{"alpha 1.5", func(g *Graph) { g.Tasks[1].Alpha = 1.5 }, ErrTaskAlpha},
 		{"alpha -3", func(g *Graph) { g.Tasks[2].Alpha = -3 }, ErrTaskAlpha},
 		{"negative edge bytes", func(g *Graph) { g.Edges[2].Bytes = -5e6 }, ErrEdgeBytes},
+		{"task ID off its index", func(g *Graph) { g.Tasks[2].ID = 1 }, ErrTaskID},
 		{"zero edge bytes", func(g *Graph) { g.Edges[2].Bytes = 0 }, nil},
 		{"alpha zero", func(g *Graph) { g.Tasks[1].Alpha = 0 }, nil},
 		{"virtual zero cost", func(g *Graph) { g.Tasks[0] = Task{ID: 0, Name: "entry", Virtual: true} }, nil},

@@ -106,16 +106,10 @@ type Runner struct {
 	// from-scratch reference).
 	Solver core.FlowSolver
 	// Align, when non-nil, overrides every algorithm's receiver rank-order
-	// alignment mode (the expdriver -align ablation switch). Nil keeps the
+	// alignment mode (expdriver's -align switch). Nil keeps the
 	// per-spec modes, so configurations that sweep alignment themselves —
 	// the root ablation benches — are unaffected.
 	Align *redist.AlignMode
-	// Fast overlays the fast speed profile (the rats.ProfileFast bundle:
-	// size-capped auto alignment and a raised scratch-solve threshold) on every algorithm's mapping and replay options. Align
-	// still wins for the alignment mode when both are set. The zero value
-	// keeps each spec's exact reference options, so the package's golden
-	// figures and tables stay bit-for-bit reproducible.
-	Fast bool
 }
 
 // NewRunner returns a Runner with the paper's defaults.
@@ -149,10 +143,6 @@ func (r *Runner) Run(scens []Scenario, cl *platform.Cluster, algos []AlgoSpec) (
 				taskAlloc = alloc.Compute(g, costs, cl, *spec.Alloc)
 			}
 			mapOpts := spec.Map
-			if r.Fast {
-				mapOpts.Align = redist.AlignAuto
-				mapOpts.AlignCap = core.FastAlignCap
-			}
 			if r.Align != nil {
 				mapOpts.Align = *r.Align
 			}
@@ -160,11 +150,7 @@ func (r *Runner) Run(scens []Scenario, cl *platform.Cluster, algos []AlgoSpec) (
 			sig := scheduleSignature(sched)
 			memo, hit := cache[sig]
 			if !hit {
-				simOpts := simdag.Options{Solver: r.Solver}
-				if r.Fast {
-					simOpts.ScratchThreshold = core.FastScratchThreshold
-				}
-				res, err := simdag.ExecuteOpts(g, costs, cl, sched, simOpts)
+				res, err := simdag.ExecuteOpts(g, costs, cl, sched, simdag.Options{Solver: r.Solver})
 				if err != nil {
 					errs[i] = fmt.Errorf("scenario %s / %s: %w", scens[i].Name(), spec.Name, err)
 					return

@@ -140,25 +140,6 @@ type Net struct {
 
 	fullSolves, incrSolves, scratchSolves int
 	ckRestores, orphanLevels              int
-
-	// smallPop, when positive, overrides DefaultScratchThreshold (see
-	// SetScratchThreshold).
-	smallPop int
-}
-
-// SetScratchThreshold sets the population size at or below which Solve
-// takes the from-scratch progressive-filling path instead of the
-// incremental merge replay. v ≤ 0 restores DefaultScratchThreshold. All
-// solve regimes compute the same exact max-min rates — the threshold is a
-// latency knob, and moving it can never change a simulated makespan.
-func (n *Net) SetScratchThreshold(v int) { n.smallPop = v }
-
-// scratchThreshold returns the active scratch-solve cutoff.
-func (n *Net) scratchThreshold() int {
-	if n.smallPop > 0 {
-		return n.smallPop
-	}
-	return DefaultScratchThreshold
 }
 
 // New creates a network over links with the given capacities (bytes/s).

@@ -59,15 +59,18 @@ type capKey struct {
 // levels of delta replay instead of re-applying the whole prefix.
 const ckStride = 32
 
-// DefaultScratchThreshold is the default adaptive cutoff below which Solve
+// DefaultScratchThreshold is the population size at or below which Solve
 // re-solves from scratch without any bottleneck-log bookkeeping: for tiny
 // populations (the irregular jump=2 scenario classes keep a handful of
 // concurrent flows) progressive filling is cheaper than the merge replay's
 // fixed costs — checkpoint restore, level/fix logging, snapshot
 // maintenance — and the scratch path additionally touches only the live
-// links instead of copying full capacity vectors. SetScratchThreshold
-// overrides it per network; every solve path computes the same exact
-// max-min rates, so the threshold moves latency only, never a rate.
+// links instead of copying full capacity vectors. The solve regimes
+// compute the same max-min rates up to floating-point rounding (the
+// oracle suite pins them to 1e-9), so moving the threshold can change the
+// last digits of a replayed makespan. 16 is measured: replaying the
+// served paper-scale request pool, thresholds 32 and 64 were about 2% and
+// 11% slower per replay, and at big scale the three tied.
 const DefaultScratchThreshold = 16
 
 const noLevel = math.MaxInt32
@@ -100,7 +103,7 @@ func (n *Net) Solve() {
 	// no levels, no fix entries, no checkpoints, and only the live links'
 	// working state restored. The log is declared untrusted, so the next
 	// above-threshold solve rebuilds it with one full pass.
-	if n.solvable <= n.scratchThreshold() {
+	if n.solvable <= DefaultScratchThreshold {
 		n.scratchSolves++
 		for _, l := range n.chLinks {
 			// Keep the checkpoint weight base in sync even though the

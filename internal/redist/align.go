@@ -42,8 +42,11 @@ const (
 )
 
 // AlignAutoExactCap is the largest receiver count for which AlignAuto
-// still runs the exact Hungarian assignment.
-const AlignAutoExactCap = 128
+// still runs the exact Hungarian assignment. The ablation's cap ladder
+// (docs/ablation_pr10.json) measured 32 as the point where the Hungarian
+// tail of wide redistributions collapses (big512 mapping p99 from ~1.04 s
+// to ~3 ms) at a worst makespan delta of 0.011%.
+const AlignAutoExactCap = 32
 
 // String implements fmt.Stringer; the returned name round-trips through
 // ParseAlignMode. Out-of-range values render as "AlignMode(n)".
@@ -163,34 +166,17 @@ func AlignReceivers(total float64, senders, receivers []int, mode AlignMode) []i
 	return AlignReceiversScratch(nil, total, senders, receivers, mode, nil)
 }
 
-// AlignReceiversInto is AlignReceivers writing the aligned rank order into
-// dst (grown as needed), so hot mapping paths can recycle candidate
+// AlignReceiversScratch is AlignReceivers writing the aligned rank order
+// into dst (grown as needed), so hot mapping paths can recycle candidate
 // buffers instead of allocating one per evaluated placement. dst must not
 // alias receivers. The returned slice always has len(receivers) elements,
-// every one of them written, and never shares memory with receivers.
-func AlignReceiversInto(dst []int, total float64, senders, receivers []int, mode AlignMode) []int {
-	return AlignReceiversScratch(dst, total, senders, receivers, mode, nil)
-}
-
-// AlignReceiversScratch is AlignReceiversInto with an explicit reusable
-// scratch: with a non-nil sc the call allocates nothing beyond dst growth.
-// Passing a nil scratch uses a temporary one.
+// every one of them written, and never shares memory with receivers. With
+// a non-nil sc the call allocates nothing beyond dst growth; a nil scratch
+// uses a temporary one.
 func AlignReceiversScratch(dst []int, total float64, senders, receivers []int, mode AlignMode, sc *AlignScratch) []int {
-	return AlignReceiversCapped(dst, total, senders, receivers, mode, AlignAutoExactCap, sc)
-}
-
-// AlignReceiversCapped is AlignReceiversScratch with an explicit AlignAuto
-// demotion cap: receiver counts up to autoCap run the exact Hungarian
-// assignment, larger ones the deterministic greedy. autoCap ≤ 0 means
-// AlignAutoExactCap. The cap only matters for AlignAuto; the explicit modes
-// ignore it.
-func AlignReceiversCapped(dst []int, total float64, senders, receivers []int, mode AlignMode, autoCap int, sc *AlignScratch) []int {
 	capped := false
 	if mode == AlignAuto {
-		if autoCap <= 0 {
-			autoCap = AlignAutoExactCap
-		}
-		if len(receivers) <= autoCap {
+		if len(receivers) <= AlignAutoExactCap {
 			mode = AlignHungarian
 		} else {
 			mode = AlignGreedy

@@ -223,7 +223,7 @@ func TestAlignReceiversIntoNeverAliases(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			orig := append([]int(nil), c.receivers...)
 			for _, dst := range [][]int{nil, make([]int, 0, 64)} {
-				got := AlignReceiversInto(dst, 60, c.senders, c.receivers, c.mode)
+				got := AlignReceiversScratch(dst, 60, c.senders, c.receivers, c.mode, nil)
 				if len(got) != len(c.receivers) {
 					t.Fatalf("aligned length %d, want %d", len(got), len(c.receivers))
 				}
@@ -278,11 +278,11 @@ func itoa(n int) string {
 }
 
 // TestAlignAutoCapBoundary pins the AlignAuto demotion boundary: a receiver
-// count of exactly the cap still runs the exact Hungarian engine, one above
-// demotes to greedy (and counts as capped), both for the default cap and
-// for an explicit AlignReceiversCapped override.
+// count of exactly AlignAutoExactCap still runs the exact Hungarian engine,
+// one above demotes to greedy (and counts as capped), while the explicit
+// Hungarian mode stays exact above the cap.
 func TestAlignAutoCapBoundary(t *testing.T) {
-	run := func(t *testing.T, q, cap int) (exact, greedy, capped uint64) {
+	run := func(t *testing.T, q int, mode AlignMode) (exact, greedy, capped uint64) {
 		t.Helper()
 		senders := make([]int, q)
 		receivers := make([]int, q)
@@ -291,7 +291,7 @@ func TestAlignAutoCapBoundary(t *testing.T) {
 			receivers[i] = q/2 + i // half-overlapping: alignment has work to do
 		}
 		var sc AlignScratch
-		AlignReceiversCapped(nil, 1e9, senders, receivers, AlignAuto, cap, &sc)
+		AlignReceiversScratch(nil, 1e9, senders, receivers, mode, &sc)
 		return sc.NExact, sc.NGreedy, sc.NCapped
 	}
 	t.Run("default-cap", func(t *testing.T) {
@@ -303,7 +303,7 @@ func TestAlignAutoCapBoundary(t *testing.T) {
 			{AlignAutoExactCap, true},
 			{AlignAutoExactCap + 1, false},
 		} {
-			exact, greedy, capped := run(t, tc.q, 0)
+			exact, greedy, capped := run(t, tc.q, AlignAuto)
 			if tc.wantExact && (exact != 1 || greedy != 0 || capped != 0) {
 				t.Errorf("q=%d: counters (exact=%d greedy=%d capped=%d), want exact engine", tc.q, exact, greedy, capped)
 			}
@@ -312,40 +312,11 @@ func TestAlignAutoCapBoundary(t *testing.T) {
 			}
 		}
 	})
-	t.Run("explicit-cap", func(t *testing.T) {
-		const cap = 24
-		for _, tc := range []struct {
-			q         int
-			wantExact bool
-		}{
-			{cap - 1, true},
-			{cap, true},
-			{cap + 1, false},
-		} {
-			exact, greedy, capped := run(t, tc.q, cap)
-			if tc.wantExact && (exact != 1 || greedy != 0 || capped != 0) {
-				t.Errorf("q=%d cap=%d: counters (exact=%d greedy=%d capped=%d), want exact engine", tc.q, cap, exact, greedy, capped)
-			}
-			if !tc.wantExact && (exact != 0 || greedy != 1 || capped != 1) {
-				t.Errorf("q=%d cap=%d: counters (exact=%d greedy=%d capped=%d), want capped greedy", tc.q, cap, exact, greedy, capped)
-			}
-		}
-	})
 	t.Run("explicit-modes-ignore-cap", func(t *testing.T) {
-		exact, greedy, _ := run(t, 64, 0)
-		if exact != 1 || greedy != 0 {
-			t.Fatalf("sanity: auto at q=64 should be exact")
-		}
-		senders := make([]int, 64)
-		receivers := make([]int, 64)
-		for i := range senders {
-			senders[i] = i
-			receivers[i] = 32 + i
-		}
-		var sc AlignScratch
-		AlignReceiversCapped(nil, 1e9, senders, receivers, AlignHungarian, 8, &sc)
-		if sc.NExact != 1 || sc.NGreedy != 0 {
-			t.Errorf("AlignHungarian with cap 8: (exact=%d greedy=%d), cap must be ignored", sc.NExact, sc.NGreedy)
+		exact, greedy, capped := run(t, 2*AlignAutoExactCap, AlignHungarian)
+		if exact != 1 || greedy != 0 || capped != 0 {
+			t.Errorf("AlignHungarian at q=%d: (exact=%d greedy=%d capped=%d), cap must be ignored",
+				2*AlignAutoExactCap, exact, greedy, capped)
 		}
 	})
 }

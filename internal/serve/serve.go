@@ -61,7 +61,7 @@ type ScheduleRequest struct {
 	Strategy    string       `json:"strategy,omitempty"`
 	Allocator   string       `json:"allocator,omitempty"`
 	Alignment   string       `json:"alignment,omitempty"`
-	Profile     string       `json:"profile,omitempty"` // "fast" or "reference"; default ServerConfig.Profile
+	Profile     string       `json:"profile,omitempty"` // alignment alias: "fast" = auto, "reference" = hungarian
 	FlowSolver  string       `json:"flow_solver,omitempty"`
 	MinDelta    *float64     `json:"min_delta,omitempty"`
 	MaxDelta    *float64     `json:"max_delta,omitempty"`
@@ -90,13 +90,7 @@ type requestSpec struct {
 	strategy  rats.Strategy
 	allocator rats.Allocator
 	alignment rats.AlignmentMode
-	profile   rats.Profile
 	flow      rats.FlowSolver
-
-	// hasAlignment records an explicit alignment request: only then does
-	// the spec pass WithAlignment, so an absent field keeps the profile's
-	// alignment default instead of pinning Hungarian.
-	hasAlignment bool
 
 	minDelta, maxDelta float64
 	hasDelta           bool
@@ -107,8 +101,8 @@ type requestSpec struct {
 	clusterKey string // context-pool key: cluster identity only
 }
 
-func parseSpec(req *ScheduleRequest, defaultProfile rats.Profile) (*requestSpec, error) {
-	sp := &requestSpec{}
+func parseSpec(req *ScheduleRequest) (*requestSpec, error) {
+	sp := &requestSpec{alignment: rats.AlignmentAuto}
 	switch {
 	case req.ClusterSpec != nil:
 		c, err := rats.NewCluster(rats.ClusterSpec{
@@ -156,17 +150,18 @@ func parseSpec(req *ScheduleRequest, defaultProfile rats.Profile) (*requestSpec,
 			return nil, err
 		}
 	}
+	// profile is the older name for the alignment choice. Anything but
+	// its two names is a 400, so a client asking for the exact pipeline
+	// never silently gets the approximate one; an explicit alignment wins.
+	switch strings.ToLower(strings.TrimSpace(req.Profile)) {
+	case "", "fast":
+	case "reference":
+		sp.alignment = rats.AlignmentHungarian
+	default:
+		return nil, fmt.Errorf("serve: unknown profile %q (want fast or reference)", req.Profile)
+	}
 	if req.Alignment != "" {
 		if sp.alignment, err = rats.ParseAlignment(req.Alignment); err != nil {
-			return nil, err
-		}
-		sp.hasAlignment = true
-	}
-	// Resolve the profile: an explicit request wins over the server
-	// default (which itself defaults to the library default, ProfileFast).
-	sp.profile = defaultProfile
-	if req.Profile != "" {
-		if sp.profile, err = rats.ParseProfile(req.Profile); err != nil {
 			return nil, err
 		}
 	}
@@ -194,11 +189,8 @@ func (sp *requestSpec) options() []rats.Option {
 		rats.WithCluster(sp.cluster),
 		rats.WithStrategy(sp.strategy),
 		rats.WithAllocator(sp.allocator),
-		rats.WithProfile(sp.profile),
+		rats.WithAlignment(sp.alignment),
 		rats.WithFlowSolver(sp.flow),
-	}
-	if sp.hasAlignment {
-		opts = append(opts, rats.WithAlignment(sp.alignment))
 	}
 	if sp.hasDelta {
 		opts = append(opts, rats.WithDeltaBounds(sp.minDelta, sp.maxDelta))
@@ -226,11 +218,6 @@ type ServerConfig struct {
 	// DefaultTimeout is the per-request deadline applied when a request
 	// does not carry timeout_ms (default 30s).
 	DefaultTimeout time.Duration
-	// Profile is the exactness/speed profile applied to requests that do
-	// not carry the profile field (default rats.ProfileFast, the library
-	// default; set rats.ProfileReference for a service pinned to the
-	// exact oracle pipeline).
-	Profile rats.Profile
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (default
 	// off). Opt-in because profiles expose internals a scheduling service
 	// should not serve on an unrestricted port by default.
@@ -336,7 +323,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, m, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	spec, err := parseSpec(&req, s.cfg.Profile)
+	spec, err := parseSpec(&req)
 	if err != nil {
 		m.Status = http.StatusBadRequest
 		s.writeError(w, m, err)

@@ -153,11 +153,11 @@ func TestServedBatchSharesContext(t *testing.T) {
 	}{
 		{map[string]any{"cluster": "grelon", "strategy": "time-cost"}, grelonTC},
 		{map[string]any{"cluster": "grelon", "strategy": "time-cost", "profile": "reference"},
-			append(grelonTC[:2:2], rats.WithProfile(rats.ProfileReference))},
+			append(grelonTC[:2:2], rats.WithAlignment(rats.AlignmentHungarian))},
 		{map[string]any{"cluster": "grelon", "strategy": "delta", "profile": "reference",
 			"alignment": "greedy"},
 			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.Delta),
-				rats.WithProfile(rats.ProfileReference), rats.WithAlignment(rats.AlignmentGreedy)}},
+				rats.WithAlignment(rats.AlignmentGreedy)}},
 		{map[string]any{"cluster": "chti", "strategy": "delta", "allocator": "cpa"},
 			[]rats.Option{rats.WithCluster(rats.Chti()), rats.WithStrategy(rats.Delta), rats.WithAllocator(rats.CPA)}},
 		{map[string]any{"cluster_spec": map[string]any{"name": "lab", "procs": 24, "speed_gflops": 5},
@@ -464,6 +464,12 @@ func TestServeRejectsOutOfModelDAG(t *testing.T) {
 	if resp, sr := postSchedule(t, ts.URL, chain(4e6, 0.1, 4e6)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("in-model chain: HTTP %d (%s), want 200", resp.StatusCode, sr.Error)
 	}
+	// FFT(4) with two tasks claiming the same ID.
+	fft, err := json.Marshal(rats.FFT(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dupIDs := strings.Replace(strings.Replace(string(fft), `"ID":1,`, `"ID":5,`, 1), `"ID":2,`, `"ID":5,`, 1)
 	for _, tc := range []struct {
 		name  string
 		body  []byte
@@ -473,6 +479,7 @@ func TestServeRejectsOutOfModelDAG(t *testing.T) {
 		{"alpha -3", chain(4e6, -3, 4e6), "serial fraction"},
 		{"negative elements", chain(-4e6, 0.1, 4e6), "positive elements"},
 		{"negative edge bytes", chain(4e6, 0.1, -5e6), "negative payload"},
+		{"duplicate task IDs", []byte(`{"cluster":"chti","dag":` + dupIDs + `}`), "does not match its position"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, sr := postSchedule(t, ts.URL, tc.body)
@@ -567,10 +574,10 @@ func TestServeIgnoresDroppedWireField(t *testing.T) {
 	}
 }
 
-// TestServedProfileField pins the profile wire field end to end:
-// byte-equality with the library under both profiles (explicit alignment
-// included), the server-side default, and the 400 table for malformed
-// values.
+// TestServedProfileField pins the profile wire field, an alias for the
+// alignment choice, end to end: byte-equality with the library built
+// with the aliased WithAlignment ("fast" is auto, "reference" Hungarian,
+// an explicit alignment wins), and the 400 table for malformed values.
 func TestServedProfileField(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{})
 	d := rats.FFT(16, 2)
@@ -584,13 +591,13 @@ func TestServedProfileField(t *testing.T) {
 			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost)},
 			map[string]any{"cluster": "grelon", "strategy": "time-cost"}},
 		{"explicit-fast",
-			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost), rats.WithProfile(rats.ProfileFast)},
+			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost), rats.WithAlignment(rats.AlignmentAuto)},
 			map[string]any{"cluster": "grelon", "strategy": "time-cost", "profile": "fast"}},
 		{"reference",
-			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost), rats.WithProfile(rats.ProfileReference)},
+			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost), rats.WithAlignment(rats.AlignmentHungarian)},
 			map[string]any{"cluster": "grelon", "strategy": "time-cost", "profile": "reference"}},
 		{"reference-with-alignment",
-			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost), rats.WithProfile(rats.ProfileReference), rats.WithAlignment(rats.AlignmentGreedy)},
+			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost), rats.WithAlignment(rats.AlignmentGreedy)},
 			map[string]any{"cluster": "grelon", "strategy": "time-cost", "profile": "reference", "alignment": "greedy"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -612,12 +619,14 @@ func TestServedProfileField(t *testing.T) {
 		})
 	}
 
-	// Malformed profiles are 400s, caught before the scheduler.
+	// Malformed profiles are 400s, caught before the scheduler, even
+	// next to a valid alignment.
 	for _, bad := range []map[string]any{
 		{"profile": "fastest"},
 		{"profile": "exact"},
 		{"profile": "ref erence"}, // inner spaces do not trim away
 		{"profile": 3},            // wrong JSON type fails the decode
+		{"profile": "exact", "alignment": "hungarian"},
 	} {
 		resp, sr := postSchedule(t, ts.URL, scheduleBody(t, d, bad))
 		if resp.StatusCode != http.StatusBadRequest {
@@ -625,12 +634,4 @@ func TestServedProfileField(t *testing.T) {
 		}
 	}
 
-	// A server default of reference applies to requests without the field.
-	sp, err := parseSpec(&ScheduleRequest{}, rats.ProfileReference)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.profile != rats.ProfileReference {
-		t.Fatalf("server default reference resolved to %v", sp.profile)
-	}
 }

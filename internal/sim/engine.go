@@ -146,23 +146,12 @@ func New(linkCaps []float64) *Engine {
 
 // NewWithSolver creates an engine with an explicit rate solver choice.
 func NewWithSolver(linkCaps []float64, solver Solver) *Engine {
-	return NewWithSolverThreshold(linkCaps, solver, 0)
-}
-
-// NewWithSolverThreshold is NewWithSolver with an explicit flownet
-// scratch-solve threshold (0 = flownet.DefaultScratchThreshold). The
-// threshold only selects between exact solve regimes, so simulated times
-// are identical at any value; the maxmin reference pool has no scratch
-// path and ignores it.
-func NewWithSolverThreshold(linkCaps []float64, solver Solver, scratchThreshold int) *Engine {
 	e := &Engine{}
 	switch solver {
 	case SolverMaxMin:
 		e.pool = &maxminPool{linkCaps: linkCaps}
 	default:
-		net := flownet.New(linkCaps)
-		net.SetScratchThreshold(scratchThreshold)
-		e.pool = &netPool{net: net}
+		e.pool = &netPool{net: flownet.New(linkCaps)}
 	}
 	return e
 }

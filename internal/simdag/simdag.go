@@ -58,13 +58,6 @@ type Options struct {
 	// solver (core.FlowSolverNet, zero value) or the from-scratch
 	// reference (core.FlowSolverMaxMin).
 	Solver core.FlowSolver
-
-	// ScratchThreshold overrides the flownet solver's small-population
-	// scratch-solve cutoff (0 = flownet.DefaultScratchThreshold). Every
-	// solve regime is exact, so this knob moves replay latency only —
-	// simulated makespans are identical at any value. Ignored by the
-	// maxmin reference solver.
-	ScratchThreshold int
 }
 
 // Execute replays schedule s of graph g on cluster cl and returns the
@@ -88,7 +81,7 @@ func ExecuteOpts(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *c
 			Finish:     make([]float64, n),
 			EdgeFinish: make([]float64, len(g.Edges)),
 		},
-		eng:       sim.NewWithSolverThreshold(cl.LinkCapacities(), opts.Solver, opts.ScratchThreshold),
+		eng:       sim.NewWithSolver(cl.LinkCapacities(), opts.Solver),
 		queues:    make([][]int, cl.P),
 		cursor:    make([]int, cl.P),
 		edgesLeft: make([]int, n),

@@ -27,12 +27,6 @@ type Scheduler struct {
 	allocator  Allocator
 	flowSolver FlowSolver
 	alignment  AlignmentMode
-	profile    Profile
-
-	// alignmentSet records an explicit WithAlignment: the user's choice
-	// wins over the profile's alignment default (the profile then still
-	// controls the remaining knobs).
-	alignmentSet bool
 
 	mapOpts   core.Options
 	allocOpts alloc.Options
@@ -45,16 +39,17 @@ type Scheduler struct {
 }
 
 // New assembles a Scheduler from functional options. The zero
-// configuration is the paper's default pipeline under the fast profile:
-// HCPA allocation with level caps, baseline mapping with the naive RATS
-// parameters standing by (mindelta = −0.5, maxdelta = 0.5, minrho = 0.5,
-// packing on), ProfileFast's ablation-backed approximation knobs (see
-// Profile; WithProfile(ProfileReference) restores the exact pipeline),
-// on the grillon cluster. Configuration errors are recorded and returned
-// by the first Schedule or ScheduleAll call.
+// configuration is the paper's default pipeline: HCPA allocation with
+// level caps, baseline mapping with the naive RATS parameters standing by
+// (mindelta = −0.5, maxdelta = 0.5, minrho = 0.5, packing on) and
+// AlignmentAuto receiver alignment (WithAlignment(AlignmentHungarian)
+// restores the exact pipeline), on the grillon cluster. Configuration
+// errors are recorded and returned by the first Schedule or ScheduleAll
+// call.
 func New(opts ...Option) *Scheduler {
 	s := &Scheduler{
 		cluster:   Grillon(),
+		alignment: AlignmentAuto,
 		mapOpts:   core.DefaultNaive(core.StrategyNone),
 		allocOpts: alloc.DefaultOptions(),
 	}
@@ -83,24 +78,6 @@ func New(opts ...Option) *Scheduler {
 			s.err = err
 		} else {
 			s.simOpts.Solver = fs
-		}
-	}
-	// The profile resolves before the alignment so an explicit
-	// WithAlignment overrides the profile's alignment choice while the
-	// profile keeps the remaining knobs.
-	if s.err == nil {
-		switch s.profile {
-		case ProfileFast:
-			s.mapOpts.AlignCap = core.FastAlignCap
-			s.simOpts.ScratchThreshold = core.FastScratchThreshold
-			if !s.alignmentSet {
-				s.alignment = AlignmentAuto
-			}
-		case ProfileReference:
-			// Exact pipeline: zero knobs, Hungarian alignment (the zero
-			// AlignmentMode) unless explicitly overridden.
-		default:
-			s.fail("rats: invalid profile %v", s.profile)
 		}
 	}
 	if s.err == nil {
