@@ -621,8 +621,9 @@ type simBenchCase struct {
 }
 
 // BenchmarkSim replays fixed schedules under contention on both
-// fluid-network engines: the incremental flownet solver (the default) and
-// the from-scratch maxmin reference it is verified against. The shapes
+// fluid-network engines: the incremental flownet solver (simdag.Execute,
+// the only production engine) and the from-scratch maxmin reference it is
+// verified against (simdag.ExecuteReference, a test oracle). The shapes
 // cover both regimes the served path sees: Table III layered DAGs
 // (25/50/100 tasks) on grillon and grelon, and the big512/big1024
 // scenario classes. The per-(cluster, scenario) ratio is the replay
@@ -656,11 +657,11 @@ func BenchmarkSim(b *testing.B) {
 	for _, bc := range cases {
 		bc := bc
 		for _, engine := range []struct {
-			name   string
-			solver core.FlowSolver
+			name    string
+			execute func(*dag.Graph, *moldable.Costs, *platform.Cluster, *core.Schedule) (*simdag.Result, error)
 		}{
-			{"flownet", core.FlowSolverNet},
-			{"maxmin", core.FlowSolverMaxMin},
+			{"flownet", simdag.Execute},
+			{"maxmin", simdag.ExecuteReference},
 		} {
 			b.Run(fmt.Sprintf("%s/%s/%s", bc.cl.Name, bc.label, engine.name), func(b *testing.B) {
 				key := bc.cl.Name + "/" + bc.label
@@ -672,7 +673,7 @@ func BenchmarkSim(b *testing.B) {
 					costs := moldable.NewCosts(g, cl.PlanSpeedGFlops())
 					a := alloc.Compute(g, costs, cl, alloc.DefaultOptions())
 					sched := core.Map(g, costs, cl, a, core.DefaultNaive(core.StrategyTimeCost))
-					ref, err := simdag.ExecuteOpts(g, costs, cl, sched, simdag.Options{Solver: core.FlowSolverMaxMin})
+					ref, err := simdag.ExecuteReference(g, costs, cl, sched)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -683,7 +684,7 @@ func BenchmarkSim(b *testing.B) {
 				b.ReportAllocs()
 				var scratchPct float64
 				for i := 0; i < b.N; i++ {
-					res, err := simdag.ExecuteOpts(st.g, st.costs, st.cl, st.sched, simdag.Options{Solver: engine.solver})
+					res, err := engine.execute(st.g, st.costs, st.cl, st.sched)
 					if err != nil {
 						b.Fatal(err)
 					}

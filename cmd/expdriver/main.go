@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	expdriver [-stride N] [-workers N] [-out DIR] [-only LIST] [-solver NAME]
-//	          [-align NAME] [-counters]
+//	expdriver [-stride N] [-workers N] [-out DIR] [-only LIST] [-align NAME]
+//	          [-counters]
 //	          [-ablate [-smoke] [-o FILE]]
 //
 // -ablate switches to the exactness-renegotiation ablation (package
@@ -40,13 +40,12 @@
 //
 // The experiment pipeline is: HCPA allocation (shared) → {HCPA baseline,
 // RATS-delta, RATS-time-cost} mapping → contention-aware replay on the
-// simulated chti / grillon / grelon clusters. -solver selects the replay's
-// rate solver: the incremental flownet engine (default) or the
-// from-scratch maxmin reference for cross-checking. -align sets the
-// receiver rank-order alignment of every algorithm (§II-A): auto (the
-// default — exact up to 32 receivers, greedy above, vetted by the -ablate
-// sweep to stay within 0.5% of the exact makespans), hungarian (the exact
-// pipeline the golden figures are pinned against), greedy or none.
+// simulated chti / grillon / grelon clusters, on the incremental flownet
+// engine. -align sets the receiver rank-order alignment of every
+// algorithm (§II-A): auto (the default — exact up to 32 receivers, greedy
+// above, vetted by the -ablate sweep to stay within 0.5% of the exact
+// makespans), hungarian (the exact pipeline the golden figures are pinned
+// against), greedy or none.
 package main
 
 import (
@@ -59,7 +58,6 @@ import (
 	"time"
 
 	"repro/internal/ablate"
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -72,7 +70,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	outDir := flag.String("out", "results", "output directory for per-experiment files")
 	only := flag.String("only", "", "comma-separated experiment subset (default: all)")
-	solver := flag.String("solver", "flownet", "replay rate solver: flownet (incremental) or maxmin (reference)")
 	align := flag.String("align", "auto", "receiver rank alignment for every algorithm: auto (capped-exact, ablation-vetted), hungarian (exact), greedy or none")
 	cluster := flag.String("cluster", "grillon",
 		"cluster preset for the single-cluster experiments: "+strings.Join(platform.Names(), ", "))
@@ -89,7 +86,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*stride, *workers, *outDir, *only, *solver, *align, *cluster, *counters); err != nil {
+	if err := run(*stride, *workers, *outDir, *only, *align, *cluster, *counters); err != nil {
 		fmt.Fprintln(os.Stderr, "expdriver:", err)
 		os.Exit(1)
 	}
@@ -126,7 +123,7 @@ func runAblation(smoke bool, outDir, reportPath string) error {
 	return nil
 }
 
-func run(stride, workers int, outDir, only, solver, align, cluster string, counters bool) error {
+func run(stride, workers int, outDir, only, align, cluster string, counters bool) error {
 	want := map[string]bool{}
 	for _, s := range strings.Split(only, ",") {
 		if s = strings.TrimSpace(s); s != "" {
@@ -142,14 +139,6 @@ func run(stride, workers int, outDir, only, solver, align, cluster string, count
 	clusters := platform.PaperClusters()
 	runner := exp.NewRunner()
 	runner.Workers = workers
-	switch solver {
-	case "", "flownet":
-		runner.Solver = core.FlowSolverNet
-	case "maxmin", "max-min", "reference":
-		runner.Solver = core.FlowSolverMaxMin
-	default:
-		return fmt.Errorf("unknown -solver %q (want flownet or maxmin)", solver)
-	}
 	if align != "" {
 		mode, err := redist.ParseAlignMode(align)
 		if err != nil {

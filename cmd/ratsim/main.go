@@ -5,11 +5,12 @@
 // Usage:
 //
 //	ratsim [-app KIND] [-n N] [-k K] [-width W] [-density D] [-regularity R]
-//	       [-jump J] [-seed S] [-cluster NAME] [-solver NAME] [-align NAME]
+//	       [-jump J] [-seed S] [-cluster NAME] [-align NAME]
 //	       [-gantt] [-algo NAME] [-json] [-counters]
 //
 // -align picks the receiver rank alignment: "auto" (the default) or
-// "hungarian" for the exact pipeline, or "greedy" or "none".
+// "hungarian" for the exact pipeline, or "greedy" or "none". The replay
+// always runs on the incremental flownet engine.
 //
 // -counters prints the run's engine counter rates per algorithm (estimator
 // memo hits, candidate dedup skips, replay solver regimes). With -trace, a
@@ -47,14 +48,13 @@ func main() {
 	gantt := flag.Bool("gantt", false, "print a Gantt chart per algorithm")
 	algoFilter := flag.String("algo", "", "run only one algorithm: hcpa, delta, time-cost")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file per algorithm (prefix)")
-	solverName := flag.String("solver", "flownet", "replay rate solver: flownet (incremental) or maxmin (reference)")
 	alignName := flag.String("align", "auto", "receiver rank alignment: auto, hungarian, greedy or none")
 	asJSON := flag.Bool("json", false, "emit one JSON result per algorithm instead of text")
 	counters := flag.Bool("counters", false, "print engine counter rates per algorithm")
 	flag.Parse()
 
 	if err := run(*app, *n, *k, *width, *density, *regularity, *jump, *seed,
-		*clusterName, *solverName, *alignName, *gantt, *algoFilter, *traceOut, *asJSON, *counters); err != nil {
+		*clusterName, *alignName, *gantt, *algoFilter, *traceOut, *asJSON, *counters); err != nil {
 		fmt.Fprintln(os.Stderr, "ratsim:", err)
 		os.Exit(1)
 	}
@@ -77,13 +77,9 @@ func buildDAG(app string, n, k int, width, density, regularity float64, jump int
 }
 
 func run(app string, n, k int, width, density, regularity float64, jump int, seed int64,
-	clusterName, solverName, alignName string, gantt bool, algoFilter, traceOut string, asJSON bool,
+	clusterName, alignName string, gantt bool, algoFilter, traceOut string, asJSON bool,
 	counters bool) error {
 	cl, err := rats.ClusterByName(clusterName)
-	if err != nil {
-		return err
-	}
-	solver, err := rats.ParseFlowSolver(solverName)
 	if err != nil {
 		return err
 	}
@@ -129,7 +125,7 @@ func run(app string, n, k int, width, density, regularity float64, jump int, see
 			continue
 		}
 		opts := []rats.Option{rats.WithCluster(cl), rats.WithStrategy(v.strategy),
-			rats.WithFlowSolver(solver), rats.WithAlignment(align)}
+			rats.WithAlignment(align)}
 		// The self-tracer records the scheduler's own execution; it rides
 		// along only when the run writes trace files anyway.
 		var tracer *rats.Tracer

@@ -14,6 +14,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Task is one data-parallel (moldable) node of the application graph.
@@ -180,9 +181,9 @@ var (
 	ErrMultipleExit  = errors.New("dag: graph has more than one exit task")
 	ErrEmpty         = errors.New("dag: graph has no tasks")
 	ErrDisconnected  = errors.New("dag: task unreachable from the entry task")
-	ErrTaskWork      = errors.New("dag: task needs positive elements and ops factor")
+	ErrTaskWork      = errors.New("dag: task needs positive elements and ops factor with finite work")
 	ErrTaskAlpha     = errors.New("dag: task serial fraction outside [0, 1)")
-	ErrEdgeBytes     = errors.New("dag: edge carries a negative payload")
+	ErrEdgeBytes     = errors.New("dag: edge carries a negative payload or a non-finite one")
 	ErrTaskID        = errors.New("dag: task ID does not match its position")
 )
 
@@ -190,8 +191,9 @@ var (
 // non-empty, acyclic, a single entry, a single exit, and every task
 // reachable from the entry — then that every task's ID is its index, and
 // then the §II-A cost model's value ranges: every non-virtual task has
-// positive M and A and an Amdahl fraction in [0, 1), and no edge carries a
-// negative payload. It returns the first violated invariant.
+// positive M and A with a finite product A·M and an Amdahl fraction in
+// [0, 1), and every edge carries a finite, non-negative payload. It
+// returns the first violated invariant.
 func (g *Graph) Validate() error {
 	if g.N() == 0 {
 		return ErrEmpty
@@ -218,7 +220,8 @@ func (g *Graph) Validate() error {
 			reach[g.Edges[e].To] = true
 		}
 	}
-	// The negated comparisons also reject NaN.
+	// The negated comparisons also reject NaN; an infinite M or A makes
+	// Ops infinite, so one IsInf covers all three.
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		if t.ID != i {
@@ -227,7 +230,7 @@ func (g *Graph) Validate() error {
 		if t.Virtual {
 			continue
 		}
-		if !(t.M > 0 && t.A > 0) {
+		if !(t.M > 0 && t.A > 0) || math.IsInf(t.Ops(), 1) {
 			return fmt.Errorf("%w: task %d (%s) has M=%g, A=%g", ErrTaskWork, i, t.Name, t.M, t.A)
 		}
 		if !(t.Alpha >= 0 && t.Alpha < 1) {
@@ -235,7 +238,7 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for _, e := range g.Edges {
-		if !(e.Bytes >= 0) {
+		if !(e.Bytes >= 0) || math.IsInf(e.Bytes, 1) {
 			return fmt.Errorf("%w: edge %d→%d has %g bytes", ErrEdgeBytes, e.From, e.To, e.Bytes)
 		}
 	}

@@ -87,10 +87,17 @@ func TestValidateCostValues(t *testing.T) {
 		{"negative elements", func(g *Graph) { g.Tasks[2].M = -4e6 }, ErrTaskWork},
 		{"zero ops factor", func(g *Graph) { g.Tasks[0].A = 0 }, ErrTaskWork},
 		{"NaN elements", func(g *Graph) { g.Tasks[3].M = math.NaN() }, ErrTaskWork},
+		{"infinite elements", func(g *Graph) { g.Tasks[1].M = math.Inf(1) }, ErrTaskWork},
+		{"infinite ops factor", func(g *Graph) { g.Tasks[2].A = math.Inf(1) }, ErrTaskWork},
+		{"NaN ops factor", func(g *Graph) { g.Tasks[2].A = math.NaN() }, ErrTaskWork},
+		{"work overflows", func(g *Graph) { g.Tasks[1].M, g.Tasks[1].A = 1e308, 64 }, ErrTaskWork},
 		{"alpha one", func(g *Graph) { g.Tasks[1].Alpha = 1 }, ErrTaskAlpha},
 		{"alpha 1.5", func(g *Graph) { g.Tasks[1].Alpha = 1.5 }, ErrTaskAlpha},
 		{"alpha -3", func(g *Graph) { g.Tasks[2].Alpha = -3 }, ErrTaskAlpha},
 		{"negative edge bytes", func(g *Graph) { g.Edges[2].Bytes = -5e6 }, ErrEdgeBytes},
+		{"infinite edge bytes", func(g *Graph) { g.Edges[2].Bytes = math.Inf(1) }, ErrEdgeBytes},
+		{"NaN edge bytes", func(g *Graph) { g.Edges[2].Bytes = math.NaN() }, ErrEdgeBytes},
+		{"large finite work", func(g *Graph) { g.Tasks[1].M, g.Tasks[1].A = 1e306, 64 }, nil},
 		{"task ID off its index", func(g *Graph) { g.Tasks[2].ID = 1 }, ErrTaskID},
 		{"zero edge bytes", func(g *Graph) { g.Edges[2].Bytes = 0 }, nil},
 		{"alpha zero", func(g *Graph) { g.Tasks[1].Alpha = 0 }, nil},

@@ -101,10 +101,6 @@ type Runner struct {
 	// AllocOptions configures the shared first step (default: HCPA with
 	// edge costs in the critical path).
 	AllocOptions alloc.Options
-	// Solver selects the replay's fluid-network engine (default: the
-	// incremental flownet solver; core.FlowSolverMaxMin runs the
-	// from-scratch reference).
-	Solver core.FlowSolver
 	// Align, when non-nil, overrides every algorithm's receiver rank-order
 	// alignment mode (expdriver's -align switch). Nil keeps the
 	// per-spec modes, so configurations that sweep alignment themselves —
@@ -150,7 +146,7 @@ func (r *Runner) Run(scens []Scenario, cl *platform.Cluster, algos []AlgoSpec) (
 			sig := scheduleSignature(sched)
 			memo, hit := cache[sig]
 			if !hit {
-				res, err := simdag.ExecuteOpts(g, costs, cl, sched, simdag.Options{Solver: r.Solver})
+				res, err := simdag.Execute(g, costs, cl, sched)
 				if err != nil {
 					errs[i] = fmt.Errorf("scenario %s / %s: %w", scens[i].Name(), spec.Name, err)
 					return

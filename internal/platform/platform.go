@@ -31,6 +31,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -474,44 +475,63 @@ func (c *Cluster) EffectiveBandwidth(src, dst int) float64 {
 	return beta
 }
 
-// Validate checks the cluster description for consistency.
+// ErrCluster wraps every error Validate returns: the description is not a
+// cluster the model can simulate.
+var ErrCluster = errors.New("platform: invalid cluster")
+
+// invalid returns an ErrCluster-wrapped error naming the cluster.
+func (c *Cluster) invalid(format string, args ...any) error {
+	return fmt.Errorf("%w %s: %s", ErrCluster, c.Name, fmt.Sprintf(format, args...))
+}
+
+// positive reports whether x is a usable rate: positive and finite (NaN
+// fails the comparison).
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// nonNegative reports whether x is a usable latency: non-negative and
+// finite (NaN fails the comparison).
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// Validate checks the cluster description for consistency: every scalar
+// and per-node or per-link override is finite, rates are positive and
+// latencies non-negative. Every error it returns wraps ErrCluster.
 func (c *Cluster) Validate() error {
 	switch {
 	case c.P <= 0:
-		return fmt.Errorf("platform %s: P = %d, must be positive", c.Name, c.P)
-	case c.SpeedGFlops <= 0:
-		return fmt.Errorf("platform %s: speed = %g GFlop/s, must be positive", c.Name, c.SpeedGFlops)
-	case c.LinkBandwidth <= 0 || c.LinkLatency < 0:
-		return fmt.Errorf("platform %s: invalid private link (β=%g, λ=%g)", c.Name, c.LinkBandwidth, c.LinkLatency)
-	case c.Hierarchical() && (c.UplinkBandwidth <= 0 || c.UplinkLatency < 0):
-		return fmt.Errorf("platform %s: invalid cabinet uplink (β=%g, λ=%g)", c.Name, c.UplinkBandwidth, c.UplinkLatency)
-	case c.WMax <= 0:
-		return fmt.Errorf("platform %s: WMax = %g, must be positive", c.Name, c.WMax)
+		return c.invalid("P = %d, must be positive", c.P)
+	case !positive(c.SpeedGFlops):
+		return c.invalid("speed = %g GFlop/s, must be positive and finite", c.SpeedGFlops)
+	case !positive(c.LinkBandwidth) || !nonNegative(c.LinkLatency):
+		return c.invalid("invalid private link (β=%g, λ=%g)", c.LinkBandwidth, c.LinkLatency)
+	case c.Hierarchical() && (!positive(c.UplinkBandwidth) || !nonNegative(c.UplinkLatency)):
+		return c.invalid("invalid cabinet uplink (β=%g, λ=%g)", c.UplinkBandwidth, c.UplinkLatency)
+	case !positive(c.WMax):
+		return c.invalid("WMax = %g, must be positive and finite", c.WMax)
 	}
 	if c.NodeSpeeds != nil {
 		if len(c.NodeSpeeds) != c.P {
-			return fmt.Errorf("platform %s: speed vector has %d entries, want P = %d", c.Name, len(c.NodeSpeeds), c.P)
+			return c.invalid("speed vector has %d entries, want P = %d", len(c.NodeSpeeds), c.P)
 		}
 		for i, s := range c.NodeSpeeds {
-			if !(s > 0) || math.IsInf(s, 0) { // !(s>0) also catches NaN
-				return fmt.Errorf("platform %s: node %d speed = %g GFlop/s, must be positive and finite", c.Name, i, s)
+			if !positive(s) {
+				return c.invalid("node %d speed = %g GFlop/s, must be positive and finite", i, s)
 			}
 		}
 	}
 	for l, bw := range c.LinkBandwidths {
 		if l < 0 || l >= c.NumLinks() {
-			return fmt.Errorf("platform %s: bandwidth override for link %d outside [0, %d)", c.Name, l, c.NumLinks())
+			return c.invalid("bandwidth override for link %d outside [0, %d)", l, c.NumLinks())
 		}
-		if !(bw > 0) || math.IsInf(bw, 0) {
-			return fmt.Errorf("platform %s: bandwidth override for link %d = %g B/s, must be positive and finite", c.Name, l, bw)
+		if !positive(bw) {
+			return c.invalid("bandwidth override for link %d = %g B/s, must be positive and finite", l, bw)
 		}
 	}
 	for l, lat := range c.LinkLatencies {
 		if l < 0 || l >= c.NumLinks() {
-			return fmt.Errorf("platform %s: latency override for link %d outside [0, %d)", c.Name, l, c.NumLinks())
+			return c.invalid("latency override for link %d outside [0, %d)", l, c.NumLinks())
 		}
-		if !(lat >= 0) || math.IsInf(lat, 0) {
-			return fmt.Errorf("platform %s: latency override for link %d = %g s, must be non-negative and finite", c.Name, l, lat)
+		if !nonNegative(lat) {
+			return c.invalid("latency override for link %d = %g s, must be non-negative and finite", l, lat)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -194,8 +195,8 @@ func TestValidateRejectsBadClusters(t *testing.T) {
 		{Name: "uplink", P: 30, SpeedGFlops: 1, LinkBandwidth: 1, WMax: 1, CabinetSize: 10},
 	}
 	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("cluster %q should fail validation", c.Name)
+		if err := c.Validate(); !errors.Is(err, ErrCluster) {
+			t.Errorf("cluster %q: Validate = %v, want ErrCluster", c.Name, err)
 		}
 	}
 }

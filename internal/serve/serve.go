@@ -62,7 +62,6 @@ type ScheduleRequest struct {
 	Allocator   string       `json:"allocator,omitempty"`
 	Alignment   string       `json:"alignment,omitempty"`
 	Profile     string       `json:"profile,omitempty"` // alignment alias: "fast" = auto, "reference" = hungarian
-	FlowSolver  string       `json:"flow_solver,omitempty"`
 	MinDelta    *float64     `json:"min_delta,omitempty"`
 	MaxDelta    *float64     `json:"max_delta,omitempty"`
 	MinRho      *float64     `json:"min_rho,omitempty"`
@@ -90,7 +89,6 @@ type requestSpec struct {
 	strategy  rats.Strategy
 	allocator rats.Allocator
 	alignment rats.AlignmentMode
-	flow      rats.FlowSolver
 
 	minDelta, maxDelta float64
 	hasDelta           bool
@@ -165,11 +163,6 @@ func parseSpec(req *ScheduleRequest) (*requestSpec, error) {
 			return nil, err
 		}
 	}
-	if req.FlowSolver != "" {
-		if sp.flow, err = rats.ParseFlowSolver(req.FlowSolver); err != nil {
-			return nil, err
-		}
-	}
 	if req.MinDelta != nil || req.MaxDelta != nil {
 		if req.MinDelta == nil || req.MaxDelta == nil {
 			return nil, fmt.Errorf("serve: min_delta and max_delta must be set together")
@@ -190,7 +183,6 @@ func (sp *requestSpec) options() []rats.Option {
 		rats.WithStrategy(sp.strategy),
 		rats.WithAllocator(sp.allocator),
 		rats.WithAlignment(sp.alignment),
-		rats.WithFlowSolver(sp.flow),
 	}
 	if sp.hasDelta {
 		opts = append(opts, rats.WithDeltaBounds(sp.minDelta, sp.maxDelta))

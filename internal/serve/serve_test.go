@@ -478,6 +478,7 @@ func TestServeRejectsOutOfModelDAG(t *testing.T) {
 		{"alpha 1.5", chain(4e6, 1.5, 4e6), "serial fraction"},
 		{"alpha -3", chain(4e6, -3, 4e6), "serial fraction"},
 		{"negative elements", chain(-4e6, 0.1, 4e6), "positive elements"},
+		{"work overflows", chain(1e308, 0.1, 4e6), "finite work"},
 		{"negative edge bytes", chain(4e6, 0.1, -5e6), "negative payload"},
 		{"duplicate task IDs", []byte(`{"cluster":"chti","dag":` + dupIDs + `}`), "does not match its position"},
 	} {
@@ -548,10 +549,10 @@ func TestServeCustomClusterSpec(t *testing.T) {
 	}
 }
 
-// TestServeIgnoresDroppedWireField pins wire compatibility for the
-// removed map_workers field: it never changed a schedule, and unknown
-// request fields are ignored, so a client that still sends it gets a 200
-// byte-equal to the library result.
+// TestServeIgnoresDroppedWireField pins wire compatibility for removed
+// request fields: map_workers and flow_solver select nothing any more,
+// and unknown request fields are ignored, so a client that still sends
+// either gets a 200 byte-equal to the library result, whatever the value.
 func TestServeIgnoresDroppedWireField(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{})
 	d := rats.FFT(16, 5)
@@ -564,13 +565,25 @@ func TestServeIgnoresDroppedWireField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, sr := postSchedule(t, ts.URL, scheduleBody(t, d,
-		map[string]any{"cluster": "grelon", "strategy": "time-cost", "map_workers": 3}))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", resp.StatusCode, sr.Error)
-	}
-	if string(sr.Result) != string(wantBlob) {
-		t.Fatalf("served result diverges from library:\n%s\nvs\n%s", sr.Result, wantBlob)
+	for _, tc := range []struct {
+		name  string
+		field string
+		value any
+	}{
+		{"map_workers", "map_workers", 3},
+		{"flow_solver_maxmin", "flow_solver", "maxmin"},
+		{"flow_solver_bogus", "flow_solver", "bogus"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, sr := postSchedule(t, ts.URL, scheduleBody(t, d,
+				map[string]any{"cluster": "grelon", "strategy": "time-cost", tc.field: tc.value}))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("HTTP %d: %s", resp.StatusCode, sr.Error)
+			}
+			if string(sr.Result) != string(wantBlob) {
+				t.Fatalf("served result diverges from library:\n%s\nvs\n%s", sr.Result, wantBlob)
+			}
+		})
 	}
 }
 

@@ -13,32 +13,6 @@ import (
 // a micro-byte tolerance is safely below any meaningful volume.
 const completionEps = 1e-6
 
-// Solver selects the fluid-network rate solver backing an Engine.
-type Solver int
-
-const (
-	// SolverFlowNet is the incremental internal/flownet engine: route
-	// aggregation into weighted super-flows, bottleneck-level repair
-	// across population changes, lazy draining. The default.
-	SolverFlowNet Solver = iota
-	// SolverMaxMin re-solves max-min rates from scratch on every
-	// population change with the reference MaxMin solver and tracks each
-	// flow individually. It is the oracle the flownet engine is tested
-	// against, and stays runnable end to end.
-	SolverMaxMin
-)
-
-// String implements fmt.Stringer.
-func (s Solver) String() string {
-	switch s {
-	case SolverFlowNet:
-		return "flownet"
-	case SolverMaxMin:
-		return "maxmin"
-	}
-	return fmt.Sprintf("Solver(%d)", int(s))
-}
-
 // Engine is the discrete-event core: a virtual clock, a timer queue and a
 // set of active fluid flows whose rates are re-solved whenever the flow
 // population changes, by the flow pool selected at construction.
@@ -139,21 +113,19 @@ func (h *timerHeap) pop() timer {
 }
 
 // New creates an engine over links with the given capacities (bytes/s),
-// backed by the default flownet solver.
+// backed by the incremental internal/flownet solver: route aggregation
+// into weighted super-flows, bottleneck-level repair across population
+// changes, lazy draining. It is the only production replay engine.
 func New(linkCaps []float64) *Engine {
-	return NewWithSolver(linkCaps, SolverFlowNet)
+	return &Engine{pool: &netPool{net: flownet.New(linkCaps)}}
 }
 
-// NewWithSolver creates an engine with an explicit rate solver choice.
-func NewWithSolver(linkCaps []float64, solver Solver) *Engine {
-	e := &Engine{}
-	switch solver {
-	case SolverMaxMin:
-		e.pool = &maxminPool{linkCaps: linkCaps}
-	default:
-		e.pool = &netPool{net: flownet.New(linkCaps)}
-	}
-	return e
+// NewReference creates an engine backed by the reference pool: one record
+// per flow, max-min rates re-solved from scratch by MaxMin on every
+// population change. It is a test oracle — the engine New's flownet pool
+// is verified against — and only tests and benchmarks may call it.
+func NewReference(linkCaps []float64) *Engine {
+	return &Engine{pool: &maxminPool{linkCaps: linkCaps}}
 }
 
 // Now returns the current virtual time in seconds.

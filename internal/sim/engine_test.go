@@ -147,7 +147,7 @@ func TestRecomputeReleasesScratchReferences(t *testing.T) {
 	// the rate-recomputation scratch of the reference pool must not keep
 	// pointing at completed flows' link slices, which would pin them for
 	// the rest of a long simulation.
-	e := NewWithSolver([]float64{100, 100, 100}, SolverMaxMin)
+	e := NewReference([]float64{100, 100, 100})
 	for i := 0; i < 8; i++ {
 		links := []int{i % 3}
 		e.StartFlow(links, 0, 0, float64(100*(i+1)), nil)

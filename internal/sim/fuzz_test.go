@@ -31,9 +31,9 @@ type fuzzProgram struct {
 
 // run replays the program and returns the completion log in callback
 // order plus the final time.
-func (p fuzzProgram) run(solver Solver) ([]fuzzEvent, float64) {
+func (p fuzzProgram) run(newEngine func([]float64) *Engine) ([]fuzzEvent, float64) {
 	rng := rand.New(rand.NewSource(p.seed))
-	e := NewWithSolver(p.cl.LinkCapacities(), solver)
+	e := newEngine(p.cl.LinkCapacities())
 	var log []fuzzEvent
 	next := 0
 	newFlow := func() (links []int, rateCap, bytes float64, id int) {
@@ -89,8 +89,8 @@ func TestFuzzEnginesAgree(t *testing.T) {
 	for _, cl := range clusters {
 		for s := 0; s < programs; s++ {
 			p := fuzzProgram{cl: cl, seed: int64(100*s + 17), flows: 40 + s%3*60}
-			ref, refEnd := p.run(SolverMaxMin)
-			got, gotEnd := p.run(SolverFlowNet)
+			ref, refEnd := p.run(NewReference)
+			got, gotEnd := p.run(New)
 			if !timeClose(refEnd, gotEnd) {
 				t.Fatalf("%s seed %d: final time %g (flownet) vs %g (maxmin)", cl.Name, p.seed, gotEnd, refEnd)
 			}
@@ -133,16 +133,19 @@ func TestFuzzEnginesAgree(t *testing.T) {
 // TestFuzzEngineDeterminism pins replay determinism: the same program on
 // the same solver must reproduce the identical completion log bit for bit.
 func TestFuzzEngineDeterminism(t *testing.T) {
-	for _, solver := range []Solver{SolverFlowNet, SolverMaxMin} {
+	for _, engine := range []struct {
+		name string
+		new  func([]float64) *Engine
+	}{{"flownet", New}, {"maxmin", NewReference}} {
 		p := fuzzProgram{cl: platform.Grelon(), seed: 321, flows: 120}
-		a, aEnd := p.run(solver)
-		b, bEnd := p.run(solver)
+		a, aEnd := p.run(engine.new)
+		b, bEnd := p.run(engine.new)
 		if aEnd != bEnd || len(a) != len(b) {
-			t.Fatalf("%v: nondeterministic replay (%g/%d vs %g/%d)", solver, aEnd, len(a), bEnd, len(b))
+			t.Fatalf("%s: nondeterministic replay (%g/%d vs %g/%d)", engine.name, aEnd, len(a), bEnd, len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%v: completion %d differs across identical replays: %+v vs %+v", solver, i, a[i], b[i])
+				t.Fatalf("%s: completion %d differs across identical replays: %+v vs %+v", engine.name, i, a[i], b[i])
 			}
 		}
 	}

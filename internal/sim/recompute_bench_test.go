@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/flownet"
 	"repro/internal/platform"
 )
 
@@ -25,20 +24,14 @@ func BenchmarkRecompute(b *testing.B) {
 	for _, cl := range []*platform.Cluster{platform.Big512(), platform.Big1024()} {
 		caps := cl.LinkCapacities()
 		for _, eng := range []struct {
-			name   string
-			solver Solver
+			name string
+			new  func([]float64) *Engine
 		}{
-			{"flownet", SolverFlowNet},
-			{"maxmin", SolverMaxMin},
+			{"flownet", New},
+			{"maxmin", NewReference},
 		} {
 			b.Run(cl.Name+"/"+eng.name, func(b *testing.B) {
-				var pool flowPool
-				switch eng.solver {
-				case SolverMaxMin:
-					pool = &maxminPool{linkCaps: caps}
-				default:
-					pool = &netPool{net: flownet.New(caps)}
-				}
+				pool := eng.new(caps).pool
 				rng := rand.New(rand.NewSource(41))
 				// Pre-generated churn: route construction and the shared
 				// completion callback live outside the measurement — a

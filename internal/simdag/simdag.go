@@ -52,24 +52,24 @@ type Result struct {
 	Counters obs.Counters
 }
 
-// Options configures a replay.
-type Options struct {
-	// Solver selects the fluid-network engine: the incremental flownet
-	// solver (core.FlowSolverNet, zero value) or the from-scratch
-	// reference (core.FlowSolverMaxMin).
-	Solver core.FlowSolver
-}
-
 // Execute replays schedule s of graph g on cluster cl and returns the
 // measured times. It returns an error if the schedule is structurally
 // invalid or the replay fails to complete every task (which would indicate
 // a scheduling bug rather than a property of the workload).
 func Execute(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.Schedule) (*Result, error) {
-	return ExecuteOpts(g, costs, cl, s, Options{})
+	return execute(g, costs, cl, s, sim.New)
 }
 
-// ExecuteOpts is Execute with an explicit replay configuration.
-func ExecuteOpts(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.Schedule, opts Options) (*Result, error) {
+// ExecuteReference is Execute on the reference engine (sim.NewReference),
+// which re-solves max-min rates from scratch on every population change.
+// It is a test oracle for Execute: only tests and benchmarks may call it.
+func ExecuteReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.Schedule) (*Result, error) {
+	return execute(g, costs, cl, s, sim.NewReference)
+}
+
+// execute is the one replay loop behind Execute and ExecuteReference;
+// newEngine builds the engine over cl's link capacities.
+func execute(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.Schedule, newEngine func([]float64) *sim.Engine) (*Result, error) {
 	if err := s.Validate(g, cl); err != nil {
 		return nil, err
 	}
@@ -81,7 +81,7 @@ func ExecuteOpts(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *c
 			Finish:     make([]float64, n),
 			EdgeFinish: make([]float64, len(g.Edges)),
 		},
-		eng:       sim.NewWithSolver(cl.LinkCapacities(), opts.Solver),
+		eng:       newEngine(cl.LinkCapacities()),
 		queues:    make([][]int, cl.P),
 		cursor:    make([]int, cl.P),
 		edgesLeft: make([]int, n),

@@ -101,8 +101,8 @@ func (d *DAG) Edge(from, to string) *DAG {
 }
 
 // EdgeBytes adds a data dependence with an explicit payload in bytes,
-// overriding the default full-dataset volume. A negative payload fails
-// Build.
+// overriding the default full-dataset volume. A negative or non-finite
+// payload fails Build.
 func (d *DAG) EdgeBytes(from, to string, bytes float64) *DAG {
 	d.mutable("EdgeBytes")
 	src, ok := d.byName[from]

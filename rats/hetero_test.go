@@ -1,9 +1,12 @@
 package rats
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/platform"
 )
 
 func TestHeteroClusterPresets(t *testing.T) {
@@ -44,6 +47,32 @@ func TestHeteroClusterPresets(t *testing.T) {
 	}
 }
 
+// TestNewClusterRejectsNonFiniteScalars: NaN and ±Inf in any scalar of a
+// (hierarchical) spec is a typed error, never an accepted cluster — a NaN
+// speed once passed the `x <= 0` checks and hung the replay.
+func TestNewClusterRejectsNonFiniteScalars(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*ClusterSpec, float64)
+	}{
+		{"speed", func(s *ClusterSpec, v float64) { s.SpeedGFlops = v }},
+		{"link bandwidth", func(s *ClusterSpec, v float64) { s.LinkBandwidth = v }},
+		{"link latency", func(s *ClusterSpec, v float64) { s.LinkLatency = v }},
+		{"uplink bandwidth", func(s *ClusterSpec, v float64) { s.UplinkBandwidth = v }},
+		{"uplink latency", func(s *ClusterSpec, v float64) { s.UplinkLatency = v }},
+		{"wmax", func(s *ClusterSpec, v float64) { s.WMax = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			spec := ClusterSpec{Procs: 8, SpeedGFlops: 2, CabinetSize: 4}
+			f.set(&spec, v)
+			if c, err := NewCluster(spec); !errors.Is(err, platform.ErrCluster) {
+				t.Errorf("%s = %g: NewCluster = (%v, %v), want platform.ErrCluster", f.name, v, c, err)
+			}
+		}
+	}
+}
+
 func TestNewClusterVectorValidation(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	speeds := func(n int, v float64) []float64 {
@@ -72,8 +101,8 @@ func TestNewClusterVectorValidation(t *testing.T) {
 		{"negative uplink bandwidth", ClusterSpec{Procs: 8, SpeedGFlops: 2, CabinetSize: 4, UplinkBandwidths: []float64{1e9, -1e9}}},
 	}
 	for _, tc := range bad {
-		if _, err := NewCluster(tc.spec); err == nil {
-			t.Errorf("%s: NewCluster succeeded, want error", tc.name)
+		if _, err := NewCluster(tc.spec); !errors.Is(err, platform.ErrCluster) {
+			t.Errorf("%s: NewCluster = %v, want platform.ErrCluster", tc.name, err)
 		}
 	}
 

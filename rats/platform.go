@@ -97,7 +97,9 @@ type ClusterSpec struct {
 	UplinkBandwidths []float64
 }
 
-// NewCluster builds and validates a custom cluster.
+// NewCluster builds and validates a custom cluster. Every error it
+// returns wraps platform.ErrCluster: a zero or negative rate, a negative
+// latency, a NaN or infinite scalar, or a malformed vector.
 func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	pc := &platform.Cluster{
 		Name:            spec.Name,
@@ -141,7 +143,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	}
 	if len(spec.NodeBandwidths) > 0 {
 		if len(spec.NodeBandwidths) != pc.P {
-			return nil, fmt.Errorf("rats: NodeBandwidths has %d entries, want Procs = %d", len(spec.NodeBandwidths), pc.P)
+			return nil, fmt.Errorf("%w: NodeBandwidths has %d entries, want Procs = %d", platform.ErrCluster, len(spec.NodeBandwidths), pc.P)
 		}
 		pc.LinkBandwidths = make(map[platform.LinkID]float64, 2*pc.P)
 		for i, bw := range spec.NodeBandwidths {
@@ -151,10 +153,10 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 	}
 	if len(spec.UplinkBandwidths) > 0 {
 		if !pc.Hierarchical() {
-			return nil, fmt.Errorf("rats: UplinkBandwidths given but CabinetSize is 0 (flat clusters have no uplinks)")
+			return nil, fmt.Errorf("%w: UplinkBandwidths given but CabinetSize is 0 (flat clusters have no uplinks)", platform.ErrCluster)
 		}
 		if len(spec.UplinkBandwidths) != pc.Cabinets() {
-			return nil, fmt.Errorf("rats: UplinkBandwidths has %d entries, want one per cabinet = %d", len(spec.UplinkBandwidths), pc.Cabinets())
+			return nil, fmt.Errorf("%w: UplinkBandwidths has %d entries, want one per cabinet = %d", platform.ErrCluster, len(spec.UplinkBandwidths), pc.Cabinets())
 		}
 		if pc.LinkBandwidths == nil {
 			pc.LinkBandwidths = make(map[platform.LinkID]float64, 2*pc.Cabinets())

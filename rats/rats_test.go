@@ -46,9 +46,14 @@ func TestBuilderErrors(t *testing.T) {
 			Task("a", TaskSpec{Elements: 1e7, OpsFactor: 64}).
 			Task("b", TaskSpec{Elements: 1e7, OpsFactor: 64}).
 			EdgeBytes("a", "b", -1),
-		"empty graph": NewDAG(),
-		"bad fft k":   FFT(3, 1),
-		"bad random":  Random(RandomSpec{N: 0}),
+		"infinite payload": NewDAG().
+			Task("a", TaskSpec{Elements: 1e7, OpsFactor: 64}).
+			Task("b", TaskSpec{Elements: 1e7, OpsFactor: 64}).
+			EdgeBytes("a", "b", math.Inf(1)),
+		"work overflows": NewDAG().Task("a", TaskSpec{Elements: 1e308, OpsFactor: 64}),
+		"empty graph":    NewDAG(),
+		"bad fft k":      FFT(3, 1),
+		"bad random":     Random(RandomSpec{N: 0}),
 	}
 	for name, d := range cases {
 		if err := d.Build(); err == nil {

@@ -22,15 +22,13 @@ type Option func(*Scheduler)
 // mapping, simulated execution — with a fixed configuration. It is
 // immutable after New and safe for concurrent use.
 type Scheduler struct {
-	cluster    *Cluster
-	strategy   Strategy
-	allocator  Allocator
-	flowSolver FlowSolver
-	alignment  AlignmentMode
+	cluster   *Cluster
+	strategy  Strategy
+	allocator Allocator
+	alignment AlignmentMode
 
 	mapOpts   core.Options
 	allocOpts alloc.Options
-	simOpts   simdag.Options
 
 	fixedAlloc []int
 	workers    int
@@ -70,14 +68,6 @@ func New(opts ...Option) *Scheduler {
 			s.err = err
 		} else {
 			s.allocOpts.Method = m
-		}
-	}
-	if s.err == nil {
-		fs, err := s.flowSolver.coreFlowSolver()
-		if err != nil {
-			s.err = err
-		} else {
-			s.simOpts.Solver = fs
 		}
 	}
 	if s.err == nil {
@@ -269,7 +259,7 @@ func (s *Scheduler) run(d *DAG, sc *Context) (*Result, error) {
 	tracer.End(spanStart, "rats", "map", int64(g.N()), 0)
 
 	spanStart = tracer.Begin()
-	sim, err := simdag.ExecuteOpts(g, costs, cl, sched, s.simOpts)
+	sim, err := simdag.Execute(g, costs, cl, sched)
 	if err != nil {
 		return nil, fmt.Errorf("rats: %s on %s: %w", d.Name, cl.Name, err)
 	}
