@@ -405,114 +405,7 @@ func BenchmarkMap(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices called out in docs/ARCHITECTURE.md, "Design reconstructions") -------
-
-// BenchmarkAblation_EdgeCostsInCP compares allocation with and without
-// edge costs folded into the critical path.
-func BenchmarkAblation_EdgeCostsInCP(b *testing.B) {
-	benchAblation(b, func(o *exp.Runner, with bool) {
-		o.AllocOptions.IncludeEdgeCosts = with
-	})
-}
-
-// BenchmarkAblation_LevelCap compares allocation with and without the
-// level-aware allocation cap of the HCPA reconstruction.
-func BenchmarkAblation_LevelCap(b *testing.B) {
-	benchAblation(b, func(o *exp.Runner, with bool) {
-		o.AllocOptions.LevelCap = with
-	})
-}
-
-// BenchmarkAblation_Claiming compares RATS-delta with and without the
-// one-adoption-per-parent rule (docs/ARCHITECTURE.md, "Design reconstructions"). The measured makespans —
-// reported as custom metrics — show why claiming is load-bearing: without
-// it, siblings serialize on popular parents.
-func BenchmarkAblation_Claiming(b *testing.B) {
-	scens := benchScenarios(80)
-	cl := platform.Grillon()
-	for _, claiming := range []bool{true, false} {
-		name := "claiming"
-		if !claiming {
-			name = "noClaiming"
-		}
-		b.Run(name, func(b *testing.B) {
-			r := exp.NewRunner()
-			spec := exp.Delta(-0.5, 0.5)
-			spec.Map.NoClaiming = !claiming
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				results, err := r.Run(scens, cl, []exp.AlgoSpec{exp.Baseline(), spec})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ms := exp.Makespans(results)
-				mean = metrics.Summarize(metrics.Relative(ms[1], ms[0])).Mean
-			}
-			b.ReportMetric(mean, "ratio-vs-hcpa")
-		})
-	}
-}
-
-// BenchmarkAblation_DeltaEFTGuard compares the delta strategy with and
-// without the finish-time guard on adoptions.
-func BenchmarkAblation_DeltaEFTGuard(b *testing.B) {
-	scens := benchScenarios(80)
-	cl := platform.Grillon()
-	for _, guard := range []bool{true, false} {
-		name := "guard"
-		if !guard {
-			name = "noGuard"
-		}
-		b.Run(name, func(b *testing.B) {
-			r := exp.NewRunner()
-			spec := exp.Delta(-0.5, 0.5)
-			spec.Map.DeltaEFTGuard = guard
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				results, err := r.Run(scens, cl, []exp.AlgoSpec{exp.Baseline(), spec})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ms := exp.Makespans(results)
-				mean = metrics.Summarize(metrics.Relative(ms[1], ms[0])).Mean
-			}
-			b.ReportMetric(mean, "ratio-vs-hcpa")
-		})
-	}
-}
-
-// BenchmarkAblation_PredOverlap compares the paper-faithful baseline
-// (earliest-available processors only) against a stronger fixed-allocation
-// mapper that also evaluates predecessor-anchored candidate sets —
-// quantifying how much of RATS's gain a smarter two-step mapper could
-// recover without adapting allocations.
-func BenchmarkAblation_PredOverlap(b *testing.B) {
-	scens := benchScenarios(80)
-	cl := platform.Grillon()
-	for _, overlap := range []bool{false, true} {
-		name := "earliestOnly"
-		if overlap {
-			name = "predOverlap"
-		}
-		b.Run(name, func(b *testing.B) {
-			r := exp.NewRunner()
-			base := exp.Baseline()
-			strong := exp.Baseline()
-			strong.Name = "HCPA+overlap"
-			strong.Map.PredOverlap = overlap
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				results, err := r.Run(scens, cl, []exp.AlgoSpec{base, strong})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ms := exp.Makespans(results)
-				mean = metrics.Summarize(metrics.Relative(ms[1], ms[0])).Mean
-			}
-			b.ReportMetric(mean, "ratio-vs-hcpa")
-		})
-	}
-}
+// --- Ablation bench: receiver alignment (a public option, rats.WithAlignment) ---
 
 // BenchmarkAblation_Alignment compares the Hungarian self-communication
 // maximization against greedy and disabled receiver-rank alignment.
@@ -538,55 +431,6 @@ func BenchmarkAblation_Alignment(b *testing.B) {
 				mean = metrics.Summarize(metrics.Relative(ms[1], ms[0])).Mean
 			}
 			b.ReportMetric(mean, "ratio-vs-hcpa")
-		})
-	}
-}
-
-// BenchmarkAblation_SecondarySort compares the §III-C stable secondary
-// ready-list sort (δ / gain) against plain bottom-level ordering.
-func BenchmarkAblation_SecondarySort(b *testing.B) {
-	scens := benchScenarios(80)
-	cl := platform.Grillon()
-	for _, sorted := range []bool{true, false} {
-		name := "secondarySort"
-		if !sorted {
-			name = "blOnly"
-		}
-		b.Run(name, func(b *testing.B) {
-			r := exp.NewRunner()
-			spec := exp.Delta(-0.5, 0.5)
-			spec.Map.SortSecondary = sorted
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				results, err := r.Run(scens, cl, []exp.AlgoSpec{exp.Baseline(), spec})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ms := exp.Makespans(results)
-				mean = metrics.Summarize(metrics.Relative(ms[1], ms[0])).Mean
-			}
-			b.ReportMetric(mean, "ratio-vs-hcpa")
-		})
-	}
-}
-
-func benchAblation(b *testing.B, set func(r *exp.Runner, with bool)) {
-	b.Helper()
-	scens := benchScenarios(80)
-	cl := platform.Grillon()
-	for _, with := range []bool{false, true} {
-		name := "off"
-		if with {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			r := exp.NewRunner()
-			set(r, with)
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Run(scens, cl, exp.NaiveAlgos()); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

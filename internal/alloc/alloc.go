@@ -33,23 +33,16 @@ func (m Method) String() string {
 }
 
 // Options parameterizes Compute.
+//
+// The critical path is computation-only, as in the paper ("it is difficult
+// to accurately estimate the redistribution times before tasks are
+// actually mapped", §I). Under HCPA every task is also bounded by
+// ⌈P / width(level)⌉, so that every precedence level can execute
+// concurrently: our reconstruction of HCPA's "self-constrained"
+// allocations (docs/ARCHITECTURE.md, "Design reconstructions"). CPA and
+// MCPA carry no such cap.
 type Options struct {
 	Method Method
-	// IncludeEdgeCosts folds contention-free edge-time estimates into the
-	// critical path during allocation. The paper's algorithms do NOT do
-	// this ("most of these algorithms do not take data redistributions
-	// into account during the allocation step as it is difficult to
-	// accurately estimate the redistribution times before tasks are
-	// actually mapped", §I) — the default is therefore false, and the
-	// flag exists as an ablation the benches exercise.
-	IncludeEdgeCosts bool
-
-	// LevelCap bounds each task's allocation by ⌈P / width(level)⌉ so
-	// that every precedence level can execute concurrently. This is the
-	// allocation-limiting behaviour HCPA's modified area aims for
-	// (N'takpé & Suter's "self-constrained" allocations) and is part of
-	// our HCPA reconstruction; see docs/ARCHITECTURE.md, "Design reconstructions".
-	LevelCap bool
 
 	// Obs, when non-nil, receives the refinement loop's counters (grants,
 	// cone repairs, heap-repair strategy) added on top of its current
@@ -63,10 +56,9 @@ type Options struct {
 }
 
 // DefaultOptions returns the configuration used throughout the evaluation:
-// HCPA with a computation-only critical path and level-capped allocations
-// (our reconstruction of HCPA's allocation moderation; docs/ARCHITECTURE.md, "Design reconstructions").
+// HCPA.
 func DefaultOptions() Options {
-	return Options{Method: HCPA, IncludeEdgeCosts: false, LevelCap: true}
+	return Options{Method: HCPA}
 }
 
 // Compute returns the processor allocation of every task (0 for virtual
@@ -80,16 +72,4 @@ func DefaultOptions() Options {
 // which reference.go preserves as the testing oracle.
 func Compute(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, opts Options) []int {
 	return computeIncremental(g, costs, cl, opts)
-}
-
-// OneEach returns the trivial allocation of one processor per real task,
-// useful as a degenerate baseline in tests and ablations.
-func OneEach(g *dag.Graph) []int {
-	a := make([]int, g.N())
-	for t := range g.Tasks {
-		if !g.Tasks[t].Virtual {
-			a[t] = 1
-		}
-	}
-	return a
 }

@@ -39,7 +39,7 @@ func TestChainGetsLargeAllocations(t *testing.T) {
 	g := chainGraph(5)
 	cl := platform.Grillon()
 	costs := moldable.NewCosts(g, cl.SpeedGFlops)
-	a := Compute(g, costs, cl, Options{Method: CPA, IncludeEdgeCosts: false})
+	a := Compute(g, costs, cl, Options{Method: CPA})
 	for i, v := range a {
 		if v < 2 {
 			t.Errorf("chain task %d allocation %d; every chain task is critical and should be parallelized", i, v)
@@ -52,7 +52,7 @@ func TestAllocationsWithinBounds(t *testing.T) {
 	for _, cl := range platform.PaperClusters() {
 		costs := moldable.NewCosts(g, cl.SpeedGFlops)
 		for _, m := range []Method{CPA, HCPA, MCPA} {
-			a := Compute(g, costs, cl, Options{Method: m, IncludeEdgeCosts: true})
+			a := Compute(g, costs, cl, Options{Method: m})
 			for i, v := range a {
 				if g.Tasks[i].Virtual {
 					if v != 0 {
@@ -81,7 +81,7 @@ func TestTerminationCriterion(t *testing.T) {
 		}
 		return costs.Time(tk, a[tk])
 	}
-	edgeCost := func(e int) float64 { return 0 } // DefaultOptions: computation-only C∞
+	edgeCost := func(e int) float64 { return 0 } // computation-only C∞
 	cInf := g.CriticalPathLength(taskCost, edgeCost)
 	work := 0.0
 	real := 0
@@ -95,7 +95,7 @@ func TestTerminationCriterion(t *testing.T) {
 	if real < cl.P {
 		denom = float64(real)
 	}
-	// Per-task caps of the level-capped HCPA default.
+	// Per-task level caps of HCPA.
 	lvl, nl := g.Levels()
 	width := make([]int, nl)
 	for i := range g.Tasks {
@@ -134,8 +134,8 @@ func TestHCPAAllocatesNoMoreThanCPAOnLargeCluster(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := gen.Random(gen.RandomParams{N: 25, Width: 0.5, Regularity: 0.8, Density: 0.8, Layered: true, Seed: seed})
 		costs := moldable.NewCosts(g, cl.SpeedGFlops)
-		cpa := Compute(g, costs, cl, Options{Method: CPA, IncludeEdgeCosts: true})
-		hcpa := Compute(g, costs, cl, Options{Method: HCPA, IncludeEdgeCosts: true})
+		cpa := Compute(g, costs, cl, Options{Method: CPA})
+		hcpa := Compute(g, costs, cl, Options{Method: HCPA})
 		wCPA := costs.TotalWork(cpa)
 		wHCPA := costs.TotalWork(hcpa)
 		if wHCPA > wCPA+1e-9 {
@@ -148,7 +148,7 @@ func TestMCPARespectsLevelBudget(t *testing.T) {
 	cl := platform.Chti() // small cluster, easy to exceed
 	g := gen.Random(gen.RandomParams{N: 50, Width: 0.8, Regularity: 0.8, Density: 0.8, Layered: true, Seed: 2})
 	costs := moldable.NewCosts(g, cl.SpeedGFlops)
-	a := Compute(g, costs, cl, Options{Method: MCPA, IncludeEdgeCosts: true})
+	a := Compute(g, costs, cl, Options{Method: MCPA})
 	lvl, n := g.Levels()
 	use := make([]int, n)
 	for i := range g.Tasks {
@@ -159,21 +159,6 @@ func TestMCPARespectsLevelBudget(t *testing.T) {
 	for l, u := range use {
 		if u > cl.P {
 			t.Errorf("level %d uses %d processors > P=%d", l, u, cl.P)
-		}
-	}
-}
-
-func TestOneEach(t *testing.T) {
-	g := forkJoin(3)
-	g.Normalize()
-	a := OneEach(g)
-	for i := range g.Tasks {
-		want := 1
-		if g.Tasks[i].Virtual {
-			want = 0
-		}
-		if a[i] != want {
-			t.Errorf("OneEach[%d] = %d, want %d", i, a[i], want)
 		}
 	}
 }
@@ -196,8 +181,8 @@ func TestPropertyAllocationSane(t *testing.T) {
 		m := []Method{CPA, HCPA, MCPA}[int(mIdx)%3]
 		g := gen.Random(gen.RandomParams{N: 25, Width: 0.5, Regularity: 0.2, Density: 0.2, Layered: false, Jump: 2, Seed: seed})
 		costs := moldable.NewCosts(g, cl.SpeedGFlops)
-		a1 := Compute(g, costs, cl, Options{Method: m, IncludeEdgeCosts: true})
-		a2 := Compute(g, costs, cl, Options{Method: m, IncludeEdgeCosts: true})
+		a1 := Compute(g, costs, cl, Options{Method: m})
+		a2 := Compute(g, costs, cl, Options{Method: m})
 		for i := range a1 {
 			if a1[i] != a2[i] {
 				return false

@@ -16,7 +16,7 @@
 // While C∞ > W the schedule is path-dominated, so the loop grants one
 // more processor to the critical-path task whose execution time shrinks
 // the most, and repeats. The procedures differ only in the area
-// denominator and in an optional per-level budget:
+// denominator and in their per-level limits:
 //
 //   - CPA (Radulescu & van Gemund) uses W = Σ ω_i / P. On clusters much
 //     larger than the application this denominator makes W tiny, the loop
@@ -28,9 +28,10 @@
 //     (the exact formula of reference [7] is not reproduced in the paper).
 //     On small clusters (P ≤ N) this is exactly CPA; on large ones the
 //     area is larger, the loop stops earlier and allocations stay
-//     moderate, preserving task parallelism. Options.LevelCap additionally
-//     bounds each task by ⌈P / width(level)⌉, our reconstruction of the
-//     "self-constrained" allocation moderation; see docs/ARCHITECTURE.md, "Design reconstructions".
+//     moderate, preserving task parallelism. HCPA additionally bounds each
+//     task by ⌈P / width(level)⌉, our reconstruction of the
+//     "self-constrained" allocation moderation; see docs/ARCHITECTURE.md,
+//     "Design reconstructions".
 //
 //   - MCPA (Bansal, Kumar & Singh) additionally constrains each precedence
 //     level to fit on the cluster (Σ allocations within a level ≤ P),

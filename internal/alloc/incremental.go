@@ -159,27 +159,15 @@ func computeIncremental(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluste
 		}
 	}
 
-	// Per-edge communication estimates are independent of allocations, so
-	// they are computed once instead of through a closure per level pass.
-	edge := make([]float64, len(g.Edges))
-	if opts.IncludeEdgeCosts {
-		beta, lat := cl.LinkBandwidth, cl.LinkLatency
-		for e := range g.Edges {
-			if b := g.Edges[e].Bytes; b > 0 {
-				edge[e] = b/beta + 2*lat
-			}
-		}
-	}
-
-	// Per-level processor budget for MCPA, and per-task caps for the
-	// level-aware HCPA variant — identical to the reference walk.
+	// Per-level processor budget for MCPA, and per-task level caps for
+	// HCPA — identical to the reference walk.
 	var levelOf []int
 	var levelUse []int
 	taskCap := make([]int, n)
 	for t := range taskCap {
 		taskCap[t] = cl.P
 	}
-	if opts.Method == MCPA || opts.LevelCap {
+	if opts.Method == MCPA || opts.Method == HCPA {
 		lvl, nl := g.Levels()
 		levelOf = lvl
 		levelUse = make([]int, nl)
@@ -190,7 +178,7 @@ func computeIncremental(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluste
 				width[lvl[t]]++
 			}
 		}
-		if opts.LevelCap {
+		if opts.Method == HCPA {
 			for t := 0; t < n; t++ {
 				if g.Tasks[t].Virtual || width[lvl[t]] == 0 {
 					continue
@@ -214,7 +202,8 @@ func computeIncremental(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluste
 			execTime[t] = tb.Time(t, allocs[t])
 		}
 	}
-	lt := dag.NewLevelTracker(g, execTime, edge)
+	// The critical path is computation-only: every edge costs zero.
+	lt := dag.NewLevelTracker(g, execTime, make([]float64, len(g.Edges)))
 	if lt == nil {
 		// Cyclic graph: the reference walk sees nil level slices, takes
 		// C∞ = 0 ≤ area and stops at one processor per task.

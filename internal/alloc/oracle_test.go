@@ -11,7 +11,7 @@ import (
 
 // TestAllocOracleEquivalence pits the incremental engine against the
 // preserved full-rewalk reference on randomized graphs spanning every
-// method, both option flags, all paper clusters and the production-scale
+// method, all paper clusters and the production-scale
 // presets. The contract is byte-identical allocations — the engine must
 // reproduce every float comparison of the reference walk exactly, not
 // merely approximate it (same methodology as the PR 2 estimator overhaul).
@@ -35,16 +35,7 @@ func TestAllocOracleEquivalence(t *testing.T) {
 		{50, 0.5, 0.2, 0.2, 2, false},
 		{100, 0.8, 0.2, 0.8, 4, false},
 	}
-	opts := []Options{
-		{Method: CPA},
-		{Method: CPA, IncludeEdgeCosts: true},
-		{Method: HCPA},
-		{Method: HCPA, IncludeEdgeCosts: true, LevelCap: true},
-		{Method: HCPA, LevelCap: true},
-		{Method: MCPA},
-		{Method: MCPA, IncludeEdgeCosts: true},
-		{Method: MCPA, LevelCap: true},
-	}
+	opts := []Options{{Method: CPA}, {Method: HCPA}, {Method: MCPA}}
 	for ci, cl := range clusters {
 		for si, sh := range shapes {
 			for seed := int64(0); seed < 3; seed++ {
@@ -83,7 +74,7 @@ func TestAllocOracleEquivalenceStructured(t *testing.T) {
 			g := build()
 			costs := moldable.NewCosts(g, cl.SpeedGFlops)
 			for _, m := range []Method{CPA, HCPA, MCPA} {
-				o := Options{Method: m, LevelCap: m == HCPA}
+				o := Options{Method: m}
 				want := ComputeReference(g, costs, cl, o)
 				got := Compute(g, costs, cl, o)
 				for i := range want {

@@ -34,17 +34,7 @@ func ComputeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster,
 		}
 	}
 
-	edgeCost := func(e int) float64 { return 0 }
-	if opts.IncludeEdgeCosts {
-		beta, lat := cl.LinkBandwidth, cl.LinkLatency
-		edgeCost = func(e int) float64 {
-			b := g.Edges[e].Bytes
-			if b <= 0 {
-				return 0
-			}
-			return b/beta + 2*lat
-		}
-	}
+	edgeCost := func(e int) float64 { return 0 } // computation-only critical path
 	taskCost := func(t int) float64 {
 		if g.Tasks[t].Virtual {
 			return 0
@@ -52,15 +42,15 @@ func ComputeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster,
 		return costs.Time(t, allocs[t])
 	}
 
-	// Per-level processor budget for MCPA, and per-task caps for the
-	// level-aware HCPA variant.
+	// Per-level processor budget for MCPA, and per-task level caps for
+	// HCPA.
 	var levelOf []int
 	var levelUse []int
 	taskCap := make([]int, n)
 	for t := range taskCap {
 		taskCap[t] = cl.P
 	}
-	if opts.Method == MCPA || opts.LevelCap {
+	if opts.Method == MCPA || opts.Method == HCPA {
 		lvl, nl := g.Levels()
 		levelOf = lvl
 		levelUse = make([]int, nl)
@@ -71,7 +61,7 @@ func ComputeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster,
 				width[lvl[t]]++
 			}
 		}
-		if opts.LevelCap {
+		if opts.Method == HCPA {
 			for t := 0; t < n; t++ {
 				if g.Tasks[t].Virtual || width[lvl[t]] == 0 {
 					continue

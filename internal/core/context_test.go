@@ -8,6 +8,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/platform"
+	"repro/internal/redist"
 )
 
 // randomGraph draws one of the workload classes the service will see:
@@ -71,10 +72,11 @@ func TestMapContextReuseDigestIdentical(t *testing.T) {
 		g := randomGraph(rng)
 		opts := DefaultNaive(strategies[rng.Intn(len(strategies))])
 		if rng.Intn(4) == 0 {
-			opts.PredOverlap = true
+			opts.Align = []redist.AlignMode{redist.AlignGreedy, redist.AlignNone, redist.AlignAuto}[i%3]
 		}
 		if rng.Intn(4) == 0 {
-			opts.DeltaEFTGuard = false
+			opts.Packing = false
+			opts.MinRho = 0.9
 		}
 		check(i, ci, g, opts)
 	}

@@ -45,6 +45,10 @@ func (s Strategy) String() string {
 
 // Options parameterizes the mapping procedures. The zero value is the
 // baseline mapping; DefaultNaive returns the paper's §IV-B configuration.
+// The reconstructed parts of Algorithm 1 are not options: the §III-C
+// secondary sort, one adoption per parent (claiming) and the delta
+// strategy's finish-time guard always apply (docs/ARCHITECTURE.md,
+// "Design reconstructions").
 type Options struct {
 	Strategy Strategy
 
@@ -62,39 +66,10 @@ type Options struct {
 	// paper finds enabling it always produces shorter schedules, Fig. 5).
 	Packing bool
 
-	// SortSecondary disables the stable secondary sort of the ready list
-	// when false... kept as an explicit knob for the ablation benches.
-	// Default (via the constructors) is true, as in the paper (§III-C).
-	SortSecondary bool
-
 	// Align selects the receiver rank-order optimization used when
 	// expanding redistributions to flows (§II-A self-communication
 	// maximization). Default: Hungarian.
 	Align redist.AlignMode
-
-	// PredOverlap is an ablation of the *baseline* mapping: when true, the
-	// earliest-available processor selection is augmented with candidate
-	// sets overlapping each predecessor's processors (keeping the fixed
-	// allocation size). The paper's baseline does not do this.
-	PredOverlap bool
-
-	// DeltaEFTGuard makes the delta strategy fall back to the baseline
-	// mapping when adopting the selected predecessor's processors would
-	// strictly increase the task's own estimated finish time. Algorithm 1
-	// (line 4) computes "delta / estimate execution time" for every ready
-	// node, which supports guarding even the delta strategy with the
-	// finish-time estimate; without the guard, estimation-free snaps onto
-	// late-available processor sets frequently backfire (an effect §IV-D
-	// acknowledges on large clusters). Enabled by DefaultNaive.
-	DeltaEFTGuard bool
-
-	// NoClaiming is an ablation switch: it disables the one-adoption-per-
-	// parent rule (docs/ARCHITECTURE.md, "Design reconstructions"), letting every ready child adopt the
-	// same predecessor's processor set. The paper's results are not
-	// reproducible in this mode — siblings of popular parents serialize —
-	// which is the evidence for the claiming interpretation; the ablation
-	// benches quantify it.
-	NoClaiming bool
 
 	// Tracer, when non-nil, records one span per task placement
 	// (category "map", Arg1 = task ID, Arg2 = candidate evaluations the
@@ -112,14 +87,12 @@ type Options struct {
 // mindelta = −0.5, maxdelta = 0.5, minrho = 0.5, packing allowed.
 func DefaultNaive(s Strategy) Options {
 	return Options{
-		Strategy:      s,
-		MinDelta:      -0.5,
-		MaxDelta:      0.5,
-		MinRho:        0.5,
-		Packing:       true,
-		SortSecondary: true,
-		Align:         redist.AlignHungarian,
-		DeltaEFTGuard: true,
+		Strategy: s,
+		MinDelta: -0.5,
+		MaxDelta: 0.5,
+		MinRho:   0.5,
+		Packing:  true,
+		Align:    redist.AlignHungarian,
 	}
 }
 
@@ -196,14 +169,11 @@ type mapper struct {
 	availTouched []int  // reorderAvail scratch: committed processors
 	touchedMark  []bool // reorderAvail scratch, indexed by processor ID
 
-	// Per-call scratch of the predecessor enumerations and the ready-list
-	// sort. predsBuf and inhBuf are distinct because timeCostPlacement
-	// iterates inheritablePreds' result while baselinePlacement re-runs
-	// realPreds underneath it; sortKey is indexed by task ID; sorter is the
-	// reusable sort.Stable adapter (sort.SliceStable would allocate its
-	// closure and reflect swapper on every wave re-sort).
+	// Per-call scratch of the predecessor enumeration and the ready-list
+	// sort. sortKey is indexed by task ID; sorter is the reusable
+	// sort.Stable adapter (sort.SliceStable would allocate its closure and
+	// reflect swapper on every wave re-sort).
 	predsBuf []int
-	inhBuf   []int
 	sortKey  []float64
 	sorter   readySorter
 
@@ -425,7 +395,7 @@ func (m *mapper) sortReady(ready []int) {
 	m.sorter.list = ready
 	m.sorter.secondary = false
 	sort.Stable(&m.sorter)
-	if !m.opts.SortSecondary || m.opts.Strategy == StrategyNone {
+	if m.opts.Strategy == StrategyNone {
 		m.sorter.list = nil
 		return
 	}
@@ -455,32 +425,19 @@ func (m *mapper) sortReady(ready []int) {
 	m.sorter.list = nil
 }
 
-// realPreds returns the non-virtual predecessors of t that own processors
-// (one entry per in-edge, like the adjacency). The result lives in a
-// mapper-owned scratch buffer, overwritten by the next realPreds call.
-func (m *mapper) realPreds(t int) []int {
+// inheritablePreds returns the non-virtual predecessors of t whose
+// processor sets are still available for adoption: mapped, and not yet
+// claimed by another child (one entry per in-edge, like the adjacency).
+// The result lives in a mapper-owned scratch buffer, overwritten by the
+// next call.
+func (m *mapper) inheritablePreds(t int) []int {
 	ps := m.predsBuf[:0]
 	for _, e := range m.g.In(t) {
-		if p := m.g.Edges[e].From; !m.g.Tasks[p].Virtual && len(m.procs[p]) > 0 {
+		if p := m.g.Edges[e].From; !m.g.Tasks[p].Virtual && len(m.procs[p]) > 0 && !m.claimed[p] {
 			ps = append(ps, p)
 		}
 	}
 	m.predsBuf = ps
-	return ps
-}
-
-// inheritablePreds returns the predecessors whose processor sets are still
-// available for adoption (not yet claimed by another child). The result
-// lives in its own scratch buffer — distinct from realPreds' — because the
-// time-cost placement iterates it across nested baselinePlacement calls.
-func (m *mapper) inheritablePreds(t int) []int {
-	ps := m.inhBuf[:0]
-	for _, p := range m.realPreds(t) {
-		if m.opts.NoClaiming || !m.claimed[p] {
-			ps = append(ps, p)
-		}
-	}
-	m.inhBuf = ps
 	return ps
 }
 
@@ -641,9 +598,7 @@ func (m *mapper) evalOn(t int, procs []int) placement {
 
 // baselinePlacement is the HCPA mapping: the Np(t) processors that become
 // available earliest (ties by processor ID), with the rank order aligned
-// to the heaviest predecessor to maximize self-communication. With
-// Options.PredOverlap (ablation), predecessor-anchored candidate sets of
-// the same size are also evaluated and the best estimated finish wins.
+// to the heaviest predecessor to maximize self-communication.
 func (m *mapper) baselinePlacement(t int) placement {
 	return m.baselinePlacementDedup(t, nil)
 }
@@ -665,28 +620,12 @@ func (m *mapper) baselinePlacementDedup(t int, ref *placement) placement {
 	if k > m.cl.P {
 		k = m.cl.P
 	}
-	byAvail := m.byAvail
-	cand := m.alignToHeaviestPred(t, byAvail[:k])
-	var best placement
+	cand := m.alignToHeaviestPred(t, m.byAvail[:k])
 	if ref != nil && !m.opts.disableDedup && equalInts(cand, ref.procs) {
 		m.nDedup++
-		best = placement{procs: cand, est: ref.est, eft: ref.eft}
-	} else {
-		best = m.evalOn(t, cand)
+		return placement{procs: cand, est: ref.est, eft: ref.eft}
 	}
-	if m.opts.PredOverlap {
-		for _, pred := range m.realPreds(t) {
-			set := truncateOrExtend(m.procs[pred], byAvail, k)
-			pl := m.evalOn(t, m.alignToHeaviestPred(t, set))
-			if pl.eft < best.eft {
-				m.putBuf(best.procs)
-				best = pl
-			} else {
-				m.putBuf(pl.procs)
-			}
-		}
-	}
-	return best
+	return m.evalOn(t, cand)
 }
 
 // equalInts reports whether a and b hold the same values in the same
@@ -702,36 +641,6 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// truncateOrExtend returns a set of exactly k distinct processors based on
-// base, truncated or extended with the earliest-available processors not
-// already present. base entries are deduplicated too: a duplicated
-// processor in a predecessor set must not double-book a slot, which would
-// corrupt the availability bookkeeping on commit.
-func truncateOrExtend(base, byAvail []int, k int) []int {
-	out := make([]int, 0, k)
-	seen := make(map[int]bool, k)
-	for _, p := range base {
-		if len(out) == k {
-			break
-		}
-		if seen[p] {
-			continue
-		}
-		out = append(out, p)
-		seen[p] = true
-	}
-	for _, p := range byAvail {
-		if len(out) == k {
-			break
-		}
-		if !seen[p] {
-			out = append(out, p)
-			seen[p] = true
-		}
-	}
-	return out
 }
 
 // alignToHeaviestPred permutes the rank order of a processor set to

@@ -45,23 +45,27 @@ func (m *mapper) deltaBounds(t int) (dMin, dMax int) {
 //  2. keep the candidates within [δmin, δmax];
 //  3. adopt the modification with the smallest |δ| (a stretch wins ties,
 //     since it also shortens the task), mapping the task onto the selected
-//     predecessor's processors.
+//     predecessor's processors;
+//  4. fall back to the baseline mapping when the adoption would strictly
+//     increase the task's own estimated finish time. Algorithm 1 (line 4)
+//     computes an execution-time estimate for every ready node, which
+//     supports this guard; without it, estimation-free snaps onto
+//     late-available processor sets backfire (an effect §IV-D acknowledges
+//     on large clusters; docs/ARCHITECTURE.md, "Design reconstructions").
 func (m *mapper) deltaPlacement(t int) (placement, int, bool) {
 	pred := m.deltaAdoptPred(t)
 	if pred < 0 {
 		return placement{}, -1, false
 	}
 	pl := m.evalOn(t, append(m.getBuf(), m.procs[pred]...))
-	if m.opts.DeltaEFTGuard {
-		// The adoption candidate pl doubles as the dedup reference: when
-		// the earliest-available set aligns onto exactly the adopted
-		// predecessor's rank order, the baseline re-evaluation is skipped.
-		base := m.baselinePlacementDedup(t, &pl)
-		m.putBuf(base.procs)
-		if base.eft < pl.eft {
-			m.putBuf(pl.procs)
-			return placement{}, -1, false
-		}
+	// The adoption candidate pl doubles as the dedup reference: when the
+	// earliest-available set aligns onto exactly the adopted predecessor's
+	// rank order, the baseline re-evaluation is skipped.
+	base := m.baselinePlacementDedup(t, &pl)
+	m.putBuf(base.procs)
+	if base.eft < pl.eft {
+		m.putBuf(pl.procs)
+		return placement{}, -1, false
 	}
 	return pl, pred, true
 }

@@ -28,7 +28,7 @@ type AlgoSpec struct {
 
 // Baseline returns the HCPA reference algorithm.
 func Baseline() AlgoSpec {
-	return AlgoSpec{Name: "HCPA", Map: core.Options{Strategy: core.StrategyNone, SortSecondary: true}}
+	return AlgoSpec{Name: "HCPA", Map: core.Options{Strategy: core.StrategyNone}}
 }
 
 // Delta returns RATS with the delta strategy.
@@ -57,7 +57,7 @@ func CPABaseline() AlgoSpec {
 	o := alloc.Options{Method: alloc.CPA}
 	return AlgoSpec{
 		Name:  "CPA",
-		Map:   core.Options{Strategy: core.StrategyNone, SortSecondary: true},
+		Map:   core.Options{Strategy: core.StrategyNone},
 		Alloc: &o,
 	}
 }
@@ -68,7 +68,7 @@ func MCPABaseline() AlgoSpec {
 	o := alloc.Options{Method: alloc.MCPA}
 	return AlgoSpec{
 		Name:  "MCPA",
-		Map:   core.Options{Strategy: core.StrategyNone, SortSecondary: true},
+		Map:   core.Options{Strategy: core.StrategyNone},
 		Alloc: &o,
 	}
 }
@@ -98,8 +98,7 @@ type RunResult struct {
 type Runner struct {
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// AllocOptions configures the shared first step (default: HCPA with
-	// edge costs in the critical path).
+	// AllocOptions configures the shared first step (default: HCPA).
 	AllocOptions alloc.Options
 	// Align, when non-nil, overrides every algorithm's receiver rank-order
 	// alignment mode (expdriver's -align switch). Nil keeps the

@@ -147,13 +147,6 @@ func WithPacking(enabled bool) Option {
 	return func(s *Scheduler) { s.mapOpts.Packing = enabled }
 }
 
-// WithEFTGuard enables or disables the delta strategy's fallback to the
-// baseline mapping when adopting a predecessor's processors would increase
-// the task's own estimated finish time (default: enabled).
-func WithEFTGuard(enabled bool) Option {
-	return func(s *Scheduler) { s.mapOpts.DeltaEFTGuard = enabled }
-}
-
 // WithFixedAllocation bypasses the allocation procedure: procs[i] is the
 // processor count of the i-th real task in insertion order (virtual
 // connector tasks are skipped). Every count must be ≥ 1 — that is checked

@@ -73,10 +73,12 @@ type Allocator int
 
 const (
 	// HCPA is the paper's default: CPA with the average-area correction
-	// that keeps allocations moderate on large clusters. The zero value,
-	// so an unconfigured Scheduler allocates as the paper does.
+	// and per-level caps that keep allocations moderate on large
+	// clusters. The zero value, so an unconfigured Scheduler allocates as
+	// the paper does.
 	HCPA Allocator = iota
-	// CPA is the original Radulescu & van Gemund procedure.
+	// CPA is the original Radulescu & van Gemund procedure: no area
+	// correction, no level cap.
 	CPA
 	// MCPA additionally constrains each precedence level to fit on the
 	// cluster; the paper notes it suits very regular DAGs.
