@@ -429,11 +429,12 @@ func simScratchPcts(ms []Measurement) map[string]float64 {
 }
 
 // mapCluster extracts the aggregation key of a BenchmarkMap sub-benchmark.
-// Hungarian-alignment rows (BenchmarkMap/<cluster>/w=<w>) keep the bare
-// cluster key so the trajectory stays comparable with the earliest
-// entries; auto-alignment rows (BenchmarkMap/<cluster>/w=<w>/auto)
-// aggregate under "<cluster>/auto" (recorded as "<cluster>/fast" before
-// the alignment option replaced the speed profiles).
+// Exact-alignment oracle rows (BenchmarkMap/<cluster>/w=<w>, timing
+// core.MapReference) keep the bare cluster key so the trajectory stays
+// comparable with the earliest entries; core.Map rows
+// (BenchmarkMap/<cluster>/w=<w>/auto) aggregate under "<cluster>/auto"
+// (recorded as "<cluster>/fast" before the alignment option replaced the
+// speed profiles).
 func mapCluster(name string) (string, bool) {
 	parts := strings.Split(name, "/")
 	if parts[0] != "BenchmarkMap" {

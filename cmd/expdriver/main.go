@@ -4,23 +4,14 @@
 //
 // Usage:
 //
-//	expdriver [-stride N] [-workers N] [-out DIR] [-only LIST] [-align NAME]
+//	expdriver [-stride N] [-workers N] [-out DIR] [-only LIST] [-cluster NAME]
 //	          [-counters]
-//	          [-ablate [-smoke] [-o FILE]]
-//
-// -ablate switches to the exactness-renegotiation ablation (package
-// internal/ablate): every scenario class under all strategy × allocator
-// combinations, swept across the alignment modes, reporting
-// per-configuration makespan deltas, mapping latency percentiles and
-// engine counter rates. The machine-readable report lands at -o (default
-// <out>/ablation.json); -smoke shrinks the sweep to the CI-sized
-// reference-versus-fast (Hungarian versus auto) check.
 //
 // -counters switches to a diagnostics report instead of the paper
 // experiments: it runs the three naive-parameter algorithms over the
 // grelon, big512 and heterogeneous scenario classes and prints the
 // engine-level counter rates (estimator memo hit rate, candidate dedup
-// skip rate, replay scratch-solve rate, alignment mode mix) summed per
+// skip rate, replay scratch-solve rate, exact/greedy alignment solves) summed per
 // algorithm. The big classes are capped to a few scenarios — the point is
 // rate measurement, not the full comparison.
 //
@@ -41,11 +32,8 @@
 // The experiment pipeline is: HCPA allocation (shared) → {HCPA baseline,
 // RATS-delta, RATS-time-cost} mapping → contention-aware replay on the
 // simulated chti / grillon / grelon clusters, on the incremental flownet
-// engine. -align sets the receiver rank-order alignment of every
-// algorithm (§II-A): auto (the default — exact up to 32 receivers, greedy
-// above, vetted by the -ablate sweep to stay within 0.5% of the exact
-// makespans), hungarian (the exact pipeline the golden figures are pinned
-// against), greedy or none.
+// engine. Receiver rank-order alignment (§II-A) is exact up to 32
+// receivers and greedy above for every algorithm.
 package main
 
 import (
@@ -57,7 +45,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/ablate"
 	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -70,60 +57,18 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	outDir := flag.String("out", "results", "output directory for per-experiment files")
 	only := flag.String("only", "", "comma-separated experiment subset (default: all)")
-	align := flag.String("align", "auto", "receiver rank alignment for every algorithm: auto (capped-exact, ablation-vetted), hungarian (exact), greedy or none")
 	cluster := flag.String("cluster", "grillon",
 		"cluster preset for the single-cluster experiments: "+strings.Join(platform.Names(), ", "))
 	counters := flag.Bool("counters", false, "report engine counter rates per scenario class instead of the paper experiments")
-	ablateMode := flag.Bool("ablate", false, "run the exactness-renegotiation ablation (internal/ablate) instead of the paper experiments")
-	smoke := flag.Bool("smoke", false, "with -ablate: the CI-sized subset (two paper-scale classes, reference vs fast only)")
-	report := flag.String("o", "", "with -ablate: report path (default <out>/ablation.json)")
 	flag.Parse()
 
-	if *ablateMode {
-		if err := runAblation(*smoke, *outDir, *report); err != nil {
-			fmt.Fprintln(os.Stderr, "expdriver:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*stride, *workers, *outDir, *only, *align, *cluster, *counters); err != nil {
+	if err := run(*stride, *workers, *outDir, *only, *cluster, *counters); err != nil {
 		fmt.Fprintln(os.Stderr, "expdriver:", err)
 		os.Exit(1)
 	}
 }
 
-// runAblation executes the knob sweep and writes the machine-readable
-// report plus the human summary.
-func runAblation(smoke bool, outDir, reportPath string) error {
-	if reportPath == "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return err
-		}
-		reportPath = filepath.Join(outDir, "ablation.json")
-	}
-	start := time.Now()
-	rep, err := ablate.Run(ablate.Options{Smoke: smoke, Log: os.Stderr})
-	if err != nil {
-		return err
-	}
-	rep.WriteSummary(os.Stdout)
-	f, err := os.Create(reportPath)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stdout, "-- ablation (%s) done in %v, report: %s --\n",
-		rep.Mode, time.Since(start).Round(time.Millisecond), reportPath)
-	return nil
-}
-
-func run(stride, workers int, outDir, only, align, cluster string, counters bool) error {
+func run(stride, workers int, outDir, only, cluster string, counters bool) error {
 	want := map[string]bool{}
 	for _, s := range strings.Split(only, ",") {
 		if s = strings.TrimSpace(s); s != "" {
@@ -139,13 +84,6 @@ func run(stride, workers int, outDir, only, align, cluster string, counters bool
 	clusters := platform.PaperClusters()
 	runner := exp.NewRunner()
 	runner.Workers = workers
-	if align != "" {
-		mode, err := redist.ParseAlignMode(align)
-		if err != nil {
-			return err
-		}
-		runner.Align = &mode
-	}
 	// The single-cluster experiments default to grillon as in the paper;
 	// -cluster redirects them to any preset, the heterogeneous ones
 	// included.
@@ -452,13 +390,13 @@ func emitCounters(runner *exp.Runner, stride int, outDir string) error {
 				sum.Add(&results[a][s].Counters)
 			}
 			fmt.Fprintf(w, "%-22s memo-hit %5.1f%% (%d/%d) | dedup-skip %5.1f%% (%d skipped) | "+
-				"scratch-solve %5.1f%% (%d/%d) | align exact/greedy/capped %d/%d/%d\n",
+				"scratch-solve %5.1f%% (%d/%d) | align exact/greedy %d/%d\n",
 				spec.Name,
 				sum.MemoHitPct(), sum.MemoHits, sum.MemoProbes,
 				sum.DedupSkipPct(), sum.DedupSkips,
 				sum.ScratchSolvePct(), sum.SolvesScratch,
 				sum.SolvesFull+sum.SolvesIncremental+sum.SolvesScratch,
-				sum.AlignExact, sum.AlignGreedy, sum.AlignCapped)
+				sum.AlignExact, sum.AlignGreedy)
 		}
 		fmt.Fprintf(os.Stdout, "-- counters %s done in %v --\n\n",
 			c.name, time.Since(start).Round(time.Millisecond))

@@ -5,12 +5,11 @@
 // Usage:
 //
 //	ratsim [-app KIND] [-n N] [-k K] [-width W] [-density D] [-regularity R]
-//	       [-jump J] [-seed S] [-cluster NAME] [-align NAME]
+//	       [-jump J] [-seed S] [-cluster NAME]
 //	       [-gantt] [-algo NAME] [-json] [-counters]
 //
-// -align picks the receiver rank alignment: "auto" (the default) or
-// "hungarian" for the exact pipeline, or "greedy" or "none". The replay
-// always runs on the incremental flownet engine.
+// Every algorithm aligns receiver ranks exactly up to 32 receivers and
+// greedily above, and replays on the incremental flownet engine.
 //
 // -counters prints the run's engine counter rates per algorithm (estimator
 // memo hits, candidate dedup skips, replay solver regimes). With -trace, a
@@ -48,13 +47,12 @@ func main() {
 	gantt := flag.Bool("gantt", false, "print a Gantt chart per algorithm")
 	algoFilter := flag.String("algo", "", "run only one algorithm: hcpa, delta, time-cost")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file per algorithm (prefix)")
-	alignName := flag.String("align", "auto", "receiver rank alignment: auto, hungarian, greedy or none")
 	asJSON := flag.Bool("json", false, "emit one JSON result per algorithm instead of text")
 	counters := flag.Bool("counters", false, "print engine counter rates per algorithm")
 	flag.Parse()
 
 	if err := run(*app, *n, *k, *width, *density, *regularity, *jump, *seed,
-		*clusterName, *alignName, *gantt, *algoFilter, *traceOut, *asJSON, *counters); err != nil {
+		*clusterName, *gantt, *algoFilter, *traceOut, *asJSON, *counters); err != nil {
 		fmt.Fprintln(os.Stderr, "ratsim:", err)
 		os.Exit(1)
 	}
@@ -77,13 +75,9 @@ func buildDAG(app string, n, k int, width, density, regularity float64, jump int
 }
 
 func run(app string, n, k int, width, density, regularity float64, jump int, seed int64,
-	clusterName, alignName string, gantt bool, algoFilter, traceOut string, asJSON bool,
+	clusterName string, gantt bool, algoFilter, traceOut string, asJSON bool,
 	counters bool) error {
 	cl, err := rats.ClusterByName(clusterName)
-	if err != nil {
-		return err
-	}
-	align, err := rats.ParseAlignment(alignName)
 	if err != nil {
 		return err
 	}
@@ -124,8 +118,7 @@ func run(app string, n, k int, width, density, regularity float64, jump int, see
 		if algoFilter != "" && v.strategy != only {
 			continue
 		}
-		opts := []rats.Option{rats.WithCluster(cl), rats.WithStrategy(v.strategy),
-			rats.WithAlignment(align)}
+		opts := []rats.Option{rats.WithCluster(cl), rats.WithStrategy(v.strategy)}
 		// The self-tracer records the scheduler's own execution; it rides
 		// along only when the run writes trace files anyway.
 		var tracer *rats.Tracer
@@ -155,10 +148,10 @@ func run(app string, n, k int, width, density, regularity float64, jump int, see
 			fmt.Printf("%-10s %s\n", "", res.Stats())
 			if counters {
 				c := res.Counters
-				fmt.Printf("%-10s counters memo-hit %.1f%% (%d/%d), dedup-skip %.1f%%, scratch-solve %.1f%% (%d/%d), align e/g/c %d/%d/%d\n",
+				fmt.Printf("%-10s counters memo-hit %.1f%% (%d/%d), dedup-skip %.1f%%, scratch-solve %.1f%% (%d/%d), align exact/greedy %d/%d\n",
 					"", c.MemoHitPct(), c.MemoHits, c.MemoProbes, c.DedupSkipPct(),
 					c.ScratchSolvePct(), c.SolvesScratch, c.SolvesFull+c.SolvesIncremental+c.SolvesScratch,
-					c.AlignExact, c.AlignGreedy, c.AlignCapped)
+					c.AlignExact, c.AlignGreedy)
 			}
 			if gantt {
 				fmt.Println(res.Gantt(100))

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/platform"
-	"repro/internal/redist"
 )
 
 // randomGraph draws one of the workload classes the service will see:
@@ -72,7 +71,7 @@ func TestMapContextReuseDigestIdentical(t *testing.T) {
 		g := randomGraph(rng)
 		opts := DefaultNaive(strategies[rng.Intn(len(strategies))])
 		if rng.Intn(4) == 0 {
-			opts.Align = []redist.AlignMode{redist.AlignGreedy, redist.AlignNone, redist.AlignAuto}[i%3]
+			opts.exactAlign = true // the MapReference oracle
 		}
 		if rng.Intn(4) == 0 {
 			opts.Packing = false

@@ -7,7 +7,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/moldable"
 	"repro/internal/platform"
-	"repro/internal/redist"
 )
 
 // TestBaselineDedupSkipsEvaluations pins the per-task candidate dedup: on a
@@ -59,8 +58,8 @@ func TestBaselineDedupSkipsEvaluations(t *testing.T) {
 
 // TestDedupDigestIdenticalRandomized sweeps random graphs and confirms the
 // dedup is purely an evaluation-count optimization: digests match the
-// dedup-disabled engine everywhere, across alignment modes, with and
-// without time-cost packing, and at a strict minrho.
+// dedup-disabled engine everywhere, under Map and the MapReference oracle,
+// with and without time-cost packing, and at a strict minrho.
 func TestDedupDigestIdenticalRandomized(t *testing.T) {
 	cl := platform.Grelon()
 	rng := rand.New(rand.NewSource(17))
@@ -70,7 +69,7 @@ func TestDedupDigestIdenticalRandomized(t *testing.T) {
 		a := alloc.Compute(g, costs, cl, alloc.DefaultOptions())
 		for _, st := range []Strategy{StrategyDelta, StrategyTimeCost} {
 			opts := DefaultNaive(st)
-			opts.Align = []redist.AlignMode{redist.AlignHungarian, redist.AlignGreedy, redist.AlignAuto}[i%3]
+			opts.exactAlign = i%3 == 0
 			opts.Packing = i%4 != 1
 			if i%5 == 2 {
 				opts.MinRho = 0.9

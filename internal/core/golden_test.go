@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/gen"
+	"repro/internal/moldable"
 	"repro/internal/platform"
-	"repro/internal/redist"
 )
 
 // scheduleDigest hashes every field of a schedule that the simulator or a
@@ -54,36 +54,41 @@ func goldenGraph(class string) *dag.Graph {
 	panic("unknown golden graph class " + class)
 }
 
-// TestScheduleGolden pins the exact schedules produced by the mapping
-// engine on a cross-section of clusters × graph classes × strategies. All
-// ten digests — the big512/big1024 presets were added first — were
-// recorded from the pre-overhaul mapper (map/flows estimator, full
-// re-sort per candidate evaluation): any divergence means an
-// "optimization" changed scheduling decisions, which is a bug.
-func TestScheduleGolden(t *testing.T) {
-	cases := []struct {
-		cl    *platform.Cluster
-		class string
-		st    Strategy
-		want  string
-	}{
-		{platform.Chti(), "layered", StrategyNone, "ff6f807b44b5b7d5"},
-		{platform.Chti(), "strassen", StrategyDelta, "1cc035d5b7bdd568"},
-		{platform.Grillon(), "layered", StrategyDelta, "4074fbdbd92e88a0"},
-		{platform.Grillon(), "irregular", StrategyTimeCost, "d8ada36e34626bd7"},
-		{platform.Grelon(), "fft", StrategyDelta, "e4641bb8606b5fb3"},
-		{platform.Grelon(), "irregular", StrategyNone, "e5fdf96203bf1a1d"},
-		{platform.Grelon(), "layered", StrategyTimeCost, "781187cd6634af75"},
-		{platform.Big512(), "layered", StrategyTimeCost, "e6b8f1d04e8a43a1"},
-		{platform.Big512(), "fft", StrategyDelta, "87d5a91dc813a744"},
-		{platform.Big1024(), "irregular", StrategyTimeCost, "59f614ea7018788a"},
-	}
-	for _, c := range cases {
+// scheduleGoldenCases is the pinned cross-section of clusters × graph
+// classes × strategies. All ten digests — the big512/big1024 presets were
+// added first — were recorded from the pre-overhaul mapper (map/flows
+// estimator, full re-sort per candidate evaluation) with exact Hungarian
+// alignment: any divergence means an "optimization" changed scheduling
+// decisions, which is a bug. The golden graphs' redistributions all sit at
+// or under redist.AlignExactCap, so Map's size-selected alignment and the
+// exact MapReference oracle must both hit every digest.
+var scheduleGoldenCases = []struct {
+	cl    *platform.Cluster
+	class string
+	st    Strategy
+	want  string
+}{
+	{platform.Chti(), "layered", StrategyNone, "ff6f807b44b5b7d5"},
+	{platform.Chti(), "strassen", StrategyDelta, "1cc035d5b7bdd568"},
+	{platform.Grillon(), "layered", StrategyDelta, "4074fbdbd92e88a0"},
+	{platform.Grillon(), "irregular", StrategyTimeCost, "d8ada36e34626bd7"},
+	{platform.Grelon(), "fft", StrategyDelta, "e4641bb8606b5fb3"},
+	{platform.Grelon(), "irregular", StrategyNone, "e5fdf96203bf1a1d"},
+	{platform.Grelon(), "layered", StrategyTimeCost, "781187cd6634af75"},
+	{platform.Big512(), "layered", StrategyTimeCost, "e6b8f1d04e8a43a1"},
+	{platform.Big512(), "fft", StrategyDelta, "87d5a91dc813a744"},
+	{platform.Big1024(), "irregular", StrategyTimeCost, "59f614ea7018788a"},
+}
+
+// checkScheduleGolden maps every golden case with mapFn and compares
+// digests.
+func checkScheduleGolden(t *testing.T, mapFn func(*dag.Graph, *moldable.Costs, *platform.Cluster, []int, Options) *Schedule) {
+	for _, c := range scheduleGoldenCases {
 		c := c
 		t.Run(fmt.Sprintf("%s/%s/%v", c.cl.Name, c.class, c.st), func(t *testing.T) {
 			g := goldenGraph(c.class)
 			costs, a := setup(g, c.cl)
-			s := Map(g, costs, c.cl, a, DefaultNaive(c.st))
+			s := mapFn(g, costs, c.cl, a, DefaultNaive(c.st))
 			if err := s.Validate(g, c.cl); err != nil {
 				t.Fatal(err)
 			}
@@ -94,46 +99,11 @@ func TestScheduleGolden(t *testing.T) {
 	}
 }
 
-// TestScheduleGoldenFast pins the auto-alignment schedules (DefaultNaive
-// with Align = AlignAuto, the library default) on the same cross-section.
-// Every digest coincides with the Hungarian one: the golden graphs'
-// redistributions all sit at or under redist.AlignAutoExactCap, where
-// AlignAuto solves them exactly — the two modes only diverge on wider
-// redistributions (the ablation's big-scale FFT classes). Both sets are
-// pinned independently so a change to either is a loud diff. The name
-// predates the alignment option: this set used to be the fast profile's.
-func TestScheduleGoldenFast(t *testing.T) {
-	cases := []struct {
-		cl    *platform.Cluster
-		class string
-		st    Strategy
-		want  string
-	}{
-		{platform.Chti(), "layered", StrategyNone, "ff6f807b44b5b7d5"},
-		{platform.Chti(), "strassen", StrategyDelta, "1cc035d5b7bdd568"},
-		{platform.Grillon(), "layered", StrategyDelta, "4074fbdbd92e88a0"},
-		{platform.Grillon(), "irregular", StrategyTimeCost, "d8ada36e34626bd7"},
-		{platform.Grelon(), "fft", StrategyDelta, "e4641bb8606b5fb3"},
-		{platform.Grelon(), "irregular", StrategyNone, "e5fdf96203bf1a1d"},
-		{platform.Grelon(), "layered", StrategyTimeCost, "781187cd6634af75"},
-		{platform.Big512(), "layered", StrategyTimeCost, "e6b8f1d04e8a43a1"},
-		{platform.Big512(), "fft", StrategyDelta, "87d5a91dc813a744"},
-		{platform.Big1024(), "irregular", StrategyTimeCost, "59f614ea7018788a"},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(fmt.Sprintf("%s/%s/%v", c.cl.Name, c.class, c.st), func(t *testing.T) {
-			g := goldenGraph(c.class)
-			costs, a := setup(g, c.cl)
-			opts := DefaultNaive(c.st)
-			opts.Align = redist.AlignAuto
-			s := Map(g, costs, c.cl, a, opts)
-			if err := s.Validate(g, c.cl); err != nil {
-				t.Fatal(err)
-			}
-			if got := scheduleDigest(s); got != c.want {
-				t.Errorf("schedule digest = %s, want %s (scheduling decisions changed)", got, c.want)
-			}
-		})
-	}
-}
+// TestScheduleGolden pins the golden schedules through the exact-alignment
+// oracle, MapReference.
+func TestScheduleGolden(t *testing.T) { checkScheduleGolden(t, MapReference) }
+
+// TestScheduleGoldenFast pins the same schedules through Map, the
+// production mapper. The name predates the removal of the alignment
+// option: this set used to be the fast profile's.
+func TestScheduleGoldenFast(t *testing.T) { checkScheduleGolden(t, Map) }

@@ -66,11 +66,6 @@ type Options struct {
 	// paper finds enabling it always produces shorter schedules, Fig. 5).
 	Packing bool
 
-	// Align selects the receiver rank-order optimization used when
-	// expanding redistributions to flows (§II-A self-communication
-	// maximization). Default: Hungarian.
-	Align redist.AlignMode
-
 	// Tracer, when non-nil, records one span per task placement
 	// (category "map", Arg1 = task ID, Arg2 = candidate evaluations the
 	// placement cost). Placement decisions are unaffected: the tracer
@@ -81,6 +76,10 @@ type Options struct {
 	// dedup in the serial engine (see baselinePlacementDedup). Test-only:
 	// the counter-asserting dedup tests compare both modes.
 	disableDedup bool
+	// exactAlign solves every receiver alignment with the exact Hungarian
+	// assignment instead of the size-selected policy. Set by MapReference
+	// and by in-package tests that mix the oracle into pooled runs.
+	exactAlign bool
 }
 
 // DefaultNaive returns the naive parameter set of §IV-B for a strategy:
@@ -92,7 +91,6 @@ func DefaultNaive(s Strategy) Options {
 		MaxDelta: 0.5,
 		MinRho:   0.5,
 		Packing:  true,
-		Align:    redist.AlignHungarian,
 	}
 }
 
@@ -106,6 +104,16 @@ func DefaultNaive(s Strategy) Options {
 // engine across runs.
 func Map(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, alloc []int, opts Options) *Schedule {
 	return NewMapContext(cl).Map(g, costs, alloc, opts)
+}
+
+// MapReference is Map with every receiver alignment solved by the exact
+// Hungarian assignment (redist.AlignReceiversExact), where Map switches to
+// the greedy assignment above redist.AlignExactCap receivers. It is the
+// oracle Map's size-selected alignment is measured against; production
+// code never calls it.
+func MapReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, alloc []int, opts Options) *Schedule {
+	opts.exactAlign = true
+	return Map(g, costs, cl, alloc, opts)
 }
 
 // getBuf returns an empty processor-set buffer from the candidate-buffer
@@ -314,7 +322,6 @@ func (m *mapper) snapshotCounters(c *obs.Counters) {
 	c.CandEvals = uint64(m.nEval)
 	c.AlignExact = m.alignScratch.NExact
 	c.AlignGreedy = m.alignScratch.NGreedy
-	c.AlignCapped = m.alignScratch.NCapped
 	c.DedupSkips = uint64(m.nDedup)
 }
 
@@ -663,5 +670,8 @@ func (m *mapper) alignToHeaviestPred(t int, procs []int) []int {
 	if heavy < 0 || bytes == 0 {
 		return append(m.getBuf(), procs...)
 	}
-	return redist.AlignReceiversScratch(m.getBuf(), bytes, m.procs[heavy], procs, m.opts.Align, &m.alignScratch)
+	if m.opts.exactAlign {
+		return redist.AlignReceiversExact(m.getBuf(), bytes, m.procs[heavy], procs, &m.alignScratch)
+	}
+	return redist.AlignReceiversScratch(m.getBuf(), bytes, m.procs[heavy], procs, &m.alignScratch)
 }

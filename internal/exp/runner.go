@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/platform"
-	"repro/internal/redist"
 	"repro/internal/simdag"
 )
 
@@ -100,11 +99,6 @@ type Runner struct {
 	Workers int
 	// AllocOptions configures the shared first step (default: HCPA).
 	AllocOptions alloc.Options
-	// Align, when non-nil, overrides every algorithm's receiver rank-order
-	// alignment mode (expdriver's -align switch). Nil keeps the
-	// per-spec modes, so configurations that sweep alignment themselves —
-	// the root ablation benches — are unaffected.
-	Align *redist.AlignMode
 }
 
 // NewRunner returns a Runner with the paper's defaults.
@@ -137,11 +131,7 @@ func (r *Runner) Run(scens []Scenario, cl *platform.Cluster, algos []AlgoSpec) (
 			if spec.Alloc != nil {
 				taskAlloc = alloc.Compute(g, costs, cl, *spec.Alloc)
 			}
-			mapOpts := spec.Map
-			if r.Align != nil {
-				mapOpts.Align = *r.Align
-			}
-			sched := core.Map(g, costs, cl, taskAlloc, mapOpts)
+			sched := core.Map(g, costs, cl, taskAlloc, spec.Map)
 			sig := scheduleSignature(sched)
 			memo, hit := cache[sig]
 			if !hit {

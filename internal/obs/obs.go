@@ -38,15 +38,14 @@ type Counters struct {
 	// Mapping (internal/core): estimator memo probes and hits
 	// (EdgeRedistTime), candidate placements evaluated, evaluations
 	// skipped by the baseline-versus-reference dedup, and the receiver
-	// rank-alignment decisions — exact Hungarian solves, greedy solves,
-	// and AlignAuto demotions to greedy at the size cap.
+	// rank-alignment solves — exact Hungarian up to redist.AlignExactCap
+	// receivers, greedy above it.
 	MemoProbes  uint64 `json:"memo_probes"`
 	MemoHits    uint64 `json:"memo_hits"`
 	CandEvals   uint64 `json:"cand_evals"`
 	DedupSkips  uint64 `json:"dedup_skips"`
 	AlignExact  uint64 `json:"align_exact"`
 	AlignGreedy uint64 `json:"align_greedy"`
-	AlignCapped uint64 `json:"align_capped"`
 
 	// Replay rate solving (internal/flownet via internal/sim): how often
 	// Solve ran each regime — full rebuild, incremental merge-replay,

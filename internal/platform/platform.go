@@ -475,6 +475,12 @@ func (c *Cluster) EffectiveBandwidth(src, dst int) float64 {
 	return beta
 }
 
+// MaxProcs is the largest processor count Validate accepts. The mapper
+// sizes per-processor scratch to P up front, so an unbounded P lets a
+// few-byte description demand gigabytes; the bound is also the id range of
+// redist's indexed alignment path.
+const MaxProcs = 1 << 20
+
 // ErrCluster wraps every error Validate returns: the description is not a
 // cluster the model can simulate.
 var ErrCluster = errors.New("platform: invalid cluster")
@@ -492,13 +498,16 @@ func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 // finite (NaN fails the comparison).
 func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
-// Validate checks the cluster description for consistency: every scalar
-// and per-node or per-link override is finite, rates are positive and
-// latencies non-negative. Every error it returns wraps ErrCluster.
+// Validate checks the cluster description for consistency: P is in
+// [1, MaxProcs], every scalar and per-node or per-link override is finite,
+// rates are positive and latencies non-negative. Every error it returns
+// wraps ErrCluster.
 func (c *Cluster) Validate() error {
 	switch {
 	case c.P <= 0:
 		return c.invalid("P = %d, must be positive", c.P)
+	case c.P > MaxProcs:
+		return c.invalid("P = %d, exceeds the limit of %d", c.P, MaxProcs)
 	case !positive(c.SpeedGFlops):
 		return c.invalid("speed = %g GFlop/s, must be positive and finite", c.SpeedGFlops)
 	case !positive(c.LinkBandwidth) || !nonNegative(c.LinkLatency):

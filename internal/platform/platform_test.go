@@ -189,6 +189,7 @@ func TestPropertyRouteSymmetry(t *testing.T) {
 func TestValidateRejectsBadClusters(t *testing.T) {
 	bad := []*Cluster{
 		{Name: "p0", P: 0, SpeedGFlops: 1, LinkBandwidth: 1, WMax: 1},
+		{Name: "huge", P: MaxProcs + 1, SpeedGFlops: 1, LinkBandwidth: 1, WMax: 1},
 		{Name: "speed", P: 1, SpeedGFlops: 0, LinkBandwidth: 1, WMax: 1},
 		{Name: "link", P: 1, SpeedGFlops: 1, LinkBandwidth: 0, WMax: 1},
 		{Name: "wmax", P: 1, SpeedGFlops: 1, LinkBandwidth: 1, WMax: 0},

@@ -6,84 +6,33 @@
 // contiguous run of ⌈q/p⌉+1 receiver ranks, so the q×q assignment problem
 // has O(p+q) non-zeros, not q². The alignment engine enumerates exactly
 // that band (the same arithmetic VisitBlocks uses, so weights are
-// bit-identical to the materialized matrix), routes the Hungarian mode
-// through assign.MaxWeightSparse, and keeps all working state in an
-// AlignScratch, which makes the mapper's candidate-evaluation loop
-// allocation-free.
+// bit-identical to the materialized matrix), solves it exactly through
+// assign.MaxWeightSparse up to AlignExactCap receivers and greedily above,
+// and keeps all working state in an AlignScratch, which makes the mapper's
+// candidate-evaluation loop allocation-free.
 package redist
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/assign"
 )
 
-// AlignMode selects how AlignReceivers orders the receiver ranks.
-type AlignMode int
-
-const (
-	// AlignHungarian maximizes self-communication bytes optimally.
-	AlignHungarian AlignMode = iota
-	// AlignGreedy assigns shared processors to their best free receiver
-	// rank in decreasing-benefit order (cheap, near-optimal in practice).
-	AlignGreedy
-	// AlignNone keeps the receiver list order unchanged.
-	AlignNone
-	// AlignAuto is the size-capped policy: exact Hungarian up to
-	// AlignAutoExactCap receiver ranks, deterministic greedy above it. The
-	// Hungarian assignment is O(q³) worst case while greedy is
-	// O((p+q)·log(p+q)) on the banded benefit structure, and the optimality
-	// gap shrinks with q (most band weights tie), so capping trades a
-	// vanishing amount of locality for bounded mapping cost on very wide
-	// allocations.
-	AlignAuto
-)
-
-// AlignAutoExactCap is the largest receiver count for which AlignAuto
-// still runs the exact Hungarian assignment. The ablation's cap ladder
+// AlignExactCap is the largest receiver count for which alignment runs the
+// exact Hungarian assignment; wider redistributions take the deterministic
+// greedy assignment (shared processors to their best free receiver rank in
+// decreasing-benefit order). Hungarian is O(q³) worst case while greedy is
+// O((p+q)·log(p+q)) on the banded benefit structure, and the optimality gap
+// shrinks with q (most band weights tie). The ablation's cap ladder
 // (docs/ablation_pr10.json) measured 32 as the point where the Hungarian
 // tail of wide redistributions collapses (big512 mapping p99 from ~1.04 s
 // to ~3 ms) at a worst makespan delta of 0.011%.
-const AlignAutoExactCap = 32
+const AlignExactCap = 32
 
-// String implements fmt.Stringer; the returned name round-trips through
-// ParseAlignMode. Out-of-range values render as "AlignMode(n)".
-func (m AlignMode) String() string {
-	switch m {
-	case AlignHungarian:
-		return "hungarian"
-	case AlignGreedy:
-		return "greedy"
-	case AlignNone:
-		return "none"
-	case AlignAuto:
-		return "auto"
-	}
-	return fmt.Sprintf("AlignMode(%d)", int(m))
-}
-
-// ParseAlignMode converts an alignment name (case-insensitive: "hungarian",
-// "greedy", "none", "auto") into an AlignMode.
-func ParseAlignMode(name string) (AlignMode, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "hungarian":
-		return AlignHungarian, nil
-	case "greedy":
-		return AlignGreedy, nil
-	case "none":
-		return AlignNone, nil
-	case "auto":
-		return AlignAuto, nil
-	}
-	return 0, fmt.Errorf("redist: unknown alignment mode %q (want hungarian, greedy, none or auto)", name)
-}
-
-// maxAlignID bounds the processor ids the indexed scratch path accepts;
-// anything negative or beyond it (no cluster preset comes close) takes the
-// map-based dense fallback rather than sizing id-indexed slices to an
-// arbitrary integer.
+// maxAlignID bounds the processor ids the indexed scratch path accepts. It
+// equals platform.MaxProcs, so every valid cluster's ids take that path;
+// anything negative or beyond it takes the map-based dense fallback rather
+// than sizing id-indexed slices to an arbitrary integer.
 const maxAlignID = 1 << 20
 
 // alignCand is one greedy candidate: shared processor proc kept b bytes
@@ -129,17 +78,16 @@ type AlignScratch struct {
 	asg    assign.Scratch
 
 	// Solve counters, accumulated across calls sharing this scratch and
-	// read by the mapper's observability snapshot: exact Hungarian solves,
-	// greedy solves, and the subset of greedy solves that were AlignAuto
-	// demotions past AlignAutoExactCap. Early exits (AlignNone, empty or
-	// disjoint receiver sets) don't count — nothing was solved.
+	// read by the mapper's observability snapshot: exact Hungarian solves
+	// and greedy solves (receiver sets wider than AlignExactCap). Early
+	// exits (empty or disjoint receiver sets) don't count — nothing was
+	// solved.
 	NExact  uint64
 	NGreedy uint64
-	NCapped uint64
 }
 
 // ResetCounters zeroes the scratch's solve counters.
-func (sc *AlignScratch) ResetCounters() { sc.NExact, sc.NGreedy, sc.NCapped = 0, 0, 0 }
+func (sc *AlignScratch) ResetCounters() { sc.NExact, sc.NGreedy = 0, 0 }
 
 // ensure sizes the id-indexed and rank-indexed slices. Entries of rank and
 // chosen are zero outside a call (the epilogue clears exactly the entries
@@ -159,11 +107,12 @@ func (sc *AlignScratch) ensure(ids, q int) {
 }
 
 // AlignReceivers returns a permutation of receivers (a rank order) chosen
-// to maximize the bytes that stay local given the sender rank order. Only
-// processors present in both lists can produce local traffic; the others
-// fill the remaining ranks in their original relative order.
-func AlignReceivers(total float64, senders, receivers []int, mode AlignMode) []int {
-	return AlignReceiversScratch(nil, total, senders, receivers, mode, nil)
+// to maximize the bytes that stay local given the sender rank order:
+// exactly up to AlignExactCap receivers, greedily above. Only processors
+// present in both lists can produce local traffic; the others fill the
+// remaining ranks in their original relative order.
+func AlignReceivers(total float64, senders, receivers []int) []int {
+	return AlignReceiversScratch(nil, total, senders, receivers, nil)
 }
 
 // AlignReceiversScratch is AlignReceivers writing the aligned rank order
@@ -173,17 +122,21 @@ func AlignReceivers(total float64, senders, receivers []int, mode AlignMode) []i
 // every one of them written, and never shares memory with receivers. With
 // a non-nil sc the call allocates nothing beyond dst growth; a nil scratch
 // uses a temporary one.
-func AlignReceiversScratch(dst []int, total float64, senders, receivers []int, mode AlignMode, sc *AlignScratch) []int {
-	capped := false
-	if mode == AlignAuto {
-		if len(receivers) <= AlignAutoExactCap {
-			mode = AlignHungarian
-		} else {
-			mode = AlignGreedy
-			capped = true
-		}
-	}
-	if mode == AlignNone || len(receivers) == 0 {
+func AlignReceiversScratch(dst []int, total float64, senders, receivers []int, sc *AlignScratch) []int {
+	return alignReceivers(dst, total, senders, receivers, len(receivers) > AlignExactCap, sc)
+}
+
+// AlignReceiversExact is AlignReceiversScratch with the exact Hungarian
+// assignment at every width: the oracle the size-selected policy is
+// measured against (core.MapReference). Production code never calls it.
+func AlignReceiversExact(dst []int, total float64, senders, receivers []int, sc *AlignScratch) []int {
+	return alignReceivers(dst, total, senders, receivers, false, sc)
+}
+
+// alignReceivers is the shared engine: greedy selects the greedy
+// assignment, otherwise the exact Hungarian one.
+func alignReceivers(dst []int, total float64, senders, receivers []int, greedy bool, sc *AlignScratch) []int {
+	if len(receivers) == 0 {
 		return append(dst[:0], receivers...)
 	}
 	if Overlap(senders, receivers) == 0 {
@@ -194,7 +147,7 @@ func AlignReceiversScratch(dst []int, total float64, senders, receivers []int, m
 	maxID := 0
 	for _, pr := range senders {
 		if pr < 0 || pr >= maxAlignID {
-			return alignReceiversDense(dst, total, senders, receivers, mode)
+			return alignReceiversDense(dst, total, senders, receivers, greedy)
 		}
 		if pr > maxID {
 			maxID = pr
@@ -202,7 +155,7 @@ func AlignReceiversScratch(dst []int, total float64, senders, receivers []int, m
 	}
 	for _, pr := range receivers {
 		if pr < 0 || pr >= maxAlignID {
-			return alignReceiversDense(dst, total, senders, receivers, mode)
+			return alignReceiversDense(dst, total, senders, receivers, greedy)
 		}
 		if pr > maxID {
 			maxID = pr
@@ -244,21 +197,8 @@ func AlignReceiversScratch(dst []int, total float64, senders, receivers []int, m
 		sc.rowPtr = append(sc.rowPtr, len(sc.cols))
 	}
 
-	switch mode {
-	case AlignHungarian:
-		sc.NExact++
-		// Square q×q problem: rows are receiver slots; the first
-		// len(shared) rows are the shared processors, the rest are
-		// implicit all-zero rows the sparse solver never stores.
-		asg, _ := assign.MaxWeightSparse(q, sc.rowPtr, sc.cols, sc.wts, &sc.asg)
-		for si, pr := range sc.shared {
-			sc.chosen[pr] = int32(asg[si]) + 1
-		}
-	case AlignGreedy:
+	if greedy {
 		sc.NGreedy++
-		if capped {
-			sc.NCapped++
-		}
 		sc.cands.c = sc.cands.c[:0]
 		for si, pr := range sc.shared {
 			for k := sc.rowPtr[si]; k < sc.rowPtr[si+1]; k++ {
@@ -280,6 +220,15 @@ func AlignReceiversScratch(dst []int, total float64, senders, receivers []int, m
 		}
 		for i := range sc.taken {
 			sc.taken[i] = false // reused below for the slot fill
+		}
+	} else {
+		sc.NExact++
+		// Square q×q problem: rows are receiver slots; the first
+		// len(shared) rows are the shared processors, the rest are
+		// implicit all-zero rows the sparse solver never stores.
+		asg, _ := assign.MaxWeightSparse(q, sc.rowPtr, sc.cols, sc.wts, &sc.asg)
+		for si, pr := range sc.shared {
+			sc.chosen[pr] = int32(asg[si]) + 1
 		}
 	}
 
@@ -318,7 +267,7 @@ func AlignReceiversScratch(dst []int, total float64, senders, receivers []int, m
 // alignReceiversDense is the original map-and-matrix implementation, kept
 // for processor ids outside the indexed-scratch range and as the in-package
 // oracle the sparse path is tested against.
-func alignReceiversDense(dst []int, total float64, senders, receivers []int, mode AlignMode) []int {
+func alignReceiversDense(dst []int, total float64, senders, receivers []int, greedy bool) []int {
 	senderRank := make(map[int]int, len(senders))
 	for r, p := range senders {
 		senderRank[p] = r
@@ -339,25 +288,7 @@ func alignReceiversDense(dst []int, total float64, senders, receivers []int, mod
 	benefit := func(proc, j int) float64 { return m.At(senderRank[proc], j) }
 
 	rankOf := make(map[int]int, len(shared)) // proc -> chosen receiver rank
-	switch mode {
-	case AlignHungarian:
-		// Square |q|×|q| problem: rows are receiver slots; the first
-		// len(shared) rows are the shared processors, the rest are dummy
-		// (zero benefit everywhere).
-		w := make([][]float64, q)
-		for i := range w {
-			w[i] = make([]float64, q)
-		}
-		for si, p := range shared {
-			for j := 0; j < q; j++ {
-				w[si][j] = benefit(p, j)
-			}
-		}
-		asg, _ := assign.MaxWeight(w)
-		for si, p := range shared {
-			rankOf[p] = asg[si]
-		}
-	case AlignGreedy:
+	if greedy {
 		var cands []alignCand
 		for _, p := range shared {
 			for j := 0; j < q; j++ {
@@ -374,6 +305,23 @@ func alignReceiversDense(dst []int, total float64, senders, receivers []int, mod
 			}
 			rankOf[c.proc] = c.j
 			usedRank[c.j] = true
+		}
+	} else {
+		// Square |q|×|q| problem: rows are receiver slots; the first
+		// len(shared) rows are the shared processors, the rest are dummy
+		// (zero benefit everywhere).
+		w := make([][]float64, q)
+		for i := range w {
+			w[i] = make([]float64, q)
+		}
+		for si, p := range shared {
+			for j := 0; j < q; j++ {
+				w[si][j] = benefit(p, j)
+			}
+		}
+		asg, _ := assign.MaxWeight(w)
+		for si, p := range shared {
+			rankOf[p] = asg[si]
 		}
 	}
 

@@ -4,23 +4,49 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/platform"
 )
+
+// alignMode names one way these tests solve an alignment: the exact and
+// greedy assignments forced at every width, or the size-selected policy
+// production code runs (exact up to AlignExactCap receivers, greedy above).
+type alignMode int
+
+const (
+	modeExact alignMode = iota
+	modeGreedy
+	modeAuto
+)
+
+var allModes = []alignMode{modeExact, modeGreedy, modeAuto}
+
+func (m alignMode) String() string { return [...]string{"hungarian", "greedy", "auto"}[m] }
+
+// greedy reports whether the mode takes the greedy assignment at q
+// receivers.
+func (m alignMode) greedy(q int) bool {
+	return m == modeGreedy || m == modeAuto && q > AlignExactCap
+}
+
+// align runs the indexed engine in mode m.
+func (m alignMode) align(dst []int, total float64, senders, receivers []int, sc *AlignScratch) []int {
+	switch m {
+	case modeExact:
+		return AlignReceiversExact(dst, total, senders, receivers, sc)
+	case modeGreedy:
+		return alignReceivers(dst, total, senders, receivers, true, sc)
+	}
+	return AlignReceiversScratch(dst, total, senders, receivers, sc)
+}
 
 // alignOracleCase runs both alignment engines on one instance and fails on
 // the first rank where they diverge: the sparse path must be byte-identical
 // to the dense map-and-matrix implementation, not merely equally optimal.
-func alignOracleCase(t *testing.T, total float64, senders, receivers []int, mode AlignMode, sc *AlignScratch) {
+func alignOracleCase(t *testing.T, total float64, senders, receivers []int, mode alignMode, sc *AlignScratch) {
 	t.Helper()
-	denseMode := mode
-	if denseMode == AlignAuto {
-		if len(receivers) <= AlignAutoExactCap {
-			denseMode = AlignHungarian
-		} else {
-			denseMode = AlignGreedy
-		}
-	}
-	want := alignReceiversDense(nil, total, senders, receivers, denseMode)
-	got := AlignReceiversScratch(nil, total, senders, receivers, mode, sc)
+	want := alignReceiversDense(nil, total, senders, receivers, mode.greedy(len(receivers)))
+	got := mode.align(nil, total, senders, receivers, sc)
 	if len(got) != len(want) {
 		t.Fatalf("aligned length %d, want %d", len(got), len(want))
 	}
@@ -40,7 +66,7 @@ func TestAlignSparseVsDenseOracle(t *testing.T) {
 		name string
 		P    int
 	}{{"grelon", 120}, {"big512", 512}, {"big1024", 1024}}
-	modes := []AlignMode{AlignHungarian, AlignGreedy, AlignAuto}
+	modes := allModes
 	var sc AlignScratch // shared across every case: stale state must not leak
 	for _, scale := range scales {
 		scale := scale
@@ -49,7 +75,7 @@ func TestAlignSparseVsDenseOracle(t *testing.T) {
 			for trial := 0; trial < 300; trial++ {
 				maxW := 48
 				if trial%7 == 0 {
-					maxW = 160 // wide allocations: drives AlignAuto past its cap
+					maxW = 160 // wide allocations: drives auto past its cap
 				}
 				p := 1 + rng.Intn(maxW)
 				q := 1 + rng.Intn(maxW)
@@ -120,7 +146,7 @@ func TestAlignDegenerateTotalMatchesDense(t *testing.T) {
 	senders := []int{0, 1, 2, 3}
 	receivers := []int{2, 3, 4, 5, 0, 1}
 	for _, total := range []float64{0, -8} {
-		for _, mode := range []AlignMode{AlignHungarian, AlignGreedy, AlignAuto} {
+		for _, mode := range allModes {
 			alignOracleCase(t, total, senders, receivers, mode, nil)
 		}
 	}
@@ -139,10 +165,10 @@ func TestAlignScratchReuseMatchesFresh(t *testing.T) {
 		senders := perm[:p]
 		perm2 := rng.Perm(64)
 		receivers := perm2[:q]
-		mode := AlignMode(rng.Intn(4))
+		mode := allModes[rng.Intn(len(allModes))]
 		total := 1 + rng.Float64()*1e6
-		fresh := AlignReceiversScratch(nil, total, senders, receivers, mode, nil)
-		reused := AlignReceiversScratch(nil, total, senders, receivers, mode, &sc)
+		fresh := mode.align(nil, total, senders, receivers, nil)
+		reused := mode.align(nil, total, senders, receivers, &sc)
 		for i := range fresh {
 			if fresh[i] != reused[i] {
 				t.Fatalf("trial %d mode %v: scratch reuse diverged at rank %d: %v vs %v",
@@ -154,24 +180,29 @@ func TestAlignScratchReuseMatchesFresh(t *testing.T) {
 
 // TestAlignExoticIDsFallBack covers the dense fallback: processor ids the
 // indexed scratch refuses (negative or ≥ 2²⁰) must still align correctly.
+// No valid cluster produces them: maxAlignID covers platform.MaxProcs.
 func TestAlignExoticIDsFallBack(t *testing.T) {
+	if maxAlignID < platform.MaxProcs {
+		t.Fatalf("maxAlignID = %d < platform.MaxProcs = %d: valid clusters would take the dense fallback",
+			maxAlignID, platform.MaxProcs)
+	}
 	senders := []int{maxAlignID + 5, 3, maxAlignID + 9}
 	receivers := []int{maxAlignID + 9, maxAlignID + 5, 3}
-	got := AlignReceiversScratch(nil, 300, senders, receivers, AlignHungarian, &AlignScratch{})
+	got := AlignReceiversScratch(nil, 300, senders, receivers, &AlignScratch{})
 	for r, p := range got {
 		if senders[r] != p {
 			t.Errorf("rank %d = proc %d, want %d (identity recovery)", r, p, senders[r])
 		}
 	}
-	neg := AlignReceivers(10, []int{-1, 2}, []int{2, -1}, AlignGreedy)
+	neg := alignReceivers(nil, 10, []int{-1, 2}, []int{2, -1}, true, nil)
 	if !SameSet(neg, []int{2, -1}) {
 		t.Errorf("negative-id alignment lost processors: %v", neg)
 	}
 }
 
-// Property: AlignAuto keeps at least as many bytes local as greedy, which
-// keeps at least as many as no alignment, over randomized overlap patterns
-// on both sides of the auto cap.
+// Property: the size-selected policy keeps at least as many bytes local as
+// greedy, which keeps at least as many as no alignment, over randomized
+// overlap patterns on both sides of the cap.
 func TestPropertyAutoDominance(t *testing.T) {
 	f := func(seed int64, wide bool) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -179,15 +210,15 @@ func TestPropertyAutoDominance(t *testing.T) {
 		hi := 12
 		if wide {
 			nProcs = 400
-			hi = 180 // q can exceed AlignAutoExactCap: auto takes greedy
+			hi = 180 // q can exceed AlignExactCap: auto takes greedy
 		}
 		p := 1 + r.Intn(hi)
 		q := 1 + r.Intn(hi)
 		senders := r.Perm(nProcs)[:p]
 		receivers := r.Perm(nProcs)[:q]
 		total := 100.0
-		auto := AlignReceivers(total, senders, receivers, AlignAuto)
-		greedy := AlignReceivers(total, senders, receivers, AlignGreedy)
+		auto := AlignReceivers(total, senders, receivers)
+		greedy := modeGreedy.align(nil, total, senders, receivers, nil)
 		if !SameSet(auto, receivers) || !SameSet(greedy, receivers) {
 			return false
 		}
@@ -209,21 +240,20 @@ func TestAlignReceiversIntoNeverAliases(t *testing.T) {
 	cases := []struct {
 		name               string
 		senders, receivers []int
-		mode               AlignMode
+		mode               alignMode
 	}{
-		{"none-mode", []int{0, 1}, []int{1, 0, 2}, AlignNone},
-		{"disjoint", []int{0, 1}, []int{5, 6, 7}, AlignHungarian},
-		{"overlap-hungarian", []int{0, 1, 2, 3}, []int{7, 2, 8, 1, 9}, AlignHungarian},
-		{"overlap-greedy", []int{0, 1, 2, 3}, []int{7, 2, 8, 1, 9}, AlignGreedy},
-		{"overlap-auto", []int{0, 1, 2, 3}, []int{7, 2, 8, 1, 9}, AlignAuto},
-		{"exotic-ids", []int{maxAlignID + 1, 4}, []int{4, maxAlignID + 1}, AlignHungarian},
+		{"disjoint", []int{0, 1}, []int{5, 6, 7}, modeExact},
+		{"overlap-hungarian", []int{0, 1, 2, 3}, []int{7, 2, 8, 1, 9}, modeExact},
+		{"overlap-greedy", []int{0, 1, 2, 3}, []int{7, 2, 8, 1, 9}, modeGreedy},
+		{"overlap-auto", []int{0, 1, 2, 3}, []int{7, 2, 8, 1, 9}, modeAuto},
+		{"exotic-ids", []int{maxAlignID + 1, 4}, []int{4, maxAlignID + 1}, modeExact},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			orig := append([]int(nil), c.receivers...)
 			for _, dst := range [][]int{nil, make([]int, 0, 64)} {
-				got := AlignReceiversScratch(dst, 60, c.senders, c.receivers, c.mode, nil)
+				got := c.mode.align(dst, 60, c.senders, c.receivers, nil)
 				if len(got) != len(c.receivers) {
 					t.Fatalf("aligned length %d, want %d", len(got), len(c.receivers))
 				}
@@ -251,12 +281,12 @@ func BenchmarkAlignReceivers(b *testing.B) {
 		}
 		var sc AlignScratch
 		buf := make([]int, 0, q)
-		for _, mode := range []AlignMode{AlignHungarian, AlignGreedy, AlignAuto} {
+		for _, mode := range allModes {
 			mode := mode
 			b.Run(mode.String()+"/q="+itoa(q), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					buf = AlignReceiversScratch(buf[:0], 1e9, senders, receivers, mode, &sc)
+					buf = mode.align(buf[:0], 1e9, senders, receivers, &sc)
 				}
 			})
 		}
@@ -277,12 +307,12 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// TestAlignAutoCapBoundary pins the AlignAuto demotion boundary: a receiver
-// count of exactly AlignAutoExactCap still runs the exact Hungarian engine,
-// one above demotes to greedy (and counts as capped), while the explicit
-// Hungarian mode stays exact above the cap.
+// TestAlignAutoCapBoundary pins the size-selected boundary: a receiver
+// count of exactly AlignExactCap still runs the exact Hungarian engine,
+// one above takes greedy, while the exact oracle entry point stays exact
+// above the cap.
 func TestAlignAutoCapBoundary(t *testing.T) {
-	run := func(t *testing.T, q int, mode AlignMode) (exact, greedy, capped uint64) {
+	run := func(t *testing.T, q int, mode alignMode) (exact, greedy uint64) {
 		t.Helper()
 		senders := make([]int, q)
 		receivers := make([]int, q)
@@ -291,32 +321,32 @@ func TestAlignAutoCapBoundary(t *testing.T) {
 			receivers[i] = q/2 + i // half-overlapping: alignment has work to do
 		}
 		var sc AlignScratch
-		AlignReceiversScratch(nil, 1e9, senders, receivers, mode, &sc)
-		return sc.NExact, sc.NGreedy, sc.NCapped
+		mode.align(nil, 1e9, senders, receivers, &sc)
+		return sc.NExact, sc.NGreedy
 	}
 	t.Run("default-cap", func(t *testing.T) {
 		for _, tc := range []struct {
 			q         int
 			wantExact bool
 		}{
-			{AlignAutoExactCap - 1, true},
-			{AlignAutoExactCap, true},
-			{AlignAutoExactCap + 1, false},
+			{AlignExactCap - 1, true},
+			{AlignExactCap, true},
+			{AlignExactCap + 1, false},
 		} {
-			exact, greedy, capped := run(t, tc.q, AlignAuto)
-			if tc.wantExact && (exact != 1 || greedy != 0 || capped != 0) {
-				t.Errorf("q=%d: counters (exact=%d greedy=%d capped=%d), want exact engine", tc.q, exact, greedy, capped)
+			exact, greedy := run(t, tc.q, modeAuto)
+			if tc.wantExact && (exact != 1 || greedy != 0) {
+				t.Errorf("q=%d: counters (exact=%d greedy=%d), want exact engine", tc.q, exact, greedy)
 			}
-			if !tc.wantExact && (exact != 0 || greedy != 1 || capped != 1) {
-				t.Errorf("q=%d: counters (exact=%d greedy=%d capped=%d), want capped greedy", tc.q, exact, greedy, capped)
+			if !tc.wantExact && (exact != 0 || greedy != 1) {
+				t.Errorf("q=%d: counters (exact=%d greedy=%d), want greedy", tc.q, exact, greedy)
 			}
 		}
 	})
 	t.Run("explicit-modes-ignore-cap", func(t *testing.T) {
-		exact, greedy, capped := run(t, 2*AlignAutoExactCap, AlignHungarian)
-		if exact != 1 || greedy != 0 || capped != 0 {
-			t.Errorf("AlignHungarian at q=%d: (exact=%d greedy=%d capped=%d), cap must be ignored",
-				2*AlignAutoExactCap, exact, greedy, capped)
+		exact, greedy := run(t, 2*AlignExactCap, modeExact)
+		if exact != 1 || greedy != 0 {
+			t.Errorf("AlignReceiversExact at q=%d: (exact=%d greedy=%d), cap must be ignored",
+				2*AlignExactCap, exact, greedy)
 		}
 	})
 }

@@ -30,7 +30,7 @@ func ExampleBlockMatrix() {
 func ExampleAlignReceivers() {
 	senders := []int{3, 7, 9, 11}
 	receivers := []int{9, 3, 11, 7} // same set, scrambled
-	aligned := redist.AlignReceivers(100, senders, receivers, redist.AlignHungarian)
+	aligned := redist.AlignReceivers(100, senders, receivers)
 	fmt.Println("aligned ranks:", aligned)
 	fmt.Println("remote bytes :", redist.RemoteBytes(100, senders, aligned))
 	// Output:

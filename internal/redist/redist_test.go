@@ -211,11 +211,11 @@ func TestAlignReceiversDisjointFastPath(t *testing.T) {
 	// the bitset early exit must agree with the full alignment machinery.
 	senders := []int{0, 1, 2}
 	receivers := []int{10, 11, 12, 13}
-	for _, mode := range []AlignMode{AlignHungarian, AlignGreedy} {
-		got := AlignReceivers(30, senders, receivers, mode)
+	for _, mode := range allModes {
+		got := mode.align(nil, 30, senders, receivers, nil)
 		for i, p := range got {
 			if p != receivers[i] {
-				t.Fatalf("mode %d: disjoint alignment reordered receivers: %v", mode, got)
+				t.Fatalf("mode %v: disjoint alignment reordered receivers: %v", mode, got)
 			}
 		}
 	}
@@ -226,15 +226,15 @@ func TestAlignReceiversRecoversIdentity(t *testing.T) {
 	// the fully-local order.
 	senders := []int{3, 1, 4, 1 + 4, 9, 2} // procs 3,1,4,5,9,2
 	receivers := []int{9, 2, 3, 5, 1, 4}
-	for _, mode := range []AlignMode{AlignHungarian, AlignGreedy} {
-		got := AlignReceivers(600, senders, receivers, mode)
+	for _, mode := range allModes {
+		got := mode.align(nil, 600, senders, receivers, nil)
 		for r, p := range got {
 			if senders[r] != p {
-				t.Errorf("mode %d: rank %d = proc %d, want %d", mode, r, p, senders[r])
+				t.Errorf("mode %v: rank %d = proc %d, want %d", mode, r, p, senders[r])
 			}
 		}
 		if rb := RemoteBytes(600, senders, got); rb != 0 {
-			t.Errorf("mode %d: RemoteBytes = %g after alignment, want 0", mode, rb)
+			t.Errorf("mode %v: RemoteBytes = %g after alignment, want 0", mode, rb)
 		}
 	}
 }
@@ -242,7 +242,7 @@ func TestAlignReceiversRecoversIdentity(t *testing.T) {
 func TestAlignReceiversPartialOverlap(t *testing.T) {
 	senders := []int{0, 1, 2, 3}
 	receivers := []int{7, 2, 8, 1, 9} // shares procs 1 and 2
-	aligned := AlignReceivers(10, senders, receivers, AlignHungarian)
+	aligned := AlignReceivers(10, senders, receivers)
 	// Alignment must not lose or duplicate processors.
 	if !SameSet(aligned, receivers) {
 		t.Fatalf("aligned %v is not a permutation of %v", aligned, receivers)
@@ -257,18 +257,8 @@ func TestAlignReceiversPartialOverlap(t *testing.T) {
 	}
 }
 
-func TestAlignNoneKeepsOrder(t *testing.T) {
-	receivers := []int{5, 6, 7}
-	got := AlignReceivers(10, []int{5, 6, 7}, receivers, AlignNone)
-	for i := range receivers {
-		if got[i] != receivers[i] {
-			t.Fatalf("AlignNone permuted the receivers: %v", got)
-		}
-	}
-}
-
-// Property: Hungarian alignment is at least as good as greedy, which is at
-// least as good as none; and all modes return permutations.
+// Property: Hungarian alignment is at least as good as greedy and as no
+// alignment; and both engines return permutations.
 func TestPropertyAlignmentDominance(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -280,8 +270,8 @@ func TestPropertyAlignmentDominance(t *testing.T) {
 		perm2 := r.Perm(nProcs)
 		receivers := perm2[:q]
 		total := 100.0
-		hung := AlignReceivers(total, senders, receivers, AlignHungarian)
-		greedy := AlignReceivers(total, senders, receivers, AlignGreedy)
+		hung := AlignReceiversExact(nil, total, senders, receivers, nil)
+		greedy := modeGreedy.align(nil, total, senders, receivers, nil)
 		if !SameSet(hung, receivers) || !SameSet(greedy, receivers) {
 			return false
 		}
@@ -310,7 +300,7 @@ func BenchmarkAlignHungarian32(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AlignReceivers(1e9, senders, receivers, AlignHungarian)
+		AlignReceiversExact(nil, 1e9, senders, receivers, nil)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -54,14 +55,13 @@ type ClusterSpec struct {
 
 // ScheduleRequest is the POST /v1/schedule body. Every field but dag is
 // optional; omitted fields select the library defaults, and pointer
-// fields distinguish "absent" from a legitimate zero.
+// fields distinguish "absent" from a legitimate zero. Unknown fields are
+// ignored, among them the retired alignment, profile and flow_solver.
 type ScheduleRequest struct {
 	Cluster     string       `json:"cluster,omitempty"`      // preset name; default grillon
 	ClusterSpec *ClusterSpec `json:"cluster_spec,omitempty"` // custom cluster; overrides Cluster
 	Strategy    string       `json:"strategy,omitempty"`
 	Allocator   string       `json:"allocator,omitempty"`
-	Alignment   string       `json:"alignment,omitempty"`
-	Profile     string       `json:"profile,omitempty"` // alignment alias: "fast" = auto, "reference" = hungarian
 	MinDelta    *float64     `json:"min_delta,omitempty"`
 	MaxDelta    *float64     `json:"max_delta,omitempty"`
 	MinRho      *float64     `json:"min_rho,omitempty"`
@@ -88,7 +88,6 @@ type requestSpec struct {
 	cluster   *rats.Cluster
 	strategy  rats.Strategy
 	allocator rats.Allocator
-	alignment rats.AlignmentMode
 
 	minDelta, maxDelta float64
 	hasDelta           bool
@@ -99,8 +98,11 @@ type requestSpec struct {
 	clusterKey string // context-pool key: cluster identity only
 }
 
+// maxTimeoutMs is the longest timeout_ms a time.Duration can hold.
+const maxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
+
 func parseSpec(req *ScheduleRequest) (*requestSpec, error) {
-	sp := &requestSpec{alignment: rats.AlignmentAuto}
+	sp := &requestSpec{}
 	switch {
 	case req.ClusterSpec != nil:
 		c, err := rats.NewCluster(rats.ClusterSpec{
@@ -148,21 +150,6 @@ func parseSpec(req *ScheduleRequest) (*requestSpec, error) {
 			return nil, err
 		}
 	}
-	// profile is the older name for the alignment choice. Anything but
-	// its two names is a 400, so a client asking for the exact pipeline
-	// never silently gets the approximate one; an explicit alignment wins.
-	switch strings.ToLower(strings.TrimSpace(req.Profile)) {
-	case "", "fast":
-	case "reference":
-		sp.alignment = rats.AlignmentHungarian
-	default:
-		return nil, fmt.Errorf("serve: unknown profile %q (want fast or reference)", req.Profile)
-	}
-	if req.Alignment != "" {
-		if sp.alignment, err = rats.ParseAlignment(req.Alignment); err != nil {
-			return nil, err
-		}
-	}
 	if req.MinDelta != nil || req.MaxDelta != nil {
 		if req.MinDelta == nil || req.MaxDelta == nil {
 			return nil, fmt.Errorf("serve: min_delta and max_delta must be set together")
@@ -173,6 +160,11 @@ func parseSpec(req *ScheduleRequest) (*requestSpec, error) {
 		sp.minRho, sp.hasRho = *req.MinRho, true
 	}
 	sp.packing = req.Packing
+	// A longer deadline would overflow time.Duration and wrap around to
+	// one that has already passed.
+	if int64(req.TimeoutMs) > maxTimeoutMs {
+		return nil, fmt.Errorf("serve: timeout_ms = %d exceeds %d", req.TimeoutMs, maxTimeoutMs)
+	}
 	return sp, nil
 }
 
@@ -182,7 +174,6 @@ func (sp *requestSpec) options() []rats.Option {
 		rats.WithCluster(sp.cluster),
 		rats.WithStrategy(sp.strategy),
 		rats.WithAllocator(sp.allocator),
-		rats.WithAlignment(sp.alignment),
 	}
 	if sp.hasDelta {
 		opts = append(opts, rats.WithDeltaBounds(sp.minDelta, sp.maxDelta))

@@ -133,8 +133,9 @@ func TestServedResultMatchesLibrary(t *testing.T) {
 }
 
 // TestServedBatchSharesContext pushes many concurrent requests through
-// the server — mixing clusters, strategies, profiles and alignments in
-// flight at once — and verifies each response equals the
+// the server — mixing clusters, strategies and allocators in flight at
+// once, some requests carrying the ignored profile and alignment fields —
+// and verifies each response equals the
 // library result for its own configuration. Under -race this also proves
 // the per-request schedulers and the shared context pool are
 // data-race-free.
@@ -152,12 +153,10 @@ func TestServedBatchSharesContext(t *testing.T) {
 		libOpt []rats.Option
 	}{
 		{map[string]any{"cluster": "grelon", "strategy": "time-cost"}, grelonTC},
-		{map[string]any{"cluster": "grelon", "strategy": "time-cost", "profile": "reference"},
-			append(grelonTC[:2:2], rats.WithAlignment(rats.AlignmentHungarian))},
+		{map[string]any{"cluster": "grelon", "strategy": "time-cost", "profile": "reference"}, grelonTC},
 		{map[string]any{"cluster": "grelon", "strategy": "delta", "profile": "reference",
 			"alignment": "greedy"},
-			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.Delta),
-				rats.WithAlignment(rats.AlignmentGreedy)}},
+			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.Delta)}},
 		{map[string]any{"cluster": "chti", "strategy": "delta", "allocator": "cpa"},
 			[]rats.Option{rats.WithCluster(rats.Chti()), rats.WithStrategy(rats.Delta), rats.WithAllocator(rats.CPA)}},
 		{map[string]any{"cluster_spec": map[string]any{"name": "lab", "procs": 24, "speed_gflops": 5},
@@ -415,6 +414,7 @@ func TestServeDrainLosesNothing(t *testing.T) {
 
 func TestServeRejectsMalformedRequests(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{})
+	oneTask := `"dag":{"graph":{"tasks":[{"ID":0,"Name":"a","M":4e6,"A":64,"Alpha":0.1}]}}`
 	cases := []struct {
 		name string
 		body string
@@ -425,6 +425,12 @@ func TestServeRejectsMalformedRequests(t *testing.T) {
 		{"bad cluster", `{"cluster":"nope","dag":{"graph":{}}}`, http.StatusBadRequest},
 		{"bad strategy", `{"strategy":"nope","dag":{"graph":{}}}`, http.StatusBadRequest},
 		{"dag missing graph", `{"dag":{"name":"x"}}`, http.StatusBadRequest},
+		// procs past platform.MaxProcs: the mapper would size its scratch
+		// to 2³⁰ processors and crash the process out of memory.
+		{"procs past limit", `{"cluster_spec":{"procs":1073741824,"speed_gflops":1},` + oneTask + `}`, http.StatusBadRequest},
+		// A timeout too long for time.Duration used to wrap around to a
+		// deadline that had already passed (504).
+		{"timeout overflows", `{"timeout_ms":10000000000000,` + oneTask + `}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -550,9 +556,10 @@ func TestServeCustomClusterSpec(t *testing.T) {
 }
 
 // TestServeIgnoresDroppedWireField pins wire compatibility for removed
-// request fields: map_workers and flow_solver select nothing any more,
-// and unknown request fields are ignored, so a client that still sends
-// either gets a 200 byte-equal to the library result, whatever the value.
+// request fields: map_workers, flow_solver, alignment and profile select
+// nothing any more, and unknown request fields are ignored, so a client
+// that still sends one gets a 200 byte-equal to the library result,
+// whatever the value.
 func TestServeIgnoresDroppedWireField(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{})
 	d := rats.FFT(16, 5)
@@ -573,6 +580,9 @@ func TestServeIgnoresDroppedWireField(t *testing.T) {
 		{"map_workers", "map_workers", 3},
 		{"flow_solver_maxmin", "flow_solver", "maxmin"},
 		{"flow_solver_bogus", "flow_solver", "bogus"},
+		{"alignment_hungarian", "alignment", "hungarian"},
+		{"alignment_none", "alignment", "none"},
+		{"alignment_bogus", "alignment", "bogus"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, sr := postSchedule(t, ts.URL, scheduleBody(t, d,
@@ -587,42 +597,39 @@ func TestServeIgnoresDroppedWireField(t *testing.T) {
 	}
 }
 
-// TestServedProfileField pins the profile wire field, an alias for the
-// alignment choice, end to end: byte-equality with the library built
-// with the aliased WithAlignment ("fast" is auto, "reference" Hungarian,
-// an explicit alignment wins), and the 400 table for malformed values.
+// TestServedProfileField pins the retired profile field (once an alias for
+// the alignment choice) as ignored: with any value, alone or next to an
+// alignment field, a request gets a 200 byte-equal to the library result
+// for the same request without it. Values that used to be 400s included.
 func TestServedProfileField(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{})
 	d := rats.FFT(16, 2)
+	want, err := rats.New(rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost)).Schedule(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBlob, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name   string
-		libOpt []rats.Option
 		fields map[string]any
 	}{
-		{"absent-defaults-fast",
-			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost)},
-			map[string]any{"cluster": "grelon", "strategy": "time-cost"}},
-		{"explicit-fast",
-			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost), rats.WithAlignment(rats.AlignmentAuto)},
-			map[string]any{"cluster": "grelon", "strategy": "time-cost", "profile": "fast"}},
-		{"reference",
-			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost), rats.WithAlignment(rats.AlignmentHungarian)},
-			map[string]any{"cluster": "grelon", "strategy": "time-cost", "profile": "reference"}},
-		{"reference-with-alignment",
-			[]rats.Option{rats.WithCluster(rats.Grelon()), rats.WithStrategy(rats.TimeCost), rats.WithAlignment(rats.AlignmentGreedy)},
-			map[string]any{"cluster": "grelon", "strategy": "time-cost", "profile": "reference", "alignment": "greedy"}},
+		{"absent-defaults-fast", map[string]any{}},
+		{"explicit-fast", map[string]any{"profile": "fast"}},
+		{"reference", map[string]any{"profile": "reference"}},
+		{"reference-with-alignment", map[string]any{"profile": "reference", "alignment": "greedy"}},
+		{"unknown-name", map[string]any{"profile": "fastest"}},
+		{"wrong-type", map[string]any{"profile": 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := rats.New(tc.libOpt...).Schedule(d)
-			if err != nil {
-				t.Fatal(err)
+			fields := map[string]any{"cluster": "grelon", "strategy": "time-cost"}
+			for k, v := range tc.fields {
+				fields[k] = v
 			}
-			wantBlob, err := json.Marshal(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, sr := postSchedule(t, ts.URL, scheduleBody(t, d, tc.fields))
+			resp, sr := postSchedule(t, ts.URL, scheduleBody(t, d, fields))
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("HTTP %d: %s", resp.StatusCode, sr.Error)
 			}
@@ -631,20 +638,4 @@ func TestServedProfileField(t *testing.T) {
 			}
 		})
 	}
-
-	// Malformed profiles are 400s, caught before the scheduler, even
-	// next to a valid alignment.
-	for _, bad := range []map[string]any{
-		{"profile": "fastest"},
-		{"profile": "exact"},
-		{"profile": "ref erence"}, // inner spaces do not trim away
-		{"profile": 3},            // wrong JSON type fails the decode
-		{"profile": "exact", "alignment": "hungarian"},
-	} {
-		resp, sr := postSchedule(t, ts.URL, scheduleBody(t, d, bad))
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("fields %v: HTTP %d (%s), want 400", bad, resp.StatusCode, sr.Error)
-		}
-	}
-
 }

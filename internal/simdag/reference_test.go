@@ -10,7 +10,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/moldable"
 	"repro/internal/platform"
-	"repro/internal/redist"
 )
 
 // TestExecuteMatchesReferenceEndToEnd replays the library's default
@@ -29,7 +28,6 @@ func TestExecuteMatchesReferenceEndToEnd(t *testing.T) {
 		}},
 	}
 	opts := core.DefaultNaive(core.StrategyTimeCost)
-	opts.Align = redist.AlignAuto
 	for _, cl := range []*platform.Cluster{platform.Grillon(), platform.Grelon()} {
 		for _, gc := range graphs {
 			g := gc.g()

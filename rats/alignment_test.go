@@ -1,102 +1,75 @@
 package rats
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 
-	"repro/internal/redist"
+	"repro/internal/alloc"
+	"repro/internal/core"
+	"repro/internal/moldable"
+	"repro/internal/simdag"
 )
 
-// TestAlignmentRoundTrip: every defined mode's name parses back to itself,
-// case-insensitively.
-func TestAlignmentRoundTrip(t *testing.T) {
-	for _, m := range []AlignmentMode{AlignmentHungarian, AlignmentGreedy, AlignmentNone, AlignmentAuto} {
-		got, err := ParseAlignment(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseAlignment(%q) = (%v, %v), want (%v, nil)", m.String(), got, err, m)
-		}
-		upper, err := ParseAlignment("  " + strings.ToUpper(m.String()) + " ")
-		if err != nil || upper != m {
-			t.Errorf("ParseAlignment upper-case round-trip failed for %v", m)
-		}
+// referenceSchedule runs s's pipeline with the exact-alignment oracle
+// (core.MapReference) in place of the production mapper.
+func referenceSchedule(t *testing.T, s *Scheduler, d *DAG) *Result {
+	t.Helper()
+	if err := d.Build(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseAlignment("optimal"); err == nil {
-		t.Error("ParseAlignment must reject unknown names")
+	g, cl := d.g, s.cluster.pc
+	costs := moldable.NewCosts(g, cl.PlanSpeedGFlops())
+	sched := core.MapReference(g, costs, cl, alloc.Compute(g, costs, cl, s.allocOpts), s.mapOpts)
+	sim, err := simdag.Execute(g, costs, cl, sched)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := AlignmentMode(42).String(); s != "AlignmentMode(42)" {
-		t.Errorf("out-of-range String() = %q", s)
-	}
+	return newResult(d, s, sched, sim)
 }
 
-// TestWithAlignmentValidation: out-of-range modes are configuration errors
-// surfaced by Schedule, like every other invalid option.
-func TestWithAlignmentValidation(t *testing.T) {
-	s := New(WithAlignment(AlignmentMode(42)))
-	if _, err := s.Schedule(chainDAG(t)); err == nil {
-		t.Fatal("Schedule must surface an invalid alignment mode")
-	}
-	ok := New(WithAlignment(AlignmentAuto))
-	if ok.Alignment() != AlignmentAuto {
-		t.Fatalf("Alignment() = %v, want auto", ok.Alignment())
-	}
-	if _, err := ok.Schedule(chainDAG(t)); err != nil {
-		t.Fatalf("auto alignment schedule failed: %v", err)
-	}
-}
-
-// TestAlignmentModesSchedule runs the same DAG under every mode: all must
-// produce valid results; hungarian and auto coincide on small clusters
-// (auto's exact cap is far above any paper-scale allocation), and none
-// must never keep more bytes local than hungarian.
+// TestAlignmentModesSchedule runs the same DAG through the library and the
+// exact-alignment oracle: on a paper-scale cluster every redistribution
+// sits under the exact cap, so the two coincide.
 func TestAlignmentModesSchedule(t *testing.T) {
 	d := Random(RandomSpec{N: 40, Width: 0.6, Density: 0.5, Regularity: 0.8, Layered: true, Seed: 5})
-	results := map[AlignmentMode]*Result{}
-	for _, m := range []AlignmentMode{AlignmentHungarian, AlignmentGreedy, AlignmentNone, AlignmentAuto} {
-		s := New(WithStrategy(TimeCost), WithAlignment(m))
-		res, err := s.Schedule(d)
-		if err != nil {
-			t.Fatalf("mode %v: %v", m, err)
-		}
-		results[m] = res
+	s := New(WithStrategy(TimeCost))
+	a, err := s.Schedule(d)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h, a := results[AlignmentHungarian], results[AlignmentAuto]; h.Makespan != a.Makespan ||
-		h.LocalBytes != a.LocalBytes {
-		t.Errorf("auto and hungarian diverged below the exact cap: makespan %g vs %g, local %g vs %g",
+	h := referenceSchedule(t, s, d)
+	if h.Makespan != a.Makespan || h.LocalBytes != a.LocalBytes {
+		t.Errorf("library and exact oracle diverged below the exact cap: makespan %g vs %g, local %g vs %g",
 			a.Makespan, h.Makespan, a.LocalBytes, h.LocalBytes)
 	}
-	if results[AlignmentNone].LocalBytes > results[AlignmentHungarian].LocalBytes+1e-9 {
-		t.Errorf("disabled alignment kept more bytes local (%g) than hungarian (%g)",
-			results[AlignmentNone].LocalBytes, results[AlignmentHungarian].LocalBytes)
+	if a.Counters.AlignExact == 0 || a.Counters.AlignGreedy != 0 {
+		t.Errorf("align exact/greedy = %d/%d, want exact solves only", a.Counters.AlignExact, a.Counters.AlignGreedy)
 	}
 }
 
-// TestProfileDefaults pins the default configuration: the zero
-// configuration runs AlignmentAuto, and an explicit WithAlignment replaces
-// it in either option order relative to the other options.
+// TestProfileDefaults pins the library's alignment policy: FFT(32) on
+// grelon makes a few redistributions wider than the 32-receiver cap, which
+// the default scheduler solves greedily and the exact oracle does not.
 func TestProfileDefaults(t *testing.T) {
-	s := New()
-	if s.Alignment() != AlignmentAuto || s.mapOpts.Align != redist.AlignAuto {
-		t.Errorf("default alignment = %v (%v), want auto", s.Alignment(), s.mapOpts.Align)
+	s := New(WithCluster(Grelon()), WithStrategy(TimeCost))
+	d := FFT(32, 3)
+	res, err := s.Schedule(d)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, opts := range [][]Option{
-		{WithAlignment(AlignmentHungarian)},
-		{WithAlignment(AlignmentHungarian), WithStrategy(TimeCost)},
-		{WithStrategy(TimeCost), WithAlignment(AlignmentHungarian)},
-	} {
-		o := New(opts...)
-		if o.Alignment() != AlignmentHungarian || o.mapOpts.Align != redist.AlignHungarian {
-			t.Errorf("opts %d: alignment = %v, want explicit hungarian", len(opts), o.Alignment())
-		}
+	if res.Counters.AlignGreedy == 0 {
+		t.Errorf("default scheduler made no greedy alignment solves (exact %d)", res.Counters.AlignExact)
+	}
+	if ref := referenceSchedule(t, s, d); ref.Counters.AlignGreedy != 0 {
+		t.Errorf("exact oracle made %d greedy alignment solves", ref.Counters.AlignGreedy)
 	}
 }
 
 // TestProfileFastMakespanBound is the randomized contract test: across
 // random and FFT workloads on flat, hierarchical and heterogeneous
-// clusters, the default (AlignmentAuto) simulated makespan stays within
-// 0.5% of the exact AlignmentHungarian one. Hungarian stays the permanent
-// oracle; this bound is what licenses auto as the default.
+// clusters, the library's simulated makespan stays within 0.5% of the
+// exact-alignment oracle's. This bound is what licenses the size-selected
+// alignment.
 func TestProfileFastMakespanBound(t *testing.T) {
 	clusters := []*Cluster{Grillon(), Grelon(), GrelonHet()}
 	var dags []*DAG
@@ -110,48 +83,19 @@ func TestProfileFastMakespanBound(t *testing.T) {
 
 	for _, cl := range clusters {
 		for _, st := range []Strategy{Baseline, Delta, TimeCost} {
-			fast := New(WithCluster(cl), WithStrategy(st))
-			ref := New(WithCluster(cl), WithStrategy(st), WithAlignment(AlignmentHungarian))
+			s := New(WithCluster(cl), WithStrategy(st))
 			for i, d := range dags {
-				fr, err := fast.Schedule(d)
+				fr, err := s.Schedule(d)
 				if err != nil {
-					t.Fatalf("%s/%v dag %d (fast): %v", cl.Name(), st, i, err)
+					t.Fatalf("%s/%v dag %d: %v", cl.Name(), st, i, err)
 				}
-				rr, err := ref.Schedule(d)
-				if err != nil {
-					t.Fatalf("%s/%v dag %d (reference): %v", cl.Name(), st, i, err)
-				}
+				rr := referenceSchedule(t, s, d)
 				delta := 100 * math.Abs(fr.Makespan-rr.Makespan) / rr.Makespan
 				if delta > 0.5 {
-					t.Errorf("%s/%v dag %d: fast makespan %g vs reference %g (Δ %.3f%%, bound 0.5%%)",
+					t.Errorf("%s/%v dag %d: makespan %g vs exact oracle %g (Δ %.3f%%, bound 0.5%%)",
 						cl.Name(), st, i, fr.Makespan, rr.Makespan, delta)
 				}
 			}
 		}
 	}
-}
-
-// FuzzParseAlignment: every parse that succeeds must round-trip through
-// String back to the same AlignmentMode.
-func FuzzParseAlignment(f *testing.F) {
-	for _, s := range []string{"hungarian", "greedy", "none", "auto", "AUTO ", "", "exact"} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, name string) {
-		m, err := ParseAlignment(name)
-		if err != nil {
-			return
-		}
-		back, err := ParseAlignment(m.String())
-		if err != nil || back != m {
-			t.Fatalf("ParseAlignment(%q) = %v but String round-trip gives %v, %v", name, m, back, err)
-		}
-	})
-}
-
-// ExampleParseAlignment documents the wire names and the default.
-func ExampleParseAlignment() {
-	m, _ := ParseAlignment("hungarian")
-	fmt.Println(m, New().Alignment())
-	// Output: hungarian auto
 }

@@ -73,6 +73,27 @@ func TestNewClusterRejectsNonFiniteScalars(t *testing.T) {
 	}
 }
 
+// TestNewClusterBoundsProcs: a processor count past platform.MaxProcs is a
+// typed error — the mapper sizes per-processor scratch to it, so
+// procs = 2³⁰ used to demand an 8 GiB block and die out of memory — while
+// a cluster at the bound still schedules.
+func TestNewClusterBoundsProcs(t *testing.T) {
+	for _, p := range []int{platform.MaxProcs + 1, 1 << 30} {
+		if c, err := NewCluster(ClusterSpec{Procs: p, SpeedGFlops: 2}); !errors.Is(err, platform.ErrCluster) {
+			t.Errorf("procs = %d: NewCluster = (%v, %v), want platform.ErrCluster", p, c, err)
+		}
+	}
+	c, err := NewCluster(ClusterSpec{Procs: platform.MaxProcs, SpeedGFlops: 2})
+	if err != nil {
+		t.Fatalf("procs = MaxProcs: %v", err)
+	}
+	d := NewDAG()
+	d.Task("solo", TaskSpec{Elements: 1e6, OpsFactor: 64, Alpha: 0.1})
+	if _, err := New(WithCluster(c)).Schedule(d); err != nil {
+		t.Fatalf("one task on MaxProcs processors: %v", err)
+	}
+}
+
 func TestNewClusterVectorValidation(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	speeds := func(n int, v float64) []float64 {

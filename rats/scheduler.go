@@ -25,7 +25,6 @@ type Scheduler struct {
 	cluster   *Cluster
 	strategy  Strategy
 	allocator Allocator
-	alignment AlignmentMode
 
 	mapOpts   core.Options
 	allocOpts alloc.Options
@@ -39,15 +38,14 @@ type Scheduler struct {
 // New assembles a Scheduler from functional options. The zero
 // configuration is the paper's default pipeline: HCPA allocation with
 // level caps, baseline mapping with the naive RATS parameters standing by
-// (mindelta = −0.5, maxdelta = 0.5, minrho = 0.5, packing on) and
-// AlignmentAuto receiver alignment (WithAlignment(AlignmentHungarian)
-// restores the exact pipeline), on the grillon cluster. Configuration
-// errors are recorded and returned by the first Schedule or ScheduleAll
-// call.
+// (mindelta = −0.5, maxdelta = 0.5, minrho = 0.5, packing on), on the
+// grillon cluster. Receiver rank alignment is not configurable: it is
+// exact up to 32 receivers and greedy above (docs/ARCHITECTURE.md).
+// Configuration errors are recorded and returned by the first Schedule or
+// ScheduleAll call.
 func New(opts ...Option) *Scheduler {
 	s := &Scheduler{
 		cluster:   Grillon(),
-		alignment: AlignmentAuto,
 		mapOpts:   core.DefaultNaive(core.StrategyNone),
 		allocOpts: alloc.DefaultOptions(),
 	}
@@ -68,14 +66,6 @@ func New(opts ...Option) *Scheduler {
 			s.err = err
 		} else {
 			s.allocOpts.Method = m
-		}
-	}
-	if s.err == nil {
-		am, err := s.alignment.redistAlign()
-		if err != nil {
-			s.err = err
-		} else {
-			s.mapOpts.Align = am
 		}
 	}
 	return s
