@@ -30,9 +30,10 @@
 // ordered sequence of progressive-filling events (a saturated link fixing
 // its entities at the fair share, or an entity freezing at its rate cap),
 // with nondecreasing rate values, the per-level entity lists (the fix
-// log, with each entity's route and weight inlined so replays stream
-// through it), and (rem, wcnt) state checkpoints every ckStride levels.
-// A population change perturbs only the events that the changed entities
+// log, with each entity's route and weight inlined), each level's flush
+// as a per-link delta list ((link, weight sum) pairs, written by the same
+// flush that applied them), and (rem, wcnt) state checkpoints every
+// ckStride levels. A population change perturbs only the events that the changed entities
 // and links can influence; everything else keeps its rates — literally:
 // entities fixed by still-valid levels are not touched at all. Solve
 // proceeds in three zones (see mergeReplay):
@@ -42,19 +43,25 @@
 //     first level value reaching the changed links' level-0 fair shares
 //     (shares only grow as filling progresses, so the level-0 share
 //     lower-bounds the pending event). Its state is restored from the
-//     nearest checkpoint plus a pure streamed delta replay — no per-entity
-//     work.
+//     nearest checkpoint plus the stored link deltas of the levels between
+//     the checkpoint and the cut: one multiply-subtract per stored link,
+//     no per-entity work.
 //
 //   - A merge walk over the rest of the log: old levels re-commit as long
-//     as they fire before every pending dirty event, as one batched
-//     multiply-subtract per distinct touched link. A level whose
-//     bottleneck link went dirty is dropped and its entities join the
-//     pending set; when a dirty event fires first — a dirty link's fair
-//     share, tracked in a lazy min-heap whose stale keys are valid lower
-//     bounds, or a pending entity's rate cap from the pending-cap heap —
-//     a fresh level is inserted in place and the links it drains become
-//     dirty in turn. Divergence thus cascades exactly as far as it
-//     physically reaches, instead of invalidating the whole tail.
+//     as they fire before every pending dirty event. A clean level
+//     re-commits whole — its fix range and its deltas are copied as two
+//     blocks and the stored deltas applied, so its entities keep their
+//     rates and no route is walked. Every divergence dirties the diverged
+//     entity's links, so a level with a clean bottleneck keeps all of its
+//     entries; only a rate-cap level whose entity diverged is dropped. A
+//     level whose bottleneck link went dirty is orphaned and its entities
+//     join the pending set; when a dirty event fires first — a dirty
+//     link's fair share, tracked in a lazy min-heap whose stale keys are
+//     valid lower bounds, or a pending entity's rate cap from the
+//     pending-cap heap — a fresh level is inserted in place and the links
+//     it drains become dirty in turn. Divergence thus cascades exactly as
+//     far as it physically reaches, instead of invalidating the whole
+//     tail.
 //
 //   - Plain progressive filling for whatever is still pending once the
 //     old log is exhausted, appending to the rebuilt log.
@@ -77,6 +84,11 @@
 // scan of the whole population. The heap only schedules which entities
 // are examined — the drained-state test against the eagerly accumulated
 // volumes stays authoritative.
+//
+// Replaying a stored flush is the same arithmetic the solve that wrote it
+// performed — the same float64(weight)·rate per link, clamp and weight
+// count update — so the restored and recommitted state is bit-identical
+// to re-walking the fix entries.
 //
 // The solved rates are exactly the max-min fair point of the underlying
 // per-flow population (the aggregation is lossless and the repair exact up

@@ -124,12 +124,14 @@ type Net struct {
 	bnLevel        []int32   // level index where the link is the bottleneck
 	ckRem          []float64
 	ckWcnt         []int32
-	oldLevels      []level    // merge-replay scratch: the old log suffix
-	oldFixes       []fixEntry // merge-replay scratch: its fix entries
+	oldLevels      []level     // merge-replay scratch: the old log suffix
+	oldFixes       []fixEntry  // merge-replay scratch: its fix entries
+	oldDeltas      []linkDelta // merge-replay scratch: its link deltas
 	nCk            int
 	capHeap        []capKey // pending capped entities by (cap, id), lazily pruned
 	levels         []level
 	fixes          []fixEntry
+	deltas         []linkDelta // per-level link flushes, parallel to fixes
 	logOK          bool
 
 	popped []int32
@@ -138,8 +140,9 @@ type Net struct {
 	// duration of one small-population scratch solve (see solve.go).
 	nolog bool
 
-	fullSolves, incrSolves, scratchSolves int
-	ckRestores, orphanLevels              int
+	fullSolves, incrSolves, scratchSolves             int
+	ckRestores, orphanLevels                          int
+	levelsReplayed, levelsRecommitted, levelsInserted int
 }
 
 // New creates a network over links with the given capacities (bytes/s).

@@ -10,27 +10,38 @@ import (
 // at the fair share value, or a rate-cap freeze (link == -1) fixing one
 // entity at its cap. Values are nondecreasing along the log — the merge
 // replay and the fill both emit events in firing order — which is what
-// lets Solve binary-search the log for the share-condition cut.
+// lets Solve binary-search the log for the share-condition cut. The
+// level's flush is logged too, as nd link deltas: replaying or
+// recommitting the level applies them without walking its entries.
 type level struct {
 	link     int32
 	nfix     int32
 	fixStart int32 // index of the level's first entry in Net.fixes
+	dStart   int32 // index of the level's first link delta in Net.deltas
+	nd       int32
 	value    float64
 }
 
-// fixEntry records one entity frozen by a level, with enough of the
-// entity inlined (route, weight at fix time) that replaying or
-// recommitting the entry streams through the fix log without touching
-// the entity structs. gen detects entity-slot reuse across solves, which
-// invalidates the entry; nlinks == longRoute routes the rare
-// longer-than-inline route through the entity itself.
+// linkDelta is one link's part of a level's flush: the total weight the
+// level fixed across the link. A level's deltas are stored in the order
+// flushLevel applied them.
+type linkDelta struct {
+	link int32
+	w    int32
+}
+
+// fixEntry records one entity frozen by a level, with its route and
+// weight at fix time inlined so that orphaning the level streams through
+// the fix log without touching the entity structs. gen detects
+// entity-slot reuse across solves, which invalidates the entry; nlinks ==
+// longRoute routes the rare longer-than-inline route through the entity
+// itself.
 type fixEntry struct {
 	ent    int32
 	gen    uint32
 	weight int32
 	nlinks int8
 	links  [maxAggRoute]int32
-	rate   float64
 }
 
 const longRoute = int8(-1)
@@ -116,6 +127,7 @@ func (n *Net) Solve() {
 		n.logOK = false
 		n.levels = n.levels[:0]
 		n.fixes = n.fixes[:0]
+		n.deltas = n.deltas[:0]
 		for _, l := range n.liveLinks {
 			n.rem[l] = n.caps[l]
 			n.wcnt[l] = n.linkWeight[l]
@@ -152,12 +164,14 @@ func (n *Net) Solve() {
 	// let progressive filling rebuild the log in one pass.
 	full := !n.logOK || n.nCk == 0 || 2*len(n.chEnts) >= n.solvable
 	n.logOK = true // the walk or the fill may drop it again
+	kept := 0      // levels an incremental solve carries over from the old log
 	if full {
 		// Full solve: no trusted log. Start from the raw capacities and
 		// seed checkpoint 0 with the initial state.
 		n.fullSolves++
 		n.levels = n.levels[:0]
 		n.fixes = n.fixes[:0]
+		n.deltas = n.deltas[:0]
 		copy(n.rem, n.caps)
 		copy(n.wcnt, n.linkWeight)
 		n.nCk = 1
@@ -177,7 +191,7 @@ func (n *Net) Solve() {
 				n.queuePending(eid, e)
 			}
 		}
-		n.mergeReplay()
+		kept = n.mergeReplay()
 	}
 
 	// Whatever the walk could not handle goes to progressive filling:
@@ -189,6 +203,9 @@ func (n *Net) Solve() {
 		}
 	}
 	n.fill()
+	if !full {
+		n.levelsInserted += len(n.levels) - kept
+	}
 	n.finishSolve()
 }
 
@@ -217,6 +234,14 @@ func (n *Net) ScratchSolves() int     { return n.scratchSolves }
 // their recorded bottleneck share went stale during the merge walk.
 func (n *Net) CheckpointRestores() int { return n.ckRestores }
 func (n *Net) OrphanedLevels() int     { return n.orphanLevels }
+
+// LevelsReplayed counts levels an incremental solve re-applied between the
+// restored checkpoint and the cut, LevelsRecommitted clean old levels the
+// merge walk carried over whole, and LevelsInserted the levels it wrote
+// fresh: inserted in place by the walk or appended by the fill after it.
+func (n *Net) LevelsReplayed() int    { return n.levelsReplayed }
+func (n *Net) LevelsRecommitted() int { return n.levelsRecommitted }
+func (n *Net) LevelsInserted() int    { return n.levelsInserted }
 
 // queuePending moves a live non-exempt entity into the pending set: it
 // must be (re)fixed this solve, by a merge-walk event or by the fill.
@@ -300,14 +325,16 @@ func (n *Net) capSiftDown(i int) {
 //     fair share of every changed link and the cap of every changed
 //     capped entity (shares only grow as filling progresses, so the
 //     level-0 share is a lower bound on the pending event). Restored
-//     from the nearest checkpoint plus pure delta replay.
+//     from the nearest checkpoint plus the stored link deltas of the
+//     levels in between.
 //
 //  2. Merge walk: the old suffix is moved aside and replayed level by
 //     level. While an old level fires before every pending dirty event,
-//     it is either recommitted — batched link deltas, entities keep
-//     their rates — or, when its bottleneck link went dirty (its
-//     recorded share is stale), skipped: its entities join the pending
-//     set and their links the dirty set. When a dirty event fires first,
+//     it is either recommitted whole — its stored link deltas applied,
+//     entities keep their rates — or, when its bottleneck link went
+//     dirty (its recorded share is stale), skipped: its entities join
+//     the pending set and their links the dirty set (a cap level whose
+//     entity diverged is dropped). When a dirty event fires first,
 //     a new level is inserted in place — the dirty link's fair share
 //     freezing every still-unhandled entity crossing it, or a pending
 //     entity's rate cap — and the links it drains become dirty in turn.
@@ -318,7 +345,10 @@ func (n *Net) capSiftDown(i int) {
 //
 //  3. Whatever remains pending after the old log is exhausted is left to
 //     progressive filling, which appends to the rebuilt log.
-func (n *Net) mergeReplay() {
+//
+// It returns the number of levels kept from the old log: the unchecked
+// prefix plus the recommitted levels.
+func (n *Net) mergeReplay() int {
 	nl := len(n.caps)
 	capPending := math.Inf(1)
 	for _, eid := range n.chEnts {
@@ -356,7 +386,7 @@ func (n *Net) mergeReplay() {
 	}
 
 	// Restore the nearest checkpoint at or below cutLow and replay the
-	// remaining unchecked levels as pure (rem, wcnt) deltas. Checkpoints
+	// remaining unchecked levels' stored link deltas. Checkpoints
 	// above cutLow reflect the old population's trajectory and are
 	// dropped; the walk re-snapshots as the rebuilt log passes the
 	// stride boundaries.
@@ -373,25 +403,31 @@ func (n *Net) mergeReplay() {
 		n.rem[l], n.wcnt[l] = ckR[l], ckW[l]
 	}
 	for li := ck * ckStride; li < cutLow; li++ {
-		n.replayLevel(li)
+		lv := &n.levels[li]
+		n.applyDeltas(n.deltas[lv.dStart:lv.dStart+lv.nd], lv.value)
 	}
+	n.levelsReplayed += cutLow - ck*ckStride
 	if c := cutLow/ckStride + 1; c < n.nCk {
 		n.nCk = c
 	}
 
 	// Move the old suffix aside; the walk rebuilds the log in place.
-	cutFix := len(n.fixes)
+	cutFix, cutDelta := int32(len(n.fixes)), int32(len(n.deltas))
 	if cutLow < len(n.levels) {
-		cutFix = int(n.levels[cutLow].fixStart)
+		cutFix, cutDelta = n.levels[cutLow].fixStart, n.levels[cutLow].dStart
 	}
 	n.oldLevels = append(n.oldLevels[:0], n.levels[cutLow:]...)
 	n.oldFixes = append(n.oldFixes[:0], n.fixes[cutFix:]...)
+	n.oldDeltas = append(n.oldDeltas[:0], n.deltas[cutDelta:]...)
 	for i := range n.oldLevels {
-		n.oldLevels[i].fixStart -= int32(cutFix)
+		n.oldLevels[i].fixStart -= cutFix
+		n.oldLevels[i].dStart -= cutDelta
 	}
 	n.levels = n.levels[:cutLow]
 	n.fixes = n.fixes[:cutFix]
+	n.deltas = n.deltas[:cutDelta]
 	cutLow32 := int32(cutLow)
+	kept := cutLow
 
 	// Dirty-link heap over the changed links with live weight.
 	n.lnHeap = n.lnHeap[:0]
@@ -443,25 +479,24 @@ func (n *Net) mergeReplay() {
 		if lv.value < minPend {
 			if lv.link >= 0 && n.linkChanged[lv.link] {
 				n.skipOldLevel(lv)
-			} else {
-				n.commitOldLevel(lv)
+			} else if n.commitOldLevel(lv) {
+				kept++
 			}
 			oi++
 			continue
 		}
 		// A dirty event fires first: insert it as a new level.
+		fixStart, dStart := int32(len(n.fixes)), int32(len(n.deltas))
 		if capEnt >= 0 && capVal < dShare {
-			fixStart := int32(len(n.fixes))
 			n.fixMeta(capEnt, capVal)
 			n.dirtyFlush(capVal)
-			n.levels = append(n.levels, level{link: -1, nfix: 1, fixStart: fixStart, value: capVal})
+			n.logLevel(-1, fixStart, dStart, capVal)
 			continue
 		}
 		share := dShare
 		if share < 0 {
 			share = 0
 		}
-		fixStart := int32(len(n.fixes))
 		nfix := int32(0)
 		for _, ref := range n.linkEnts[dLink] {
 			// Eligible: not yet handled this walk and not fixed in the
@@ -487,9 +522,9 @@ func (n *Net) mergeReplay() {
 			continue
 		}
 		n.dirtyFlush(share)
-		n.bnLevel[dLink] = int32(len(n.levels))
-		n.levels = append(n.levels, level{link: dLink, nfix: nfix, fixStart: fixStart, value: share})
+		n.logLevel(dLink, fixStart, dStart, share)
 	}
+	return kept
 }
 
 // skipOldLevel drops a level whose recorded bottleneck share went stale:
@@ -517,46 +552,38 @@ func (n *Net) skipOldLevel(lv *level) {
 	}
 }
 
-// commitOldLevel re-appends a level whose bottleneck is still clean.
-// Entries that diverged (completed flows, slot reuse, pending or already
-// refixed entities — all of which also dirtied their links) are dropped;
-// the survivors keep their rates, and only their link consumption is
-// flushed. Clean links receive exactly the delta of the old trajectory,
-// so their fair-share evolution stays bit-identical.
-func (n *Net) commitOldLevel(lv *level) {
-	end := int(lv.fixStart) + int(lv.nfix)
-	fixStart := int32(len(n.fixes))
-	nfix := int32(0)
-	idx := int32(len(n.levels))
-	for fi := int(lv.fixStart); fi < end; fi++ {
-		f := &n.oldFixes[fi]
-		// Divergent entries drop out: dead or reused slots (gen), entities
-		// refixed by an inserted event (fixedEp), and pending entities
-		// (solveEp — changed or orphaned; all of these also dirtied their
-		// links, so clean links still see the old trajectory's delta).
-		if n.genByID[f.ent] != f.gen ||
+// commitOldLevel re-appends a level whose bottleneck is still clean, whole:
+// its fix range and its link deltas are copied in one block each and the
+// deltas flushed, so its entities keep their rates and clean links
+// receive exactly the old trajectory's flush, keeping their fair-share
+// evolution bit-identical. A level commits whole or not at all. Entries
+// diverge through completed flows, slot reuse (gen), refixing by an
+// inserted event (fixedEp) or a pending state (solveEp, changed or
+// orphaned), and each of these dirtied every link of the entity. A link
+// level fixes only entities crossing its bottleneck, so with that link
+// clean none of its entries diverged; only a cap level's single entity
+// can, and the level is then dropped. It reports whether it committed.
+func (n *Net) commitOldLevel(lv *level) bool {
+	fs := n.oldFixes[lv.fixStart : lv.fixStart+lv.nfix]
+	for i := range fs {
+		if f := &fs[i]; n.genByID[f.ent] != f.gen ||
 			n.fixedEp[f.ent] == n.epoch || n.solveEp[f.ent] == n.epoch {
-			continue
+			return false
 		}
-		n.walkEp[f.ent] = n.epoch
-		n.fixedLevel[f.ent] = idx
-		n.fixes = append(n.fixes, *f)
-		for _, l := range n.entryLinks(f) {
-			if n.wsum[l] == 0 {
-				n.touchedLn = append(n.touchedLn, l)
-			}
-			n.wsum[l] += f.weight
-		}
-		nfix++
 	}
-	if nfix == 0 {
-		return
+	idx := int32(len(n.levels))
+	for i := range fs {
+		n.walkEp[fs[i].ent] = n.epoch
+		n.fixedLevel[fs[i].ent] = idx
 	}
-	n.flushLevel(lv.value, false)
-	if lv.link >= 0 {
-		n.bnLevel[lv.link] = int32(len(n.levels))
-	}
-	n.levels = append(n.levels, level{link: lv.link, nfix: nfix, fixStart: fixStart, value: lv.value})
+	ds := n.oldDeltas[lv.dStart : lv.dStart+lv.nd]
+	n.applyDeltas(ds, lv.value)
+	fixStart, dStart := int32(len(n.fixes)), int32(len(n.deltas))
+	n.fixes = append(n.fixes, fs...)
+	n.deltas = append(n.deltas, ds...)
+	n.logLevel(lv.link, fixStart, dStart, lv.value)
+	n.levelsRecommitted++
+	return true
 }
 
 // dirtyFlush marks every link touched by an inserted level dirty (its
@@ -577,38 +604,38 @@ func (n *Net) dirtyFlush(r float64) {
 	n.flushLevel(r, false)
 }
 
-// replayLevel applies one unchecked level's fixes to rem and wcnt only —
-// rates of its entities are already correct and stay untouched. It
-// accumulates the level's per-link weight exactly like the fill or commit
-// that wrote the level (same entry order, same flush order, same single
-// multiply-subtract per distinct link), so the replay reproduces the
-// solver state bit for bit (entities below the cut are unchanged, hence
-// current weights equal fix-time weights).
-func (n *Net) replayLevel(li int) {
-	lv := n.levels[li]
-	end := int(lv.fixStart) + int(lv.nfix)
-	for fi := int(lv.fixStart); fi < end; fi++ {
-		f := &n.fixes[fi]
-		for _, l := range n.entryLinks(f) {
-			if n.wsum[l] == 0 {
-				n.touchedLn = append(n.touchedLn, l)
-			}
-			n.wsum[l] += f.weight
+// applyDeltas re-applies a logged level's flush to rem and wcnt only —
+// the rates of its entities are already correct and stay untouched. The
+// stored deltas are the per-link weights flushLevel applied when it wrote
+// the level, and each gets the same multiply-subtract, clamp and count
+// decrement, so the replay reproduces the solver state bit for bit
+// (logged entities are unchanged, hence current weights equal fix-time
+// weights).
+func (n *Net) applyDeltas(ds []linkDelta, r float64) {
+	rem, wcnt := n.rem, n.wcnt
+	for _, d := range ds {
+		rem[d.link] -= float64(d.w) * r
+		if rem[d.link] < 0 {
+			rem[d.link] = 0
 		}
+		wcnt[d.link] -= d.w
 	}
-	n.flushLevel(lv.value, false)
 }
 
 // flushLevel applies one level's accumulated per-link weight at rate r:
 // every distinct link gets a single multiply-subtract and weight-count
 // decrement regardless of how many entities the level fixed (on the
 // hierarchical presets a saturating node link drains its cabinet uplink
-// once, not once per receiver). With updateShares set the cached fair
-// shares of the touched links are refreshed for the fill's link heap.
+// once, not once per receiver), logged as the level's link deltas unless
+// the solve keeps no log. With updateShares set the cached fair shares of
+// the touched links are refreshed for the fill's link heap.
 func (n *Net) flushLevel(r float64, updateShares bool) {
 	for _, l := range n.touchedLn {
 		w := n.wsum[l]
 		n.wsum[l] = 0
+		if !n.nolog {
+			n.deltas = append(n.deltas, linkDelta{link: l, w: w})
+		}
 		n.rem[l] -= float64(w) * r
 		if n.rem[l] < 0 {
 			n.rem[l] = 0
@@ -634,7 +661,7 @@ func (n *Net) fixMeta(eid int32, rate float64) {
 		n.fixedLevel[eid] = noLevel
 	} else {
 		n.fixedLevel[eid] = int32(len(n.levels))
-		f := fixEntry{ent: eid, gen: e.gen, weight: e.weight, rate: rate}
+		f := fixEntry{ent: eid, gen: e.gen, weight: e.weight}
 		if len(e.links) <= maxAggRoute {
 			f.nlinks = int8(copy(f.links[:], e.links))
 		} else {
@@ -649,6 +676,19 @@ func (n *Net) fixMeta(eid int32, rate float64) {
 		n.wsum[l] += e.weight
 	}
 	n.unfixed--
+}
+
+// logLevel appends the level whose fix entries and link deltas were
+// written to the log from fixStart and dStart on.
+func (n *Net) logLevel(link, fixStart, dStart int32, value float64) {
+	if link >= 0 {
+		n.bnLevel[link] = int32(len(n.levels))
+	}
+	n.levels = append(n.levels, level{
+		link: link, value: value,
+		fixStart: fixStart, nfix: int32(len(n.fixes)) - fixStart,
+		dStart: dStart, nd: int32(len(n.deltas)) - dStart,
+	})
 }
 
 // snapshotCk stores the current (rem, wcnt) as checkpoint c (the state
@@ -773,30 +813,26 @@ func (n *Net) fill() {
 		if capEnt >= 0 && !(capVal < share) {
 			capEnt = -1
 		}
+		fixStart, dStart := int32(len(n.fixes)), int32(len(n.deltas))
 		switch {
 		case capEnt >= 0:
-			fixStart := int32(len(n.fixes))
 			n.fixMeta(capEnt, capVal)
 			n.flushLevel(capVal, true)
 			if !n.nolog {
-				n.levels = append(n.levels, level{link: -1, nfix: 1, fixStart: fixStart, value: capVal})
+				n.logLevel(-1, fixStart, dStart, capVal)
 			}
 		case bottleneck >= 0:
 			if share < 0 {
 				share = 0
 			}
-			fixStart := int32(len(n.fixes))
-			nfix := int32(0)
 			for _, ref := range n.linkEnts[bottleneck] {
 				if solveEp[ref.ent] == epoch && fixedEp[ref.ent] != epoch {
 					n.fixMeta(ref.ent, share)
-					nfix++
 				}
 			}
 			n.flushLevel(share, true)
 			if !n.nolog {
-				n.bnLevel[bottleneck] = int32(len(n.levels))
-				n.levels = append(n.levels, level{link: bottleneck, nfix: nfix, fixStart: fixStart, value: share})
+				n.logLevel(bottleneck, fixStart, dStart, share)
 			}
 		default:
 			// Defensive no-progress path (mirrors the reference solver):

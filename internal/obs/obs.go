@@ -49,13 +49,19 @@ type Counters struct {
 
 	// Replay rate solving (internal/flownet via internal/sim): how often
 	// Solve ran each regime — full rebuild, incremental merge-replay,
-	// small-population scratch — plus merge-replay checkpoint restores
-	// and old bottleneck levels orphaned by stale shares.
+	// small-population scratch — plus merge-replay checkpoint restores,
+	// old bottleneck levels orphaned by stale shares, and what the merge
+	// replays did with the level log: levels re-applied from a checkpoint
+	// up to the cut, clean old levels recommitted whole, and levels
+	// written fresh.
 	SolvesFull        uint64 `json:"solves_full"`
 	SolvesIncremental uint64 `json:"solves_incremental"`
 	SolvesScratch     uint64 `json:"solves_scratch"`
 	CkRestores        uint64 `json:"ck_restores"`
 	OrphanLevels      uint64 `json:"orphan_levels"`
+	LevelsReplayed    uint64 `json:"levels_replayed"`
+	LevelsRecommitted uint64 `json:"levels_recommitted"`
+	LevelsInserted    uint64 `json:"levels_inserted"`
 
 	// Replay event loop (internal/sim): StartFlowBatch calls and the wire
 	// flows they carried (mean batch size = FlowBatchFlows/FlowBatches).

@@ -306,6 +306,9 @@ func (p *netPool) stats(c *obs.Counters) {
 	c.SolvesScratch += uint64(p.net.ScratchSolves())
 	c.CkRestores += uint64(p.net.CheckpointRestores())
 	c.OrphanLevels += uint64(p.net.OrphanedLevels())
+	c.LevelsReplayed += uint64(p.net.LevelsReplayed())
+	c.LevelsRecommitted += uint64(p.net.LevelsRecommitted())
+	c.LevelsInserted += uint64(p.net.LevelsInserted())
 }
 func (p *netPool) dirty() bool              { return p.net.Dirty() }
 func (p *netPool) recompute()               { p.net.Solve() }
