@@ -14,21 +14,24 @@ import (
 )
 
 // entryDeltas is the entry-walking oracle for a level's flush: it
-// accumulates the per-link weight of the level's fix entries in entry
+// accumulates the route weight of the level's fixed entities in entry
 // order, recording links in first-touch order — the order flushLevel
-// applies them in.
+// applies them in. Entries of a trusted log are live and unchanged since
+// their fix, so the entities' current routes and weights are those the
+// level fixed.
 func entryDeltas(n *Net, lv *level) []linkDelta {
 	var out []linkDelta
 	pos := map[int32]int{}
 	for _, f := range n.fixes[lv.fixStart : lv.fixStart+lv.nfix] {
-		for _, l := range n.entryLinks(&f) {
+		e := &n.ents[f.ent]
+		for _, l := range e.links {
 			i, ok := pos[l]
 			if !ok {
 				i = len(out)
 				pos[l] = i
 				out = append(out, linkDelta{link: l})
 			}
-			out[i].w += f.weight
+			out[i].w += e.weight
 		}
 	}
 	return out
@@ -47,7 +50,7 @@ func flushOracle(rem []float64, wcnt []int32, ds []linkDelta, r float64) {
 
 // checkDeltaLog verifies a trusted log after a logged solve: contiguous
 // arenas, stored deltas equal to the entry-walking oracle's, every live
-// entity fixed exactly once with its current generation and weight, and
+// entity fixed exactly once with its current generation, and
 // checkpoint 0 plus the deltas reproducing every later checkpoint and the
 // final (rem, wcnt) bit for bit.
 func checkDeltaLog(t *testing.T, n *Net) {
@@ -72,10 +75,9 @@ func checkDeltaLog(t *testing.T, n *Net) {
 			}
 		}
 		for _, f := range n.fixes[lv.fixStart:fixEnd] {
-			e := &n.ents[f.ent]
-			if n.genByID[f.ent] != f.gen || f.weight != e.weight || n.fixedLevel[f.ent] != int32(li) {
-				t.Fatalf("level %d: stale entry for entity %d (gen %d/%d, weight %d/%d, fixedLevel %d)",
-					li, f.ent, f.gen, n.genByID[f.ent], f.weight, e.weight, n.fixedLevel[f.ent])
+			if n.genByID[f.ent] != f.gen || n.fixedLevel[f.ent] != int32(li) {
+				t.Fatalf("level %d: stale entry for entity %d (gen %d/%d, fixedLevel %d)",
+					li, f.ent, f.gen, n.genByID[f.ent], n.fixedLevel[f.ent])
 			}
 		}
 	}

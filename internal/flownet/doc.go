@@ -30,10 +30,9 @@
 // ordered sequence of progressive-filling events (a saturated link fixing
 // its entities at the fair share, or an entity freezing at its rate cap),
 // with nondecreasing rate values, the per-level entity lists (the fix
-// log, with each entity's route and weight inlined), each level's flush
-// as a per-link delta list ((link, weight sum) pairs, written by the same
-// flush that applied them), and (rem, wcnt) state checkpoints every
-// ckStride levels. A population change perturbs only the events that the changed entities
+// log), each level's flush as a per-link delta list ((link, weight sum)
+// pairs, written by the same flush that applied them), and (rem, wcnt)
+// state checkpoints every ckStride levels. A population change perturbs only the events that the changed entities
 // and links can influence; everything else keeps its rates — literally:
 // entities fixed by still-valid levels are not touched at all. Solve
 // proceeds in three zones (see mergeReplay):

@@ -30,29 +30,12 @@ type linkDelta struct {
 	w    int32
 }
 
-// fixEntry records one entity frozen by a level, with its route and
-// weight at fix time inlined so that orphaning the level streams through
-// the fix log without touching the entity structs. gen detects
-// entity-slot reuse across solves, which invalidates the entry; nlinks ==
-// longRoute routes the rare longer-than-inline route through the entity
-// itself.
+// fixEntry records one entity frozen by a level. gen detects entity-slot
+// reuse across solves, which invalidates the entry. The entity's links
+// and weight need no copy: the level's link deltas carry their flush.
 type fixEntry struct {
-	ent    int32
-	gen    uint32
-	weight int32
-	nlinks int8
-	links  [maxAggRoute]int32
-}
-
-const longRoute = int8(-1)
-
-// entryLinks returns the fix entry's route, falling back to the entity
-// for routes too long to inline (only valid while the entry is).
-func (n *Net) entryLinks(f *fixEntry) []int32 {
-	if f.nlinks >= 0 {
-		return f.links[:f.nlinks]
-	}
-	return n.ents[f.ent].links
+	ent int32
+	gen uint32
 }
 
 // capKey is one pending-cap heap entry: a queued capped entity keyed by
@@ -529,24 +512,24 @@ func (n *Net) mergeReplay() int {
 
 // skipOldLevel drops a level whose recorded bottleneck share went stale:
 // its surviving entities join the pending set (their rate must be
-// re-derived) and their links the dirty set.
+// re-derived) and their links the dirty set. The level's link deltas name
+// every link of its entries; the links of diverged entries are dirty
+// already, so marking them all dirties exactly the survivors' links.
 func (n *Net) skipOldLevel(lv *level) {
 	n.orphanLevels++
-	end := int(lv.fixStart) + int(lv.nfix)
-	for fi := int(lv.fixStart); fi < end; fi++ {
-		f := &n.oldFixes[fi]
+	for _, f := range n.oldFixes[lv.fixStart : lv.fixStart+lv.nfix] {
 		if n.genByID[f.ent] != f.gen || n.fixedEp[f.ent] == n.epoch {
 			continue
 		}
 		n.queuePending(f.ent, &n.ents[f.ent])
-		for _, l := range n.entryLinks(f) {
-			if !n.linkChanged[l] {
-				n.linkChanged[l] = true
-				n.chLinks = append(n.chLinks, l)
-				if n.wcnt[l] > 0 {
-					n.lnHeap = append(n.lnHeap, lnKey{share: n.rem[l] / float64(n.wcnt[l]), link: l})
-					n.lnSiftUp(len(n.lnHeap) - 1)
-				}
+	}
+	for _, d := range n.oldDeltas[lv.dStart : lv.dStart+lv.nd] {
+		if l := d.link; !n.linkChanged[l] {
+			n.linkChanged[l] = true
+			n.chLinks = append(n.chLinks, l)
+			if n.wcnt[l] > 0 {
+				n.lnHeap = append(n.lnHeap, lnKey{share: n.rem[l] / float64(n.wcnt[l]), link: l})
+				n.lnSiftUp(len(n.lnHeap) - 1)
 			}
 		}
 	}
@@ -661,13 +644,7 @@ func (n *Net) fixMeta(eid int32, rate float64) {
 		n.fixedLevel[eid] = noLevel
 	} else {
 		n.fixedLevel[eid] = int32(len(n.levels))
-		f := fixEntry{ent: eid, gen: e.gen, weight: e.weight}
-		if len(e.links) <= maxAggRoute {
-			f.nlinks = int8(copy(f.links[:], e.links))
-		} else {
-			f.nlinks = longRoute
-		}
-		n.fixes = append(n.fixes, f)
+		n.fixes = append(n.fixes, fixEntry{ent: eid, gen: e.gen})
 	}
 	for _, l := range e.links {
 		if n.wsum[l] == 0 {
