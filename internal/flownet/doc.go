@@ -65,6 +65,12 @@
 //   - Plain progressive filling for whatever is still pending once the
 //     old log is exhausted, appending to the rebuilt log.
 //
+// Only caps that can bind enter the pending-cap heap: an entity's cap
+// joins it when it is below every link capacity of the entity's route. A
+// cap at or above the capacity of the narrowest link l never fires, since
+// while the entity is pending rem[l]/wcnt[l] ≤ caps[l]/weight ≤ cap and a
+// cap event must be strictly below every link event.
+//
 // Solve falls back to a full solve when no trusted log exists (first
 // solve, or after a defensive freeze of stalled entities).
 //
@@ -76,13 +82,17 @@
 // drained volume at join), and the entity keeps a min-heap of members by
 // that static key. Advancing virtual time adds rate·dt to one per-entity
 // accumulator instead of decrementing every member. Completions are
-// indexed by a lazy deadline heap: an entity's next-completion time stays
-// exact while its rate and head member are unchanged (draining is
-// linear), so only entities touched by a solve or a completion re-enter
-// the heap, and finding work is O(log entities) per event rather than a
-// scan of the whole population. The heap only schedules which entities
-// are examined — the drained-state test against the eagerly accumulated
-// volumes stays authoritative.
+// indexed by a deadline heap holding exactly one (deadline, entity) entry
+// per draining entity — live, with members, a positive rate and a finite
+// head — and a by-entity position index. An entity's next-completion time
+// stays exact while its rate and head member are unchanged (draining is
+// linear), so only entities touched by a solve or a completion are
+// re-keyed, in place; an entity that stops draining or is destroyed
+// loses its entry. There are no stamps, no stale entries and no rebuilds,
+// and finding work is O(log entities) per event rather than a scan of the
+// whole population. The heap only schedules which entities are examined
+// — the drained-state test against the eagerly accumulated volumes stays
+// authoritative.
 //
 // Replaying a stored flush is the same arithmetic the solve that wrote it
 // performed — the same float64(weight)·rate per link, clamp and weight

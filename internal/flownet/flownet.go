@@ -49,6 +49,11 @@ type entity struct {
 	agg     bool    // registered in byRoute
 	exempt  bool    // no links: rate is cap (or +Inf), never solved
 
+	// capBinds: the cap is below every link capacity of the route, so it
+	// can fire before the route's narrowest link; only such entities
+	// enter the pending-cap heap (see queuePending).
+	capBinds bool
+
 	changed bool // population changed since the last solve
 }
 
@@ -82,15 +87,16 @@ type Net struct {
 	rates   []float64 // mirror of entity.rate
 	headFin []float64 // finish volume of the entity's earliest member (+Inf when empty)
 
-	// Completion-deadline index: a lazy min-heap of (absolute deadline,
-	// entity, stamp). A deadline stays exact while the entity's rate and
-	// head member are unchanged (draining is linear), so only entities
-	// touched by a solve or a completion re-enter the heap; stale entries
-	// are recognized by their stamp and dropped lazily. The exact eager
-	// drained-state test stays authoritative — the heap only selects
-	// which entities PopDrained examines.
-	dlHeap  []dlKey
-	dlStamp []uint32 // by entity id: bumped on every deadline-relevant change
+	// Completion-deadline index: a binary min-heap of (absolute deadline,
+	// entity) holding exactly one entry per draining entity (live, weight
+	// > 0, rate > 0, finite head), indexed by position. A deadline stays
+	// exact while the entity's rate and head member are unchanged
+	// (draining is linear), so only entities touched by a solve or a
+	// completion are re-keyed, in place. The exact eager drained-state
+	// test stays authoritative — the heap only selects which entities
+	// PopDrained examines.
+	dlHeap []dlKey
+	dlPos  []int32 // by entity id: index in dlHeap, -1 when absent
 
 	seq   int64
 	dirty bool
@@ -251,19 +257,15 @@ func (n *Net) Advance(dt float64) {
 	}
 }
 
-// bumpDeadline invalidates an entity's deadline entry after a rate, head
-// or membership change, inserting a fresh one while the entity drains.
+// bumpDeadline re-keys an entity's deadline entry after a rate, head or
+// membership change, removing it when the entity stops draining.
 func (n *Net) bumpDeadline(eid int32, e *entity) {
-	n.dlStamp[eid]++
-	if e.weight == 0 || e.rate <= 0 {
-		return
-	}
 	hf := n.headFin[e.pos]
-	if math.IsInf(hf, 1) {
+	if e.weight == 0 || e.rate <= 0 || math.IsInf(hf, 1) {
+		n.dlRemove(eid)
 		return
 	}
-	d := n.now + (hf-n.drained[e.pos])/e.rate
-	n.dlPush(dlKey{t: d, eid: eid, stamp: n.dlStamp[eid]})
+	n.dlSet(eid, n.now+(hf-n.drained[e.pos])/e.rate)
 }
 
 // NextDeadline returns the absolute time of the earliest flow completion
@@ -271,18 +273,13 @@ func (n *Net) bumpDeadline(eid int32, e *entity) {
 // clamp the result to now — complete them with PopDrained; now must be
 // consistent with the accumulated Advance time.
 func (n *Net) NextDeadline(now float64) float64 {
-	for len(n.dlHeap) > 0 {
-		top := n.dlHeap[0]
-		if n.dlStamp[top.eid] != top.stamp {
-			n.dlPop()
-			continue
-		}
-		if top.t < now {
-			return now
-		}
-		return top.t
+	if len(n.dlHeap) == 0 {
+		return math.Inf(1)
 	}
-	return math.Inf(1)
+	if t := n.dlHeap[0].t; !(t < now) {
+		return t
+	}
+	return now
 }
 
 // PopDrained completes every flow that is drained at virtual time now: its
@@ -292,24 +289,15 @@ func (n *Net) NextDeadline(now float64) float64 {
 // not call back into the Net. It reports whether any flow completed.
 func (n *Net) PopDrained(now, eps float64, yield func(id int)) bool {
 	n.popped = n.popped[:0]
-	for len(n.dlHeap) > 0 {
-		top := n.dlHeap[0]
-		if n.dlStamp[top.eid] != top.stamp {
-			n.dlPop()
-			continue
-		}
-		if top.t > now {
-			break
-		}
-		eid := top.eid
+	for len(n.dlHeap) > 0 && !(n.dlHeap[0].t > now) {
+		eid := n.dlHeap[0].eid
 		e := &n.ents[eid]
 		pos := int(e.pos)
 		// Exact drained-state test on the candidate; the heap deadline is
 		// only a hint and may run an ULP early.
 		rem := n.headFin[pos] - n.drained[pos]
 		if !(rem <= eps || (e.rate > 0 && now+rem/e.rate <= now)) {
-			n.dlPop()
-			n.dlPush(dlKey{t: now + rem/e.rate, eid: eid, stamp: top.stamp})
+			n.dlSet(eid, now+rem/e.rate)
 			continue
 		}
 		popCount := int32(0)
@@ -326,7 +314,7 @@ func (n *Net) PopDrained(now, eps float64, yield func(id int)) bool {
 		}
 		if popCount == 0 {
 			// The head moved without completing (defensive).
-			n.dlPop()
+			n.dlRemove(eid)
 			continue
 		}
 		n.dropMembers(eid, popCount)
@@ -430,13 +418,14 @@ func (n *Net) newEntity(links []int, rateCap float64, agg bool) int32 {
 		n.walkEp = append(n.walkEp, 0)
 		n.genByID = append(n.genByID, 0)
 		n.fixedLevel = append(n.fixedLevel, 0)
-		n.dlStamp = append(n.dlStamp, 0)
+		n.dlPos = append(n.dlPos, -1)
 		eid = int32(len(n.ents) - 1)
 	}
 	e := &n.ents[eid]
 	e.links = e.links[:0]
 	e.linkPos = e.linkPos[:0]
 	e.cap = rateCap
+	e.capBinds = rateCap > 0
 	e.weight = 0
 	e.heap = e.heap[:0]
 	e.agg = agg
@@ -457,6 +446,9 @@ func (n *Net) newEntity(links []int, rateCap float64, agg bool) int32 {
 	}
 	for i, l := range links {
 		l32 := int32(l)
+		if !(rateCap < n.caps[l]) {
+			e.capBinds = false
+		}
 		e.links = append(e.links, l32)
 		e.linkPos = append(e.linkPos, int32(len(n.linkEnts[l])))
 		n.linkEnts[l] = append(n.linkEnts[l], linkRef{ent: eid, occ: int32(i)})
@@ -503,7 +495,7 @@ func (n *Net) destroyEntity(eid int32) {
 	}
 	e.gen++
 	n.genByID[eid] = e.gen
-	n.dlStamp[eid]++
+	n.dlRemove(eid)
 	n.entFree = append(n.entFree, eid)
 }
 
@@ -609,77 +601,96 @@ func (n *Net) siftUp(e *entity, i int) {
 	}
 }
 
-// dlKey is one deadline-heap entry.
+// dlKey is one deadline-heap entry. Entries are unique per entity, so
+// (t, eid) is a total order and the heap's top is deterministic.
 type dlKey struct {
-	t     float64
-	eid   int32
-	stamp uint32
+	t   float64
+	eid int32
 }
 
-func (n *Net) dlPush(k dlKey) {
-	// Bound the garbage from superseded entries: rebuild once the heap
-	// outgrows the live population by enough to matter.
-	if len(n.dlHeap) > 4*len(n.active)+64 {
-		w := 0
-		for _, e := range n.dlHeap {
-			if n.dlStamp[e.eid] == e.stamp {
-				n.dlHeap[w] = e
-				w++
-			}
-		}
-		n.dlHeap = n.dlHeap[:w]
-		for i := len(n.dlHeap)/2 - 1; i >= 0; i-- {
-			n.dlSiftDown(i)
-		}
-	}
-	n.dlHeap = append(n.dlHeap, k)
-	i := len(n.dlHeap) - 1
-	h := n.dlHeap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !dlLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (n *Net) dlPop() {
-	last := len(n.dlHeap) - 1
-	n.dlHeap[0] = n.dlHeap[last]
-	n.dlHeap = n.dlHeap[:last]
-	if last > 0 {
-		n.dlSiftDown(0)
-	}
-}
-
-// dlLess orders deadline entries by time with (entity, stamp) tie-breaks
-// for determinism.
 func dlLess(a, b dlKey) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	if a.eid != b.eid {
-		return a.eid < b.eid
+	return a.eid < b.eid
+}
+
+// dlSet inserts or re-keys entity eid's deadline entry.
+func (n *Net) dlSet(eid int32, t float64) {
+	i := int(n.dlPos[eid])
+	if i < 0 {
+		i = len(n.dlHeap)
+		n.dlHeap = append(n.dlHeap, dlKey{t: t, eid: eid})
+		n.dlPos[eid] = int32(i)
+		n.dlSiftUp(i)
+		return
 	}
-	return a.stamp < b.stamp
+	old := n.dlHeap[i].t
+	n.dlHeap[i].t = t
+	if t < old {
+		n.dlSiftUp(i)
+	} else {
+		n.dlSiftDown(i)
+	}
+}
+
+// dlRemove drops entity eid's deadline entry, if it has one.
+func (n *Net) dlRemove(eid int32) {
+	i := int(n.dlPos[eid])
+	if i < 0 {
+		return
+	}
+	n.dlPos[eid] = -1
+	last := len(n.dlHeap) - 1
+	if i == last {
+		n.dlHeap = n.dlHeap[:last]
+		return
+	}
+	moved := n.dlHeap[last]
+	n.dlHeap = n.dlHeap[:last]
+	n.dlHeap[i] = moved
+	n.dlPos[moved.eid] = int32(i)
+	if i > 0 && dlLess(moved, n.dlHeap[(i-1)/2]) {
+		n.dlSiftUp(i)
+	} else {
+		n.dlSiftDown(i)
+	}
+}
+
+func (n *Net) dlSiftUp(i int) {
+	h := n.dlHeap
+	k := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !dlLess(k, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		n.dlPos[h[i].eid] = int32(i)
+		i = p
+	}
+	h[i] = k
+	n.dlPos[k.eid] = int32(i)
 }
 
 func (n *Net) dlSiftDown(i int) {
 	h := n.dlHeap
+	k := h[i]
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
-			return
+			break
 		}
 		if r := c + 1; r < len(h) && dlLess(h[r], h[c]) {
 			c = r
 		}
-		if !dlLess(h[c], h[i]) {
-			return
+		if !dlLess(h[c], k) {
+			break
 		}
-		h[i], h[c] = h[c], h[i]
+		h[i] = h[c]
+		n.dlPos[h[i].eid] = int32(i)
 		i = c
 	}
+	h[i] = k
+	n.dlPos[k.eid] = int32(i)
 }

@@ -42,6 +42,10 @@ type oracleNet struct {
 	net   *flownet.Net
 	flows []oracleFlow
 	rng   *rand.Rand
+
+	// capLevels sums the rate-cap levels of the log after every check:
+	// the perturbed caps must keep the binding-cap path exercised.
+	capLevels int
 }
 
 func newOracleNet(t *testing.T, cl *platform.Cluster, seed int64) *oracleNet {
@@ -56,7 +60,8 @@ func newOracleNet(t *testing.T, cl *platform.Cluster, seed int64) *oracleNet {
 
 // addRandom starts one flow on a random (src, dst) route of the cluster,
 // occasionally with no rate cap or a perturbed one to vary the cap
-// ordering.
+// ordering. On the presets β' equals the narrowest link of the route, so
+// only the perturbed caps below 1× can bind.
 func (o *oracleNet) addRandom() {
 	src := o.rng.Intn(o.cl.P)
 	dst := o.rng.Intn(o.cl.P)
@@ -89,6 +94,7 @@ func (o *oracleNet) removeRandom() {
 func (o *oracleNet) check() {
 	o.t.Helper()
 	o.net.Solve()
+	o.capLevels += flownet.CapLevels(o.net)
 	flowLinks := make([][]int, len(o.flows))
 	flowCaps := make([]float64, len(o.flows))
 	for i, f := range o.flows {
@@ -115,6 +121,7 @@ func TestOracleFreshPopulations(t *testing.T) {
 	for _, cl := range oracleClusters() {
 		cl := cl
 		t.Run(cl.Name, func(t *testing.T) {
+			capLevels := 0
 			for p := 0; p < populations; p++ {
 				o := newOracleNet(t, cl, int64(1000*p+7))
 				nf := 1 + o.rng.Intn(300)
@@ -122,6 +129,10 @@ func TestOracleFreshPopulations(t *testing.T) {
 					o.addRandom()
 				}
 				o.check()
+				capLevels += o.capLevels
+			}
+			if capLevels == 0 {
+				t.Fatal("no solve logged a cap level: the binding-cap path went unexercised")
 			}
 		})
 	}
@@ -138,6 +149,7 @@ func TestOracleIncrementalSequences(t *testing.T) {
 	for _, cl := range oracleClusters() {
 		cl := cl
 		t.Run(cl.Name, func(t *testing.T) {
+			capLevels := 0
 			for s := 0; s < sequences; s++ {
 				o := newOracleNet(t, cl, int64(5000*s+13))
 				// Seed population.
@@ -161,6 +173,10 @@ func TestOracleIncrementalSequences(t *testing.T) {
 					}
 					o.check()
 				}
+				capLevels += o.capLevels
+			}
+			if capLevels == 0 {
+				t.Fatal("no solve logged a cap level: the binding-cap path went unexercised")
 			}
 		})
 	}

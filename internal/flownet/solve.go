@@ -38,10 +38,11 @@ type fixEntry struct {
 	gen uint32
 }
 
-// capKey is one pending-cap heap entry: a queued capped entity keyed by
-// (cap, entity id) — the candidate order progressive filling consumes
-// rate-cap events in. Entities refixed by link events before their cap
-// fires are skipped lazily (their fixedEp stamp marks them stale).
+// capKey is one pending-cap heap entry: a queued entity whose cap can
+// bind, keyed by (cap, entity id) — the candidate order progressive
+// filling consumes rate-cap events in. Entities refixed by link events
+// before their cap fires are skipped lazily (their fixedEp stamp marks
+// them stale).
 type capKey struct {
 	cap float64
 	eid int32
@@ -228,14 +229,18 @@ func (n *Net) LevelsInserted() int    { return n.levelsInserted }
 
 // queuePending moves a live non-exempt entity into the pending set: it
 // must be (re)fixed this solve, by a merge-walk event or by the fill.
-// Capped entities also enter the pending-cap heap.
+// Entities whose cap can bind also enter the pending-cap heap. A cap at or
+// above the capacity of the route's narrowest link l never fires: while
+// the entity is pending, l's fair share rem/wcnt is at most
+// caps[l]/weight, at most the cap, and a cap event must be strictly below
+// every link event.
 func (n *Net) queuePending(eid int32, e *entity) {
 	if n.solveEp[eid] == n.epoch {
 		return
 	}
 	n.solveEp[eid] = n.epoch
 	n.unfixedList = append(n.unfixedList, eid)
-	if e.cap > 0 {
+	if e.capBinds {
 		n.capHeap = append(n.capHeap, capKey{cap: e.cap, eid: eid})
 		n.capSiftUp(len(n.capHeap) - 1)
 	}
@@ -305,8 +310,8 @@ func (n *Net) capSiftDown(i int) {
 //  1. Unchecked (below cutLow): provably untouched by any change — below
 //     every changed entity's own fix (pendingCut), below every changed
 //     link's bottleneck level, and valued strictly below the level-0
-//     fair share of every changed link and the cap of every changed
-//     capped entity (shares only grow as filling progresses, so the
+//     fair share of every changed link and every binding cap of a
+//     changed entity (shares only grow as filling progresses, so the
 //     level-0 share is a lower bound on the pending event). Restored
 //     from the nearest checkpoint plus the stored link deltas of the
 //     levels in between.
@@ -336,7 +341,7 @@ func (n *Net) mergeReplay() int {
 	capPending := math.Inf(1)
 	for _, eid := range n.chEnts {
 		e := &n.ents[eid]
-		if e.weight == 0 || e.exempt || e.cap <= 0 {
+		if e.weight == 0 || e.exempt || !e.capBinds {
 			continue
 		}
 		if e.cap < capPending {
@@ -815,19 +820,15 @@ func (n *Net) fill() {
 			// Defensive no-progress path (mirrors the reference solver):
 			// freeze the remaining capped entities at their caps, anything
 			// left at 0, and drop the log — these events are not ordered
-			// levels a later replay could trust.
-			for {
-				eid, c := n.peekCap()
-				if eid < 0 {
-					break
-				}
-				n.applyFix(eid, c)
-			}
-			if n.unfixed > 0 {
-				for _, eid := range n.unfixedList {
-					if fixedEp[eid] != epoch {
-						n.applyFix(eid, 0)
+			// levels a later replay could trust. The caps are read off the
+			// entities, not the cap heap, which holds only binding caps.
+			for _, eid := range n.unfixedList {
+				if fixedEp[eid] != epoch {
+					r := 0.0
+					if c := n.ents[eid].cap; c > 0 {
+						r = c
 					}
+					n.applyFix(eid, r)
 				}
 			}
 			n.logOK = false
