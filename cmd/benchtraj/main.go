@@ -130,8 +130,11 @@ func run(family, file, benchtime, label, pattern string, smoke bool) error {
 		}
 	}
 
+	// The full sim family at 3x runs longer than go test's default
+	// 10-minute timeout on a 2-core box (the maxmin reference replays of
+	// the 400-task big layered DAGs take about a minute each).
 	out, err := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
-		"-benchtime", benchtime, "-benchmem", ".").CombinedOutput()
+		"-benchtime", benchtime, "-benchmem", "-timeout", "2h", ".").CombinedOutput()
 	if err != nil {
 		return fmt.Errorf("go test -bench failed: %w\n%s", err, out)
 	}
