@@ -386,18 +386,12 @@ func BenchmarkMap(b *testing.B) {
 				mapFn := al.mapFn
 				b.Run(fmt.Sprintf("%s/w=%.1f%s", cl.Name, width, al.suffix), func(b *testing.B) {
 					b.ReportAllocs()
-					var last *core.Schedule
 					for i := 0; i < b.N; i++ {
 						s := mapFn(g, costs, cl, a, opts)
 						if len(s.Order) != g.N() {
 							b.Fatal("incomplete schedule")
 						}
-						last = s
 					}
-					// Serial mapping is deterministic, so any iteration's
-					// counters represent the shape; benchtraj lifts this into
-					// the map_memo_hit_pct trajectory summary.
-					b.ReportMetric(last.Counters.MemoHitPct(), "memo-hit-pct")
 				})
 			}
 		}

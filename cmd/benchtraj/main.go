@@ -51,9 +51,7 @@ type Measurement struct {
 	AllocsOp  float64 `json:"allocs_op,omitempty"`
 	MallocsOp float64 `json:"mallocs_op,omitempty"`
 
-	// Engine counter rates (b.ReportMetric units of the map and sim
-	// families).
-	MemoHitPct    float64 `json:"memo_hit_pct,omitempty"`
+	// Engine counter rate (b.ReportMetric unit of the sim family).
 	ScratchSolves float64 `json:"scratch_solve_pct,omitempty"`
 }
 
@@ -70,7 +68,6 @@ type Entry struct {
 	SimAllocRatio map[string]float64 `json:"sim_allocs_ratio_geomean,omitempty"`
 	MapNs         map[string]float64 `json:"map_ns_geomean,omitempty"`
 	MapAllocs     map[string]float64 `json:"map_allocs_mean,omitempty"`
-	MapMemoHit    map[string]float64 `json:"map_memo_hit_pct,omitempty"`
 	SimScratch    map[string]float64 `json:"sim_scratch_solve_pct,omitempty"`
 	Benchmarks    []Measurement      `json:"benchmarks"`
 }
@@ -184,7 +181,6 @@ func run(family, file, benchtime, label, pattern string, smoke bool) error {
 	case "map":
 		entry.MapNs = mapGeomeans(ms, func(m Measurement) float64 { return m.NsPerOp })
 		entry.MapAllocs = mapMeans(ms, func(m Measurement) float64 { return m.AllocsOp })
-		entry.MapMemoHit = mapMeans(ms, func(m Measurement) float64 { return m.MemoHitPct })
 	}
 
 	if smoke {
@@ -238,8 +234,6 @@ func parseBenchOutput(out string) []Measurement {
 				m.AllocsOp = v
 			case "mallocs/op":
 				m.MallocsOp = v
-			case "memo-hit-pct":
-				m.MemoHitPct = v
 			case "scratch-solve-pct":
 				m.ScratchSolves = v
 			}

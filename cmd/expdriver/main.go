@@ -10,10 +10,10 @@
 // -counters switches to a diagnostics report instead of the paper
 // experiments: it runs the three naive-parameter algorithms over the
 // grelon, big512 and heterogeneous scenario classes and prints the
-// engine-level counter rates (estimator memo hit rate, candidate dedup
-// skip rate, replay scratch-solve rate, exact/greedy alignment solves) summed per
-// algorithm. The big classes are capped to a few scenarios — the point is
-// rate measurement, not the full comparison.
+// engine-level counter rates (candidate dedup skip rate, replay
+// scratch-solve rate, exact/greedy alignment solves) summed per
+// algorithm. The big classes are capped to a few scenarios — the point
+// is rate measurement, not the full comparison.
 //
 // -stride subsamples the 557 application configurations (stride 1 = the
 // full evaluation; stride 4 keeps every 4th configuration) to bound the
@@ -389,10 +389,9 @@ func emitCounters(runner *exp.Runner, stride int, outDir string) error {
 			for s := range results[a] {
 				sum.Add(&results[a][s].Counters)
 			}
-			fmt.Fprintf(w, "%-22s memo-hit %5.1f%% (%d/%d) | dedup-skip %5.1f%% (%d skipped) | "+
+			fmt.Fprintf(w, "%-22s dedup-skip %5.1f%% (%d skipped) | "+
 				"scratch-solve %5.1f%% (%d/%d) | align exact/greedy %d/%d\n",
 				spec.Name,
-				sum.MemoHitPct(), sum.MemoHits, sum.MemoProbes,
 				sum.DedupSkipPct(), sum.DedupSkips,
 				sum.ScratchSolvePct(), sum.SolvesScratch,
 				sum.SolvesFull+sum.SolvesIncremental+sum.SolvesScratch,

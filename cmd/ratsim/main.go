@@ -11,13 +11,12 @@
 // Every algorithm aligns receiver ranks exactly up to 32 receivers and
 // greedily above, and replays on the incremental flownet engine.
 //
-// -counters prints the run's engine counter rates per algorithm (estimator
-// memo hits, candidate dedup skips, replay solver regimes, and the levels
-// the replay's merge walks re-applied, recommitted and wrote fresh). With
-// -trace, a second Chrome trace file per algorithm
-// (<prefix>-<name>-sched.json) records the scheduler's own execution —
-// allocation grants, per-task placements and pipeline phases — next to
-// the simulated application timeline.
+// -counters prints the run's engine counter rates per algorithm (candidate
+// dedup skips, replay solver regimes, and the levels the replay's merge
+// walks re-applied, recommitted and wrote fresh). With -trace, a second
+// Chrome trace file per algorithm (<prefix>-<name>-sched.json) records
+// the scheduler's own execution — allocation grants, per-task placements
+// and pipeline phases — next to the simulated application timeline.
 //
 // Examples:
 //
@@ -149,8 +148,8 @@ func run(app string, n, k int, width, density, regularity float64, jump int, see
 			fmt.Printf("%-10s %s\n", "", res.Stats())
 			if counters {
 				c := res.Counters
-				fmt.Printf("%-10s counters memo-hit %.1f%% (%d/%d), dedup-skip %.1f%%, scratch-solve %.1f%% (%d/%d), align exact/greedy %d/%d, levels replayed/recommitted/inserted %d/%d/%d\n",
-					"", c.MemoHitPct(), c.MemoHits, c.MemoProbes, c.DedupSkipPct(),
+				fmt.Printf("%-10s counters dedup-skip %.1f%%, scratch-solve %.1f%% (%d/%d), align exact/greedy %d/%d, levels replayed/recommitted/inserted %d/%d/%d\n",
+					"", c.DedupSkipPct(),
 					c.ScratchSolvePct(), c.SolvesScratch, c.SolvesFull+c.SolvesIncremental+c.SolvesScratch,
 					c.AlignExact, c.AlignGreedy, c.LevelsReplayed, c.LevelsRecommitted, c.LevelsInserted)
 			}

@@ -7,8 +7,8 @@ import (
 )
 
 // MapContext owns the reusable state of the mapping engine for one
-// cluster: the cluster-sized availability bookkeeping, the estimator with
-// its redistribution memo, the alignment engine's scratch and the
+// cluster: the cluster-sized availability bookkeeping, the estimator's
+// block-walk scratch, the alignment engine's scratch and the
 // candidate-buffer pool. One-shot callers use Map, which builds a context
 // and discards it; a service scheduling a stream of DAGs holds a context
 // per cluster and calls its Map method, amortizing the ≈200–300
@@ -54,7 +54,6 @@ func (c *MapContext) Cluster() *platform.Cluster { return c.m.cl }
 func (c *MapContext) Map(g *dag.Graph, costs *moldable.Costs, alloc []int, opts Options) *Schedule {
 	m := &c.m
 	m.g, m.costs, m.opts = g, costs, opts
-	// The estimator memo is reset inside run.
 	m.alloc = append([]int(nil), alloc...)
 	sched := m.run()
 	// Drop every reference that escaped into the schedule (plus the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"repro/internal/platform"
 	"repro/internal/redist"
 )
@@ -13,11 +11,10 @@ import (
 // accounts for it — and that this is one reason the time-cost strategy
 // gets more accurate as clusters grow.
 //
-// The estimator keeps reusable scratch indexed by processor ID and a
-// per-edge memo, so RedistTime is allocation-free in steady state; an
-// Estimator is therefore NOT safe for concurrent use. Every mapping run
-// creates its own (Map does this), which is what keeps batch scheduling
-// race-free.
+// The estimator keeps reusable scratch indexed by processor ID, so
+// RedistTime is allocation-free in steady state; an Estimator is
+// therefore NOT safe for concurrent use. Every mapping run creates its
+// own (Map does this), which is what keeps batch scheduling race-free.
 type Estimator struct {
 	cl *platform.Cluster
 
@@ -53,33 +50,6 @@ type Estimator struct {
 	outBytes []float64 // bytes leaving each sender node
 	inBytes  []float64 // bytes entering each receiver node
 	setCnt   []int     // same-set fallback counters for P beyond the bitset range
-
-	// Memo for EdgeRedistTime, keyed by (edge ID, receiver rank order);
-	// valid for one mapping run (sender sets are fixed once mapped). The
-	// keys live in one shared arena with a chained hash index on top:
-	// a map[string]float64 would copy every distinct key into its own
-	// allocation on insert, which used to be a measurable slice of the
-	// mapping loop's allocation volume. The hash only buckets — equality
-	// is always decided on the full key bytes, so collisions cannot change
-	// an estimate.
-	memoIdx  map[uint64]int32
-	memoEnts []memoEntry
-	memoKeys []byte
-	keyBuf   []byte
-
-	// Memo effectiveness counters (plain stores; each estimator belongs
-	// to one mapping context). The mapper merges them into the schedule's
-	// obs.Counters snapshot at the end of a run.
-	memoProbes uint64
-	memoHits   uint64
-}
-
-// memoEntry is one memoized estimate: its key bytes in the arena, the
-// estimate, and the next entry of the same hash bucket (-1 ends the chain).
-type memoEntry struct {
-	keyOff, keyLen int32
-	next           int32
-	val            float64
 }
 
 // NewEstimator returns an estimator for the given cluster.
@@ -171,20 +141,6 @@ func (e *Estimator) hetFigures(src, dst int) (bw, lat float64) {
 		}
 	}
 	return bw, lat
-}
-
-// Reset discards the per-run EdgeRedistTime memo while keeping every
-// backing allocation (the hash buckets, entry slab, key arena and the
-// per-processor scratch), readying the estimator for the next mapping run.
-// The memo is keyed by (edge ID, receiver rank order), which only
-// determines the estimate within a single run — sender sets change from
-// graph to graph — so a pooled context must call Reset between runs.
-func (e *Estimator) Reset() {
-	clear(e.memoIdx)
-	e.memoEnts = e.memoEnts[:0]
-	e.memoKeys = e.memoKeys[:0]
-	e.memoProbes = 0
-	e.memoHits = 0
 }
 
 func (e *Estimator) ensureScratch() {
@@ -302,52 +258,6 @@ func (e *Estimator) RedistTime(bytes float64, senders, receivers []int) float64 
 		return 0 // everything was local after all
 	}
 	return t + maxLat
-}
-
-// EdgeRedistTime is RedistTime memoized by (edge, receiver rank order).
-// Within one mapping run an edge's sender set is fixed once its source
-// task is mapped, so the pair fully determines the estimate; candidate
-// placements that revisit a receiver set (baseline re-evaluations, the
-// delta EFT guard, time-cost packing) hit the memo instead of re-walking
-// the block matrix. Do not reuse one Estimator across mapping runs.
-func (e *Estimator) EdgeRedistTime(edge int, bytes float64, senders, receivers []int) float64 {
-	if e.memoIdx == nil {
-		// Capacity hints sized for a typical mapping run (a few hundred
-		// distinct (edge, receiver-order) pairs) keep growth re-allocations
-		// to a handful per run.
-		e.memoIdx = make(map[uint64]int32, 256)
-		e.memoEnts = make([]memoEntry, 0, 256)
-		e.memoKeys = make([]byte, 0, 4096)
-	}
-	key := binary.AppendUvarint(e.keyBuf[:0], uint64(edge))
-	for _, r := range receivers {
-		key = binary.AppendUvarint(key, uint64(r))
-	}
-	e.keyBuf = key
-	// FNV-1a over the key bytes buckets the chains; stored keys decide.
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	e.memoProbes++
-	head, ok := e.memoIdx[h]
-	if ok {
-		for i := head; i >= 0; i = e.memoEnts[i].next {
-			ent := &e.memoEnts[i]
-			if string(e.memoKeys[ent.keyOff:ent.keyOff+ent.keyLen]) == string(key) {
-				e.memoHits++
-				return ent.val
-			}
-		}
-	} else {
-		head = -1
-	}
-	v := e.RedistTime(bytes, senders, receivers)
-	off := int32(len(e.memoKeys))
-	e.memoKeys = append(e.memoKeys, key...)
-	e.memoEnts = append(e.memoEnts, memoEntry{keyOff: off, keyLen: int32(len(key)), next: head, val: v})
-	e.memoIdx[h] = int32(len(e.memoEnts) - 1)
-	return v
 }
 
 // EdgeTimeSimple is the coarse per-edge communication estimate used inside

@@ -73,6 +73,11 @@ func TestRedistTimeMatchesOracle(t *testing.T) {
 		platform.Grillon(), // flat
 		platform.Grelon(),  // hierarchical, 24-node cabinets
 		platform.Big512(),  // hierarchical, 32-node cabinets
+		// Flat custom cluster past the stack-bitset range: the estimator's
+		// same-set check takes its counting fallback.
+		{Name: "flat1100", P: redist.BitsetMaxP + 76, SpeedGFlops: 3,
+			LinkLatency: platform.GigabitLatency, LinkBandwidth: platform.GigabitBandwidth,
+			WMax: platform.DefaultWMax},
 	}
 	for _, cl := range clusters {
 		cl := cl
@@ -123,33 +128,6 @@ func TestRedistTimeMatchesOracle(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestEdgeRedistTimeMemo checks the per-edge memo: repeated evaluations of
-// the same (edge, receiver order) return the identical estimate, and
-// different edges or receiver orders do not collide.
-func TestEdgeRedistTimeMemo(t *testing.T) {
-	cl := platform.Grelon()
-	est := NewEstimator(cl)
-	senders := []int{0, 1, 2, 3}
-	recvA := []int{2, 3, 4, 5}
-	recvB := []int{5, 4, 3, 2} // same set, different rank order
-	a1 := est.EdgeRedistTime(7, 1e9, senders, recvA)
-	b1 := est.EdgeRedistTime(7, 1e9, senders, recvB)
-	a2 := est.EdgeRedistTime(7, 1e9, senders, recvA)
-	if a1 != a2 {
-		t.Errorf("memoized estimate changed: %g vs %g", a1, a2)
-	}
-	if a1 != est.RedistTime(1e9, senders, recvA) {
-		t.Errorf("memo diverges from direct estimate")
-	}
-	if b1 != est.RedistTime(1e9, senders, recvB) {
-		t.Errorf("memo collided across receiver orders: %g", b1)
-	}
-	// Different edge, same receivers: distinct key, same value.
-	if got := est.EdgeRedistTime(8, 1e9, senders, recvA); got != a1 {
-		t.Errorf("edge 8 estimate %g, want %g", got, a1)
 	}
 }
 

@@ -185,10 +185,9 @@ type mapper struct {
 	sortKey  []float64
 	sorter   readySorter
 
-	// Candidate-evaluation scratch: the estimator (redistribution memo +
-	// block-walk scratch, reset at the start of every run), the
-	// receiver-rank alignment scratch, and the pool of discarded candidate
-	// processor-set buffers.
+	// Candidate-evaluation scratch: the estimator (block-walk scratch,
+	// left zeroed by every call), the receiver-rank alignment scratch,
+	// and the pool of discarded candidate processor-set buffers.
 	est          *Estimator
 	alignScratch redist.AlignScratch
 	bufPool      [][]int
@@ -211,9 +210,6 @@ type mapper struct {
 }
 
 func (m *mapper) run() *Schedule {
-	// The estimator memo is keyed per run (sender sets change from graph
-	// to graph), so it is dropped along with the run's counters.
-	m.est.Reset()
 	m.alignScratch.ResetCounters()
 	m.nEval, m.nDedup = 0, 0
 	n := m.g.N()
@@ -313,12 +309,10 @@ func (m *mapper) run() *Schedule {
 	return sched
 }
 
-// snapshotCounters copies the run's counters — estimator memo, evaluation
-// counts, alignment solves — into c, once per mapping run after the last
+// snapshotCounters copies the run's counters — evaluation counts,
+// alignment solves — into c, once per mapping run after the last
 // wave.
 func (m *mapper) snapshotCounters(c *obs.Counters) {
-	c.MemoProbes = m.est.memoProbes
-	c.MemoHits = m.est.memoHits
 	c.CandEvals = uint64(m.nEval)
 	c.AlignExact = m.alignScratch.NExact
 	c.AlignGreedy = m.alignScratch.NGreedy
@@ -592,9 +586,7 @@ func (m *mapper) evalOn(t int, procs []int) placement {
 		pred := m.g.Edges[e].From
 		rt := 0.0
 		if !m.g.Tasks[pred].Virtual {
-			// Memoized: the sender set is fixed once pred is mapped, and candidate evaluations revisit the same receiver
-			// sets.
-			rt = m.est.EdgeRedistTime(e, m.g.Edges[e].Bytes, m.procs[pred], procs)
+			rt = m.est.RedistTime(m.g.Edges[e].Bytes, m.procs[pred], procs)
 		}
 		if v := m.finish[pred] + rt; v > est {
 			est = v

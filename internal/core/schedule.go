@@ -51,8 +51,8 @@ type Schedule struct {
 	// TotalWork is Σ alloc(t)·T(t, alloc(t)) over real tasks — the resource
 	// consumption metric of Figures 3 and 7.
 	TotalWork float64
-	// Counters is the mapping run's observability snapshot (estimator
-	// memo effectiveness, candidate evaluations, alignment solves). Pure
+	// Counters is the mapping run's observability snapshot (candidate
+	// evaluations, dedup skips, alignment solves). Pure
 	// diagnostics: two schedules are equal when the fields above are
 	// equal, whatever the counters say.
 	Counters obs.Counters

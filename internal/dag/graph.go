@@ -300,18 +300,3 @@ func (g *Graph) RealTaskCount() int {
 	}
 	return n
 }
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		Tasks: append([]Task(nil), g.Tasks...),
-		Edges: append([]Edge(nil), g.Edges...),
-		out:   make([][]int, len(g.out)),
-		in:    make([][]int, len(g.in)),
-	}
-	for i := range g.out {
-		c.out[i] = append([]int(nil), g.out[i]...)
-		c.in[i] = append([]int(nil), g.in[i]...)
-	}
-	return c // topo memo intentionally not copied; recomputed on demand
-}

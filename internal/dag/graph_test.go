@@ -221,16 +221,6 @@ func TestTopLevels(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := diamond()
-	c := g.Clone()
-	c.AddTask(Task{Name: "extra"})
-	c.AddEdge(3, 4, 1)
-	if g.N() != 4 || len(g.Edges) != 4 {
-		t.Error("mutating clone affected original")
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	g := diamond()
 	data, err := json.Marshal(g)

@@ -65,7 +65,6 @@ func (m Model) Work(p int) float64 {
 type Costs struct {
 	models []Model
 	ops    []float64 // raw per-task op counts, for re-basing to another speed
-	speed  float64   // construction speed, GFlop/s
 }
 
 // NewCosts builds the cost oracle for graph g on processors running at
@@ -75,7 +74,6 @@ func NewCosts(g *dag.Graph, speedGFlops float64) *Costs {
 	c := &Costs{
 		models: make([]Model, g.N()),
 		ops:    make([]float64, g.N()),
-		speed:  speedGFlops,
 	}
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
@@ -90,9 +88,6 @@ func NewCosts(g *dag.Graph, speedGFlops float64) *Costs {
 	}
 	return c
 }
-
-// Speed returns the speed in GFlop/s the oracle was constructed at.
-func (c *Costs) Speed() float64 { return c.speed }
 
 // ModelOn returns the task's Amdahl model re-based to another node speed.
 // At the construction speed it reproduces Model(task) bit-exactly.

@@ -4,10 +4,10 @@
 //
 // The design constraint is zero overhead on the scheduling hot paths.
 // Counters are plain uint64 fields owned by each engine context — the
-// estimator memo, the mapper, the allocation refinement loop, the
-// flownet solver, the replay engine — incremented with ordinary stores (no
-// atomics: every owner is single-writer by construction) and merged into
-// one Counters value at each run's deterministic reduce points. The tracer
+// mapper, the allocation refinement loop, the flownet solver, the replay
+// engine — incremented with ordinary stores (no atomics: every owner is
+// single-writer by construction) and merged into one Counters value at
+// each run's deterministic reduce points. The tracer
 // is opt-in and nil-safe: every record call on a nil *Tracer is an inlined
 // no-op, so disabled tracing costs one pointer test per span site and
 // allocates nothing.
@@ -35,13 +35,10 @@ type Counters struct {
 	HeapSifts     uint64 `json:"heap_sifts"`
 	BulkHeapifies uint64 `json:"bulk_heapifies"`
 
-	// Mapping (internal/core): estimator memo probes and hits
-	// (EdgeRedistTime), candidate placements evaluated, evaluations
+	// Mapping (internal/core): candidate placements evaluated, evaluations
 	// skipped by the baseline-versus-reference dedup, and the receiver
 	// rank-alignment solves — exact Hungarian up to redist.AlignExactCap
 	// receivers, greedy above it.
-	MemoProbes  uint64 `json:"memo_probes"`
-	MemoHits    uint64 `json:"memo_hits"`
 	CandEvals   uint64 `json:"cand_evals"`
 	DedupSkips  uint64 `json:"dedup_skips"`
 	AlignExact  uint64 `json:"align_exact"`
@@ -98,9 +95,6 @@ func ratio(num, den uint64) float64 {
 	}
 	return 100 * float64(num) / float64(den)
 }
-
-// MemoHitPct returns the estimator memo hit rate in percent.
-func (c *Counters) MemoHitPct() float64 { return ratio(c.MemoHits, c.MemoProbes) }
 
 // DedupSkipPct returns the share of baseline candidate walks skipped by
 // the dedup, relative to all evaluation opportunities (evals + skips).

@@ -10,10 +10,10 @@ import (
 )
 
 func TestCountersAddEach(t *testing.T) {
-	a := Counters{MemoProbes: 10, MemoHits: 4, SolvesScratch: 3}
-	b := Counters{MemoProbes: 5, MemoHits: 1, CandEvals: 7}
+	a := Counters{CandEvals: 10, DedupSkips: 4, SolvesScratch: 3}
+	b := Counters{CandEvals: 5, DedupSkips: 1, AlignExact: 7}
 	a.Add(&b)
-	if a.MemoProbes != 15 || a.MemoHits != 5 || a.CandEvals != 7 || a.SolvesScratch != 3 {
+	if a.CandEvals != 15 || a.DedupSkips != 5 || a.AlignExact != 7 || a.SolvesScratch != 3 {
 		t.Fatalf("Add: got %+v", a)
 	}
 
@@ -45,12 +45,8 @@ func TestCountersAddEach(t *testing.T) {
 
 func TestCountersRates(t *testing.T) {
 	c := Counters{
-		MemoProbes: 200, MemoHits: 50,
 		CandEvals: 30, DedupSkips: 10,
 		SolvesFull: 1, SolvesIncremental: 3, SolvesScratch: 12,
-	}
-	if got := c.MemoHitPct(); got != 25 {
-		t.Errorf("MemoHitPct = %v, want 25", got)
 	}
 	if got := c.DedupSkipPct(); got != 25 {
 		t.Errorf("DedupSkipPct = %v, want 25", got)
@@ -59,7 +55,7 @@ func TestCountersRates(t *testing.T) {
 		t.Errorf("ScratchSolvePct = %v, want 75", got)
 	}
 	var zero Counters
-	if zero.MemoHitPct() != 0 || zero.ScratchSolvePct() != 0 {
+	if zero.DedupSkipPct() != 0 || zero.ScratchSolvePct() != 0 {
 		t.Errorf("zero counters must report 0%% rates, not NaN")
 	}
 }

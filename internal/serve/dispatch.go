@@ -21,9 +21,10 @@ var ErrOverloaded = errors.New("serve: queue full")
 var ErrDraining = errors.New("serve: draining")
 
 // job is one accepted scheduling request on its way through the
-// dispatcher. Every job Do accepts is run exactly once and its result
-// returned — including during drain and when the pipeline panics — which
-// is the invariant the graceful-shutdown guarantee rests on.
+// dispatcher. Every job Do accepts is answered exactly once — run, or
+// timed out if its context ends while it waits — including during drain
+// and when the pipeline panics, which is the invariant the
+// graceful-shutdown guarantee rests on.
 type job struct {
 	spec *requestSpec
 	dag  *rats.DAG
@@ -69,7 +70,8 @@ func newDispatcher(maxQueue, workers int, run func(*job) jobResult) *dispatcher 
 // returns ErrDraining after Drain has begun and ErrOverloaded when
 // maxQueue jobs are already unfinished; otherwise it calls admitted, if
 // not nil, as soon as j is accepted, and j is run even if Drain begins
-// while it waits.
+// while it waits. A job whose context ends while it waits leaves the
+// queue without taking a slot and is answered with a timeout.
 func (d *dispatcher) Do(j *job, admitted func()) (jobResult, error) {
 	d.mu.Lock()
 	if d.draining {
@@ -95,10 +97,43 @@ func (d *dispatcher) Do(j *job, admitted func()) (jobResult, error) {
 		admitted()
 	}
 	if turn != nil {
-		<-turn
+		select {
+		case <-turn:
+		case <-j.ctx.Done():
+			if d.leave(turn) {
+				return timedOut(j), nil
+			}
+			// release handed this job the slot first: run it as usual
+			// (runJob answers an expired job at once) so the slot passes on.
+			<-turn
+		}
 	}
 	defer d.release()
 	return d.runIsolated(j), nil
+}
+
+// leave takes a waiting job's turn out of the queue and reports whether
+// it was still there; false means release has already handed it the slot.
+func (d *dispatcher) leave(turn chan struct{}) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, w := range d.waiting {
+		if w == turn {
+			d.waiting = append(d.waiting[:i], d.waiting[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// timedOut answers a job whose context ended before it ran.
+func timedOut(j *job) jobResult {
+	m := j.m
+	m.QueueWaitMs = ms(time.Since(j.enq))
+	m.TotalMs = m.QueueWaitMs
+	m.Status = statusTimeout
+	m.Error = fmt.Sprintf("deadline passed before execution: %v", j.ctx.Err())
+	return jobResult{metrics: m}
 }
 
 // release hands a finished job's slot to the oldest waiting job, or frees
@@ -122,7 +157,7 @@ func (d *dispatcher) Queued() int {
 	return d.running + len(d.waiting)
 }
 
-// Drain stops intake and blocks until every accepted job has been run.
+// Drain stops intake and blocks until every accepted job has been answered.
 // Call it once, from the shutdown path.
 func (d *dispatcher) Drain() {
 	d.mu.Lock()

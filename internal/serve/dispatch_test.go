@@ -241,3 +241,135 @@ func TestDispatcherDrainAnswersEveryAcceptedJob(t *testing.T) {
 		t.Fatalf("post-drain job: got %v, want ErrDraining", err)
 	}
 }
+
+// expiringRun answers like runJob: a job whose context has ended by the
+// time it gets a slot is answered with a timeout instead of being run.
+func expiringRun(j *job) jobResult {
+	if j.ctx.Err() != nil {
+		return timedOut(j)
+	}
+	return okRun(j)
+}
+
+// TestDispatcherWaiterLeavesAtDeadline: a queued job whose context ends
+// is answered with a timeout while the slot is still held, never runs,
+// and gives up its place without taking the slot — the job behind it
+// runs next.
+func TestDispatcherWaiterLeavesAtDeadline(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	var ran [3]atomic.Int64
+	d := newDispatcher(16, 1, func(j *job) jobResult {
+		ran[j.m.ID].Add(1)
+		if j.m.ID == 0 {
+			close(held)
+			<-release
+		}
+		return expiringRun(j)
+	})
+	defer d.Drain()
+
+	first := submit(d, testJob(0), nil)
+	<-held
+	ctx, cancel := context.WithCancel(context.Background())
+	leaving := testJob(1)
+	leaving.ctx = ctx
+	second := submit(d, leaving, nil)
+	waitQueued(t, d, 2)
+	third := submit(d, testJob(2), nil)
+	waitQueued(t, d, 3)
+
+	cancel()
+	if jr := answered(t, second); jr.metrics.Status != statusTimeout {
+		t.Fatalf("cancelled waiter answered %+v, want %d", jr.metrics, statusTimeout)
+	}
+	waitQueued(t, d, 2) // the held job and the one behind the leaver
+	close(release)
+	answered(t, first)
+	if jr := answered(t, third); jr.metrics.Status != statusOK {
+		t.Fatalf("job behind the leaver answered %+v", jr.metrics)
+	}
+	if n := ran[1].Load(); n != 0 {
+		t.Fatalf("cancelled waiter ran %d times, want 0", n)
+	}
+	if got := d.Queued(); got != 0 {
+		t.Fatalf("Queued() = %d after every job was answered, want 0", got)
+	}
+}
+
+// TestDispatcherCancelRacesRelease cancels waiters while finishing jobs
+// hand their slots on (run it with -race): every accepted job is
+// answered exactly once and run at most once, no more than workers jobs
+// ever run at once, and the queue empties.
+func TestDispatcherCancelRacesRelease(t *testing.T) {
+	const workers, jobs = 2, 200
+	var active, peak atomic.Int64
+	var runs [jobs]atomic.Int64
+	d := newDispatcher(jobs, workers, func(j *job) jobResult {
+		runs[j.m.ID].Add(1)
+		n := active.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(20 * time.Microsecond)
+		active.Add(-1)
+		return expiringRun(j)
+	})
+
+	var answers [jobs]atomic.Int64
+	var admitted, timedOutN atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		j := testJob(uint64(i))
+		j.ctx = ctx
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			jr, err := d.Do(j, func() { admitted.Add(1) })
+			if err != nil {
+				t.Errorf("job %d refused: %v", j.m.ID, err)
+				return
+			}
+			answers[jr.metrics.ID].Add(1)
+			if jr.metrics.Status == statusTimeout {
+				timedOutN.Add(1)
+			}
+		}()
+		go func(i int) {
+			defer wg.Done()
+			if i%3 != 0 {
+				// Cancel two jobs in three at staggered moments, some
+				// while queued, some as their turn arrives.
+				time.Sleep(time.Duration(i%7) * 50 * time.Microsecond)
+				cancel()
+			}
+		}(i)
+		defer cancel()
+	}
+	wg.Wait()
+
+	if got := admitted.Load(); got != jobs {
+		t.Fatalf("%d jobs admitted, want %d", got, jobs)
+	}
+	for i := range answers {
+		if n := answers[i].Load(); n != 1 {
+			t.Errorf("job %d answered %d times, want 1", i, n)
+		}
+		if n := runs[i].Load(); n > 1 {
+			t.Errorf("job %d ran %d times", i, n)
+		}
+	}
+	if p := peak.Load(); p > workers {
+		t.Fatalf("%d jobs ran at once, want at most %d", p, workers)
+	}
+	if timedOutN.Load() == 0 {
+		t.Fatal("no job was cancelled while queued; race never exercised")
+	}
+	if got := d.Queued(); got != 0 {
+		t.Fatalf("Queued() = %d after every job was answered, want 0", got)
+	}
+	// The slots were all handed back: a new job runs at once.
+	if jr := answered(t, submit(d, testJob(0), nil)); jr.metrics.Status != statusOK {
+		t.Fatalf("job after the storm answered %+v", jr.metrics)
+	}
+	d.Drain()
+}

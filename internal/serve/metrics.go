@@ -34,8 +34,8 @@ type RequestMetrics struct {
 	Error  string `json:"error,omitempty"`
 
 	// Counters carries the run's engine-level observability snapshot
-	// (rats.Result.Counters): memo hit rates, solver regimes, alignment
-	// modes — per request, so offline analysis can correlate engine
+	// (rats.Result.Counters): candidate evaluations, solver regimes,
+	// alignment modes — per request, so offline analysis can correlate engine
 	// behavior with latency.
 	Counters obs.Counters `json:"counters"`
 }
@@ -194,8 +194,8 @@ type Snapshot struct {
 	QueueWaitP99Ms     float64 `json:"queue_wait_p99_ms"`
 
 	// Engine sums the engine-level counters over every recorded request:
-	// the service-lifetime view of memo effectiveness, solver regimes and
-	// alignment decisions.
+	// the service-lifetime view of candidate evaluations, solver regimes
+	// and alignment decisions.
 	Engine obs.Counters `json:"engine"`
 
 	Recent []RequestMetrics `json:"recent"`

@@ -86,7 +86,7 @@ func TestWritePrometheusLints(t *testing.T) {
 	c.Panicked()
 	c.Record(RequestMetrics{
 		Status: statusOK, TotalMs: 12.5, QueueWaitMs: 0.4,
-		Counters: obs.Counters{MemoProbes: 100, MemoHits: 60, SolvesScratch: 7},
+		Counters: obs.Counters{CandEvals: 100, DedupSkips: 60, SolvesScratch: 7},
 	})
 	c.Record(RequestMetrics{Status: 422, TotalMs: 0.2, Error: "bad dag"})
 
@@ -102,8 +102,8 @@ func TestWritePrometheusLints(t *testing.T) {
 		"rats_requests_completed_total 1",
 		"rats_requests_failed_total 1",
 		"rats_requests_panicked_total 1",
-		"rats_engine_memo_probes_total 100",
-		"rats_engine_memo_hits_total 60",
+		"rats_engine_cand_evals_total 100",
+		"rats_engine_dedup_skips_total 60",
 		"rats_engine_solves_scratch_total 7",
 		"rats_request_seconds_bucket{le=\"+Inf\"} 2",
 		"rats_request_seconds_count 2",
@@ -120,9 +120,9 @@ func TestWritePrometheusLints(t *testing.T) {
 func TestCollectorAccumulatesEngineCounters(t *testing.T) {
 	c := NewCollector()
 	c.Record(RequestMetrics{Status: statusOK, Counters: obs.Counters{CandEvals: 10}})
-	c.Record(RequestMetrics{Status: statusOK, Counters: obs.Counters{CandEvals: 5, MemoHits: 3}})
+	c.Record(RequestMetrics{Status: statusOK, Counters: obs.Counters{CandEvals: 5, DedupSkips: 3}})
 	snap := c.Snapshot()
-	if snap.Engine.CandEvals != 15 || snap.Engine.MemoHits != 3 {
-		t.Fatalf("Engine = %+v, want cand_evals 15, memo_hits 3", snap.Engine)
+	if snap.Engine.CandEvals != 15 || snap.Engine.DedupSkips != 3 {
+		t.Fatalf("Engine = %+v, want cand_evals 15, dedup_skips 3", snap.Engine)
 	}
 }

@@ -423,6 +423,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // makes a Scheduler cheap to build; the context is what repeat requests
 // reuse.
 func (s *Server) runJob(j *job) jobResult {
+	if j.ctx.Err() != nil {
+		// The deadline passed while the job sat in the queue: don't
+		// burn scheduler time on an answer nobody is waiting for.
+		return timedOut(j)
+	}
 	m := &j.m
 	m.QueueWaitMs = ms(time.Since(j.enq))
 	answer := func(res *rats.Result, status int, err error) jobResult {
@@ -432,11 +437,6 @@ func (s *Server) runJob(j *job) jobResult {
 		}
 		m.TotalMs = ms(time.Since(j.enq))
 		return jobResult{result: res, metrics: *m}
-	}
-	if err := j.ctx.Err(); err != nil {
-		// The deadline passed while the job sat in the queue: don't
-		// burn scheduler time on an answer nobody is waiting for.
-		return answer(nil, statusTimeout, fmt.Errorf("deadline passed before execution: %w", err))
 	}
 	cctx, err := s.pool.get(j.spec.clusterKey, j.spec.cluster)
 	if err != nil {

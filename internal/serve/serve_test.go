@@ -275,7 +275,8 @@ func TestServeSheddingReturns429(t *testing.T) {
 
 // TestServeDeadlineExpiresInQueue: a request whose deadline passes while
 // it waits behind a request holding the only executor slot must come
-// back 504 without being scheduled.
+// back 504 at its deadline, without being scheduled and without waiting
+// for the slot.
 func TestServeDeadlineExpiresInQueue(t *testing.T) {
 	held, release := make(chan struct{}), make(chan struct{})
 	s, ts := newHookedServer(t, ServerConfig{Workers: 1}, func(j *job, run func(*job) jobResult) jobResult {
@@ -312,16 +313,20 @@ func TestServeDeadlineExpiresInQueue(t *testing.T) {
 	go post(held1, first)
 	<-held
 	go post(expiring, second)
-	for s.dispatcher.Queued() < 2 {
-		time.Sleep(100 * time.Microsecond)
+	var r reply
+	select {
+	case r = <-second:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("expired request still waits for the held slot")
 	}
-	time.Sleep(10 * time.Millisecond) // well past request 2's deadline
+	if q := s.dispatcher.Queued(); q != 1 {
+		t.Errorf("Queued() = %d after the expired request left, want 1 (the held request)", q)
+	}
 	close(release)
-
 	if r := <-first; r.status != http.StatusOK {
 		t.Fatalf("held request: HTTP %d (%s), want 200", r.status, r.sr.Error)
 	}
-	r := <-second
 	sr := r.sr
 	if r.status != http.StatusGatewayTimeout {
 		t.Fatalf("HTTP %d (%s), want 504", r.status, sr.Error)

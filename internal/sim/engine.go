@@ -224,9 +224,6 @@ func (b *flowBatch) run() {
 	e.batchPool = append(e.batchPool, b)
 }
 
-// ActiveFlows returns the number of in-flight fluid flows (post-latency).
-func (e *Engine) ActiveFlows() int { return e.pool.count() }
-
 // Counters snapshots the engine's replay counters: flow-batch sizes plus
 // the rate solver's regime counts (the flownet pool reports full /
 // incremental / scratch solves and level-log events; the reference

@@ -130,18 +130,6 @@ func TestParkingLotCompletionTimes(t *testing.T) {
 	}
 }
 
-func TestEngineReportsActiveFlows(t *testing.T) {
-	e := New([]float64{1})
-	e.StartFlow([]int{0}, 0, 0, 10, nil)
-	if e.ActiveFlows() != 0 {
-		t.Error("flow should not be active before Run (latency phase)")
-	}
-	e.Run()
-	if e.ActiveFlows() != 0 {
-		t.Error("flows should drain by the end of Run")
-	}
-}
-
 func TestRecomputeReleasesScratchReferences(t *testing.T) {
 	// Start many concurrent flows, then let the population shrink to zero:
 	// the rate-recomputation scratch of the reference pool must not keep

@@ -9,8 +9,8 @@ import (
 )
 
 // Context is a reusable scheduler context: it owns the mapping engine's
-// cluster-sized scratch, the redistribution estimator with its memo and
-// the receiver-alignment engine for one cluster, so a stream of Schedule
+// cluster-sized scratch, the redistribution estimator's scratch and the
+// receiver-alignment engine for one cluster, so a stream of Schedule
 // calls amortizes the per-run setup a fresh scheduler pays. Contexts are
 // the unit a scheduling service pools.
 //

@@ -5,11 +5,11 @@ import (
 )
 
 // Counters is the engine-level observability snapshot of one scheduling
-// run: estimator memo effectiveness, candidate evaluation and dedup
-// counts, receiver-alignment solve modes, allocation refinement activity,
-// and the replay's flow-batch and rate-solver regime counts. It is an
-// alias for the internal obs.Counters, so the service layer and the
-// public API share one type (and one wire shape).
+// run: candidate evaluation and dedup counts, receiver-alignment solve
+// modes, allocation refinement activity, and the replay's flow-batch and
+// rate-solver regime counts. It is an alias for the internal obs.Counters,
+// so the service layer and the public API share one type (and one wire
+// shape).
 type Counters = obs.Counters
 
 // Tracer is the scheduler self-tracer: a fixed-capacity span ring
