@@ -24,6 +24,15 @@ func New(seed int64) *Source {
 	return &Source{rng: rand.New(rand.NewSource(seed))}
 }
 
+// NewFromString returns a Source seeded from the FNV-1a hash of s.
+// It is used to derive independent, stable seeds from scenario names such
+// as "layered/n=50/width=0.5/density=0.2/regularity=0.8/sample=1".
+func NewFromString(s string) *Source {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(s))
+	return New(int64(h.Sum64()))
+}
+
 // SeedFromString derives a stable int64 seed from a string.
 func SeedFromString(s string) int64 {
 	h := fnv.New64a()
@@ -34,6 +43,14 @@ func SeedFromString(s string) int64 {
 // Uniform returns a float64 uniformly distributed in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.rng.Float64()
+}
+
+// UniformInt returns an int uniformly distributed in [lo, hi] (inclusive).
+func (s *Source) UniformInt(lo, hi int) int {
+	if hi <= lo {
+		return lo
+	}
+	return lo + s.rng.Intn(hi-lo+1)
 }
 
 // Float64 returns a float64 in [0, 1).

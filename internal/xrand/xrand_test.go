@@ -25,12 +25,17 @@ func TestDeterministicBySeed(t *testing.T) {
 	}
 }
 
-func TestSeedFromStringStable(t *testing.T) {
+func TestNewFromStringStable(t *testing.T) {
 	if SeedFromString("layered/n=50") != SeedFromString("layered/n=50") {
 		t.Error("string seeds must be stable")
 	}
 	if SeedFromString("a") == SeedFromString("b") {
 		t.Error("different strings should hash differently")
+	}
+	a := NewFromString("scenario-x")
+	b := NewFromString("scenario-x")
+	if a.Intn(1000) != b.Intn(1000) {
+		t.Error("NewFromString must be deterministic")
 	}
 }
 
@@ -49,6 +54,34 @@ func TestPropertyUniformInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestPropertyUniformIntInclusive(t *testing.T) {
+	f := func(seed int64, loRaw int8, spanRaw uint8) bool {
+		lo := int(loRaw)
+		hi := lo + int(spanRaw)
+		s := New(seed)
+		for i := 0; i < 20; i++ {
+			v := s.UniformInt(lo, hi)
+			if v < lo || v > hi {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestUniformIntDegenerate(t *testing.T) {
+	s := New(1)
+	if got := s.UniformInt(5, 5); got != 5 {
+		t.Errorf("UniformInt(5,5) = %d", got)
+	}
+	if got := s.UniformInt(5, 3); got != 5 {
+		t.Errorf("UniformInt(5,3) should clamp to lo, got %d", got)
 	}
 }
 
