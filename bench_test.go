@@ -17,8 +17,10 @@ import (
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/moldable"
+	"repro/internal/oracle"
 	"repro/internal/platform"
 	"repro/internal/redist"
+	"repro/internal/sim"
 	"repro/internal/simdag"
 )
 
@@ -321,7 +323,7 @@ func BenchmarkRedistTime(b *testing.B) {
 // algorithm) over cluster size × DAG width — the two axes that drive the
 // number of refinement grants and the size of the level-repair cones. The
 // incremental engine (alloc.Compute) and the preserved full-rewalk oracle
-// (alloc.ComputeReference) run on identical inputs, so the per-pair ratio
+// (oracle.ComputeAlloc) run on identical inputs, so the per-pair ratio
 // is the engine's speedup; cmd/benchtraj tracks it across PRs in
 // BENCH_alloc.json. Both sides are asserted byte-identical here too —
 // a diverging "speedup" would be a scheduling change, not an optimization.
@@ -339,7 +341,7 @@ func BenchmarkAlloc(b *testing.B) {
 					run  func() []int
 				}{
 					{"incremental", func() []int { return alloc.Compute(g, costs, cl, opts) }},
-					{"reference", func() []int { return alloc.ComputeReference(g, costs, cl, opts) }},
+					{"reference", func() []int { return oracle.ComputeAlloc(g, costs, cl, opts) }},
 				} {
 					b.Run(fmt.Sprintf("%s/n=%d/w=%.1f/%s", cl.Name, n, width, engine.name), func(b *testing.B) {
 						b.ReportAllocs()
@@ -427,10 +429,15 @@ type simBenchCase struct {
 	ref   float64
 }
 
+// executeReference replays s on the reference max-min network.
+func executeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.Schedule) (*simdag.Result, error) {
+	return simdag.ExecuteOn(sim.NewOn(oracle.NewMaxMinNet(cl.LinkCapacities())), g, costs, cl, s)
+}
+
 // BenchmarkSim replays fixed schedules under contention on both
 // fluid-network engines: the incremental flownet solver (simdag.Execute,
 // the only production engine) and the from-scratch maxmin reference it is
-// verified against (simdag.ExecuteReference, a test oracle). The shapes
+// verified against (oracle.MaxMinNet, via executeReference). The shapes
 // cover both regimes the served path sees: Table III layered DAGs
 // (25/50/100 tasks) on grillon and grelon, and the big512/big1024
 // scenario classes. The per-(cluster, scenario) ratio is the replay
@@ -468,7 +475,7 @@ func BenchmarkSim(b *testing.B) {
 			execute func(*dag.Graph, *moldable.Costs, *platform.Cluster, *core.Schedule) (*simdag.Result, error)
 		}{
 			{"flownet", simdag.Execute},
-			{"maxmin", simdag.ExecuteReference},
+			{"maxmin", executeReference},
 		} {
 			b.Run(fmt.Sprintf("%s/%s/%s", bc.cl.Name, bc.label, engine.name), func(b *testing.B) {
 				key := bc.cl.Name + "/" + bc.label
@@ -480,7 +487,7 @@ func BenchmarkSim(b *testing.B) {
 					costs := moldable.NewCosts(g, cl.PlanSpeedGFlops())
 					a := alloc.Compute(g, costs, cl, alloc.DefaultOptions())
 					sched := core.Map(g, costs, cl, a, core.DefaultNaive(core.StrategyTimeCost))
-					ref, err := simdag.ExecuteReference(g, costs, cl, sched)
+					ref, err := executeReference(g, costs, cl, sched)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -13,7 +13,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/obs"
+	"repro/internal/oracle"
 )
 
 func main() {
@@ -27,7 +27,7 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	errs := obs.LintPrometheus(in)
+	errs := oracle.LintPrometheus(in)
 	for _, e := range errs {
 		fmt.Fprintln(os.Stderr, "promlint:", e)
 	}

@@ -1,12 +1,14 @@
-package alloc
+package alloc_test
 
 import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/alloc"
 	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/moldable"
+	"repro/internal/oracle"
 	"repro/internal/platform"
 )
 
@@ -39,7 +41,7 @@ func TestChainGetsLargeAllocations(t *testing.T) {
 	g := chainGraph(5)
 	cl := platform.Grillon()
 	costs := moldable.NewCosts(g, cl.SpeedGFlops)
-	a := Compute(g, costs, cl, Options{Method: CPA})
+	a := alloc.Compute(g, costs, cl, alloc.Options{Method: alloc.CPA})
 	for i, v := range a {
 		if v < 2 {
 			t.Errorf("chain task %d allocation %d; every chain task is critical and should be parallelized", i, v)
@@ -51,8 +53,8 @@ func TestAllocationsWithinBounds(t *testing.T) {
 	g := forkJoin(10)
 	for _, cl := range platform.PaperClusters() {
 		costs := moldable.NewCosts(g, cl.SpeedGFlops)
-		for _, m := range []Method{CPA, HCPA, MCPA} {
-			a := Compute(g, costs, cl, Options{Method: m})
+		for _, m := range []alloc.Method{alloc.CPA, alloc.HCPA, alloc.MCPA} {
+			a := alloc.Compute(g, costs, cl, alloc.Options{Method: m})
 			for i, v := range a {
 				if g.Tasks[i].Virtual {
 					if v != 0 {
@@ -73,7 +75,7 @@ func TestTerminationCriterion(t *testing.T) {
 	g := gen.Random(gen.RandomParams{N: 50, Width: 0.5, Regularity: 0.8, Density: 0.2, Layered: true, Seed: 21})
 	cl := platform.Grillon()
 	costs := moldable.NewCosts(g, cl.SpeedGFlops)
-	a := Compute(g, costs, cl, DefaultOptions())
+	a := alloc.Compute(g, costs, cl, alloc.DefaultOptions())
 
 	taskCost := func(tk int) float64 {
 		if g.Tasks[tk].Virtual {
@@ -82,7 +84,7 @@ func TestTerminationCriterion(t *testing.T) {
 		return costs.Time(tk, a[tk])
 	}
 	edgeCost := func(e int) float64 { return 0 } // computation-only C∞
-	cInf := g.CriticalPathLength(taskCost, edgeCost)
+	cInf := oracle.CriticalPathLength(g, taskCost, edgeCost)
 	work := 0.0
 	real := 0
 	for i := range g.Tasks {
@@ -113,7 +115,7 @@ func TestTerminationCriterion(t *testing.T) {
 	if cInf > work/denom {
 		// Allowed only if every CP task is saturated (cluster or level
 		// cap) or gains nothing from one more processor.
-		_, onCP := g.CriticalPath(taskCost, edgeCost)
+		_, onCP := oracle.CriticalPath(g, taskCost, edgeCost)
 		for i := range g.Tasks {
 			if !onCP[i] || g.Tasks[i].Virtual {
 				continue
@@ -134,8 +136,8 @@ func TestHCPAAllocatesNoMoreThanCPAOnLargeCluster(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := gen.Random(gen.RandomParams{N: 25, Width: 0.5, Regularity: 0.8, Density: 0.8, Layered: true, Seed: seed})
 		costs := moldable.NewCosts(g, cl.SpeedGFlops)
-		cpa := Compute(g, costs, cl, Options{Method: CPA})
-		hcpa := Compute(g, costs, cl, Options{Method: HCPA})
+		cpa := alloc.Compute(g, costs, cl, alloc.Options{Method: alloc.CPA})
+		hcpa := alloc.Compute(g, costs, cl, alloc.Options{Method: alloc.HCPA})
 		wCPA := costs.TotalWork(cpa)
 		wHCPA := costs.TotalWork(hcpa)
 		if wHCPA > wCPA+1e-9 {
@@ -148,7 +150,7 @@ func TestMCPARespectsLevelBudget(t *testing.T) {
 	cl := platform.Chti() // small cluster, easy to exceed
 	g := gen.Random(gen.RandomParams{N: 50, Width: 0.8, Regularity: 0.8, Density: 0.8, Layered: true, Seed: 2})
 	costs := moldable.NewCosts(g, cl.SpeedGFlops)
-	a := Compute(g, costs, cl, Options{Method: MCPA})
+	a := alloc.Compute(g, costs, cl, alloc.Options{Method: alloc.MCPA})
 	lvl, n := g.Levels()
 	use := make([]int, n)
 	for i := range g.Tasks {
@@ -164,10 +166,10 @@ func TestMCPARespectsLevelBudget(t *testing.T) {
 }
 
 func TestMethodString(t *testing.T) {
-	if CPA.String() != "cpa" || HCPA.String() != "hcpa" || MCPA.String() != "mcpa" {
+	if alloc.CPA.String() != "cpa" || alloc.HCPA.String() != "hcpa" || alloc.MCPA.String() != "mcpa" {
 		t.Error("Method.String mismatch")
 	}
-	if Method(99).String() != "Method(99)" {
+	if alloc.Method(99).String() != "Method(99)" {
 		t.Error("out-of-range method should stringify to 'Method(99)'")
 	}
 }
@@ -178,11 +180,11 @@ func TestPropertyAllocationSane(t *testing.T) {
 	clusters := platform.PaperClusters()
 	f := func(seed int64, mIdx, cIdx uint8) bool {
 		cl := clusters[int(cIdx)%len(clusters)]
-		m := []Method{CPA, HCPA, MCPA}[int(mIdx)%3]
+		m := []alloc.Method{alloc.CPA, alloc.HCPA, alloc.MCPA}[int(mIdx)%3]
 		g := gen.Random(gen.RandomParams{N: 25, Width: 0.5, Regularity: 0.2, Density: 0.2, Layered: false, Jump: 2, Seed: seed})
 		costs := moldable.NewCosts(g, cl.SpeedGFlops)
-		a1 := Compute(g, costs, cl, Options{Method: m})
-		a2 := Compute(g, costs, cl, Options{Method: m})
+		a1 := alloc.Compute(g, costs, cl, alloc.Options{Method: m})
+		a2 := alloc.Compute(g, costs, cl, alloc.Options{Method: m})
 		for i := range a1 {
 			if a1[i] != a2[i] {
 				return false
@@ -208,6 +210,6 @@ func BenchmarkHCPAAllocation100(b *testing.B) {
 	costs := moldable.NewCosts(g, cl.SpeedGFlops)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compute(g, costs, cl, DefaultOptions())
+		alloc.Compute(g, costs, cl, alloc.DefaultOptions())
 	}
 }

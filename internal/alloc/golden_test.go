@@ -1,4 +1,4 @@
-package alloc
+package alloc_test
 
 import (
 	"fmt"
@@ -6,9 +6,11 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/moldable"
+	"repro/internal/oracle"
 	"repro/internal/platform"
 )
 
@@ -49,32 +51,32 @@ func TestAllocGolden(t *testing.T) {
 	cases := []struct {
 		cl    *platform.Cluster
 		class string
-		opts  Options
+		opts  alloc.Options
 		want  string
 	}{
-		{platform.Chti(), "layered", Options{Method: CPA}, "ff1ddc55eee03f95"},
-		{platform.Grillon(), "layered", DefaultOptions(), "b6914ef5ad1c26bf"},
-		{platform.Grelon(), "fft", DefaultOptions(), "0cb4f9064b1a7776"},
-		{platform.Grelon(), "irregular", Options{Method: MCPA}, "53486b1a9d5ada3a"},
-		{platform.Grelon(), "strassen", Options{Method: HCPA}, "421dd3cfb3469bde"},
-		{platform.Big512(), "layered", DefaultOptions(), "42378b2a4198b8bd"},
-		{platform.Big512(), "fft", Options{Method: CPA}, "05facf03433c9b31"},
+		{platform.Chti(), "layered", alloc.Options{Method: alloc.CPA}, "ff1ddc55eee03f95"},
+		{platform.Grillon(), "layered", alloc.DefaultOptions(), "b6914ef5ad1c26bf"},
+		{platform.Grelon(), "fft", alloc.DefaultOptions(), "0cb4f9064b1a7776"},
+		{platform.Grelon(), "irregular", alloc.Options{Method: alloc.MCPA}, "53486b1a9d5ada3a"},
+		{platform.Grelon(), "strassen", alloc.Options{Method: alloc.HCPA}, "421dd3cfb3469bde"},
+		{platform.Big512(), "layered", alloc.DefaultOptions(), "42378b2a4198b8bd"},
+		{platform.Big512(), "fft", alloc.Options{Method: alloc.CPA}, "05facf03433c9b31"},
 		// The last digest coincides with the grelon/irregular row above:
 		// with ~50 real tasks the HCPA/MCPA area denominator is min(P, N) =
 		// N on both clusters and no cap binds, so the refinement makes the
 		// same grants — the digest equality is real, not a copy-paste slip.
-		{platform.Big1024(), "irregular", DefaultOptions(), "53486b1a9d5ada3a"},
+		{platform.Big1024(), "irregular", alloc.DefaultOptions(), "53486b1a9d5ada3a"},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(fmt.Sprintf("%s/%s/%v", c.cl.Name, c.class, c.opts.Method), func(t *testing.T) {
 			g := goldenAllocGraph(c.class)
 			costs := moldable.NewCosts(g, c.cl.SpeedGFlops)
-			a := Compute(g, costs, c.cl, c.opts)
+			a := alloc.Compute(g, costs, c.cl, c.opts)
 			if got := allocDigest(a); got != c.want {
 				t.Errorf("allocation digest = %s, want %s (allocation decisions changed)", got, c.want)
 			}
-			if ref := allocDigest(ComputeReference(g, costs, c.cl, c.opts)); ref != c.want {
+			if ref := allocDigest(oracle.ComputeAlloc(g, costs, c.cl, c.opts)); ref != c.want {
 				t.Errorf("reference digest = %s, want %s (the golden was recorded from the reference walk)", ref, c.want)
 			}
 		})

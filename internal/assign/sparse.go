@@ -1,3 +1,16 @@
+// Package assign implements the linear assignment problem (Hungarian
+// algorithm, O(n³) with potentials).
+//
+// The redistribution layer uses it to choose the receiver rank order that
+// maximizes self-communication when the sender and receiver processor sets
+// of a redistribution intersect (§II-A of the paper: "our redistribution
+// algorithm tries to maximize the amount of self communications").
+//
+// MaxWeightSparse solves the square problem over CSR triples with a
+// reusable Scratch and no matrix materialization. It is bit-identical to
+// the dense solver internal/oracle keeps as its test oracle — same
+// algorithm, same row order, same floating-point expressions — which the
+// hot alignment path depends on.
 package assign
 
 import "math"
@@ -62,12 +75,12 @@ func (s *Scratch) clearVisited() {
 // rowPtr segment are empty (all-zero), so callers only describe the rows
 // that carry weight.
 //
-// The result is bit-identical to MaxWeight on the equivalent dense matrix:
-// the solver runs the same Hungarian algorithm with potentials, in the same
-// row order, with the same floating-point expressions — the entry lookup is
-// the only thing that changed, so tie-breaking between equal-benefit
-// columns resolves exactly as the dense oracle does. The randomized
-// equivalence tests pin this.
+// The result is bit-identical to the dense oracle (oracle.MaxWeight) on the
+// equivalent matrix: the solver runs the same Hungarian algorithm with
+// potentials, in the same row order, with the same floating-point
+// expressions — the entry lookup is the only thing that changed, so
+// tie-breaking between equal-benefit columns resolves exactly as the dense
+// oracle does. The randomized equivalence tests pin this.
 //
 // The returned rowToCol slice is owned by the scratch and valid until the
 // next call with the same Scratch. Passing a nil scratch allocates a
@@ -99,7 +112,7 @@ func MaxWeightSparse(n int, rowPtr, cols []int, weights []float64, sc *Scratch) 
 	u, v, minv, p, way := sc.u, sc.v, sc.minv, sc.p, sc.way
 
 	// Hungarian algorithm with potentials on the negated weights, exactly
-	// as MaxWeight → MinCost runs it (1-indexed, square): rows are inserted
+	// as the dense oracle runs it (1-indexed, square): rows are inserted
 	// in order; each insertion grows the matching along a shortest
 	// augmenting path. cost(i, j) = -weight[i][j], fetched from the CSR
 	// band on the fly instead of a materialized matrix.

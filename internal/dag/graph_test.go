@@ -1,4 +1,4 @@
-package dag
+package dag_test
 
 import (
 	"bytes"
@@ -8,13 +8,16 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dag"
+	"repro/internal/oracle"
 )
 
 // diamond builds the 4-task diamond 0→{1,2}→3 with unit-ish costs.
-func diamond() *Graph {
-	g := NewGraph(4, 4)
+func diamond() *dag.Graph {
+	g := dag.NewGraph(4, 4)
 	for i := 0; i < 4; i++ {
-		g.AddTask(Task{Name: "t", M: 4e6, A: 64, Alpha: 0.1})
+		g.AddTask(dag.Task{Name: "t", M: 4e6, A: 64, Alpha: 0.1})
 	}
 	g.AddEdge(0, 1, 100)
 	g.AddEdge(0, 2, 100)
@@ -41,15 +44,15 @@ func TestTopoOrderDiamond(t *testing.T) {
 }
 
 func TestTopoOrderDetectsCycle(t *testing.T) {
-	g := NewGraph(2, 2)
-	g.AddTask(Task{})
-	g.AddTask(Task{})
+	g := dag.NewGraph(2, 2)
+	g.AddTask(dag.Task{})
+	g.AddTask(dag.Task{})
 	g.AddEdge(0, 1, 0)
 	g.AddEdge(1, 0, 0)
 	if _, ok := g.TopoOrder(); ok {
 		t.Fatal("cycle not detected")
 	}
-	if err := g.Validate(); !errors.Is(err, ErrCycle) {
+	if err := g.Validate(); !errors.Is(err, dag.ErrCycle) {
 		t.Fatalf("Validate = %v, want ErrCycle", err)
 	}
 }
@@ -59,17 +62,17 @@ func TestValidate(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("diamond should validate: %v", err)
 	}
-	if err := NewGraph(0, 0).Validate(); !errors.Is(err, ErrEmpty) {
+	if err := dag.NewGraph(0, 0).Validate(); !errors.Is(err, dag.ErrEmpty) {
 		t.Fatalf("empty graph: got %v", err)
 	}
 	// Two entries.
-	g2 := NewGraph(3, 2)
-	g2.AddTask(Task{})
-	g2.AddTask(Task{})
-	g2.AddTask(Task{})
+	g2 := dag.NewGraph(3, 2)
+	g2.AddTask(dag.Task{})
+	g2.AddTask(dag.Task{})
+	g2.AddTask(dag.Task{})
 	g2.AddEdge(0, 2, 0)
 	g2.AddEdge(1, 2, 0)
-	if err := g2.Validate(); !errors.Is(err, ErrMultipleEntry) {
+	if err := g2.Validate(); !errors.Is(err, dag.ErrMultipleEntry) {
 		t.Fatalf("got %v, want ErrMultipleEntry", err)
 	}
 }
@@ -80,28 +83,28 @@ func TestValidate(t *testing.T) {
 func TestValidateCostValues(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		edit func(g *Graph)
+		edit func(g *dag.Graph)
 		want error
 	}{
-		{"zero elements", func(g *Graph) { g.Tasks[1].M = 0 }, ErrTaskWork},
-		{"negative elements", func(g *Graph) { g.Tasks[2].M = -4e6 }, ErrTaskWork},
-		{"zero ops factor", func(g *Graph) { g.Tasks[0].A = 0 }, ErrTaskWork},
-		{"NaN elements", func(g *Graph) { g.Tasks[3].M = math.NaN() }, ErrTaskWork},
-		{"infinite elements", func(g *Graph) { g.Tasks[1].M = math.Inf(1) }, ErrTaskWork},
-		{"infinite ops factor", func(g *Graph) { g.Tasks[2].A = math.Inf(1) }, ErrTaskWork},
-		{"NaN ops factor", func(g *Graph) { g.Tasks[2].A = math.NaN() }, ErrTaskWork},
-		{"work overflows", func(g *Graph) { g.Tasks[1].M, g.Tasks[1].A = 1e308, 64 }, ErrTaskWork},
-		{"alpha one", func(g *Graph) { g.Tasks[1].Alpha = 1 }, ErrTaskAlpha},
-		{"alpha 1.5", func(g *Graph) { g.Tasks[1].Alpha = 1.5 }, ErrTaskAlpha},
-		{"alpha -3", func(g *Graph) { g.Tasks[2].Alpha = -3 }, ErrTaskAlpha},
-		{"negative edge bytes", func(g *Graph) { g.Edges[2].Bytes = -5e6 }, ErrEdgeBytes},
-		{"infinite edge bytes", func(g *Graph) { g.Edges[2].Bytes = math.Inf(1) }, ErrEdgeBytes},
-		{"NaN edge bytes", func(g *Graph) { g.Edges[2].Bytes = math.NaN() }, ErrEdgeBytes},
-		{"large finite work", func(g *Graph) { g.Tasks[1].M, g.Tasks[1].A = 1e306, 64 }, nil},
-		{"task ID off its index", func(g *Graph) { g.Tasks[2].ID = 1 }, ErrTaskID},
-		{"zero edge bytes", func(g *Graph) { g.Edges[2].Bytes = 0 }, nil},
-		{"alpha zero", func(g *Graph) { g.Tasks[1].Alpha = 0 }, nil},
-		{"virtual zero cost", func(g *Graph) { g.Tasks[0] = Task{ID: 0, Name: "entry", Virtual: true} }, nil},
+		{"zero elements", func(g *dag.Graph) { g.Tasks[1].M = 0 }, dag.ErrTaskWork},
+		{"negative elements", func(g *dag.Graph) { g.Tasks[2].M = -4e6 }, dag.ErrTaskWork},
+		{"zero ops factor", func(g *dag.Graph) { g.Tasks[0].A = 0 }, dag.ErrTaskWork},
+		{"NaN elements", func(g *dag.Graph) { g.Tasks[3].M = math.NaN() }, dag.ErrTaskWork},
+		{"infinite elements", func(g *dag.Graph) { g.Tasks[1].M = math.Inf(1) }, dag.ErrTaskWork},
+		{"infinite ops factor", func(g *dag.Graph) { g.Tasks[2].A = math.Inf(1) }, dag.ErrTaskWork},
+		{"NaN ops factor", func(g *dag.Graph) { g.Tasks[2].A = math.NaN() }, dag.ErrTaskWork},
+		{"work overflows", func(g *dag.Graph) { g.Tasks[1].M, g.Tasks[1].A = 1e308, 64 }, dag.ErrTaskWork},
+		{"alpha one", func(g *dag.Graph) { g.Tasks[1].Alpha = 1 }, dag.ErrTaskAlpha},
+		{"alpha 1.5", func(g *dag.Graph) { g.Tasks[1].Alpha = 1.5 }, dag.ErrTaskAlpha},
+		{"alpha -3", func(g *dag.Graph) { g.Tasks[2].Alpha = -3 }, dag.ErrTaskAlpha},
+		{"negative edge bytes", func(g *dag.Graph) { g.Edges[2].Bytes = -5e6 }, dag.ErrEdgeBytes},
+		{"infinite edge bytes", func(g *dag.Graph) { g.Edges[2].Bytes = math.Inf(1) }, dag.ErrEdgeBytes},
+		{"NaN edge bytes", func(g *dag.Graph) { g.Edges[2].Bytes = math.NaN() }, dag.ErrEdgeBytes},
+		{"large finite work", func(g *dag.Graph) { g.Tasks[1].M, g.Tasks[1].A = 1e306, 64 }, nil},
+		{"task ID off its index", func(g *dag.Graph) { g.Tasks[2].ID = 1 }, dag.ErrTaskID},
+		{"zero edge bytes", func(g *dag.Graph) { g.Edges[2].Bytes = 0 }, nil},
+		{"alpha zero", func(g *dag.Graph) { g.Tasks[1].Alpha = 0 }, nil},
+		{"virtual zero cost", func(g *dag.Graph) { g.Tasks[0] = dag.Task{ID: 0, Name: "entry", Virtual: true} }, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := diamond()
@@ -115,9 +118,9 @@ func TestValidateCostValues(t *testing.T) {
 
 func TestNormalize(t *testing.T) {
 	// fork with 2 entries and 2 exits
-	g := NewGraph(4, 0)
+	g := dag.NewGraph(4, 0)
 	for i := 0; i < 4; i++ {
-		g.AddTask(Task{M: 5e6, A: 100})
+		g.AddTask(dag.Task{M: 5e6, A: 100})
 	}
 	g.AddEdge(0, 2, 10)
 	g.AddEdge(1, 3, 10)
@@ -166,9 +169,9 @@ func TestLevelsAndWidth(t *testing.T) {
 }
 
 func TestBottomLevelsChain(t *testing.T) {
-	g := NewGraph(3, 2)
+	g := dag.NewGraph(3, 2)
 	for i := 0; i < 3; i++ {
-		g.AddTask(Task{})
+		g.AddTask(dag.Task{})
 	}
 	g.AddEdge(0, 1, 0)
 	g.AddEdge(1, 2, 0)
@@ -182,7 +185,7 @@ func TestBottomLevelsChain(t *testing.T) {
 			t.Errorf("bl[%d] = %g, want %g", i, bl[i], want[i])
 		}
 	}
-	if cp := g.CriticalPathLength(cost, ec); cp != 7 {
+	if cp := oracle.CriticalPathLength(g, cost, ec); cp != 7 {
 		t.Errorf("C∞ = %g, want 7", cp)
 	}
 }
@@ -196,7 +199,7 @@ func TestCriticalPathDiamond(t *testing.T) {
 		return 1
 	}
 	ec := func(e int) float64 { return 0 }
-	path, onCP := g.CriticalPath(cost, ec)
+	path, onCP := oracle.CriticalPath(g, cost, ec)
 	if len(path) != 3 || path[0] != 0 || path[1] != 1 || path[2] != 3 {
 		t.Fatalf("critical path = %v, want [0 1 3]", path)
 	}
@@ -227,7 +230,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var g2 Graph
+	var g2 dag.Graph
 	if err := json.Unmarshal(data, &g2); err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +238,8 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost structure: %d/%d tasks, %d/%d edges",
 			g2.N(), g.N(), len(g2.Edges), len(g.Edges))
 	}
-	if got := g2.Succs(0); len(got) != 2 {
-		t.Errorf("adjacency not rebuilt: succs(0) = %v", got)
+	if got := g2.Out(0); len(got) != 2 {
+		t.Errorf("adjacency not rebuilt: out(0) = %v", got)
 	}
 }
 
@@ -256,15 +259,15 @@ func TestWriteDOT(t *testing.T) {
 }
 
 // randomLayeredGraph builds a random layered DAG for property testing.
-func randomLayeredGraph(r *rand.Rand) *Graph {
+func randomLayeredGraph(r *rand.Rand) *dag.Graph {
 	levels := 2 + r.Intn(5)
-	g := NewGraph(0, 0)
+	g := dag.NewGraph(0, 0)
 	var prev []int
 	for l := 0; l < levels; l++ {
 		width := 1 + r.Intn(4)
 		var cur []int
 		for i := 0; i < width; i++ {
-			cur = append(cur, g.AddTask(Task{M: 4e6, A: 64}))
+			cur = append(cur, g.AddTask(dag.Task{M: 4e6, A: 64}))
 		}
 		for _, v := range cur {
 			if len(prev) == 0 {

@@ -99,7 +99,7 @@ func TestLevelTrackerNoChangeOnIdenticalCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, cost, edge := randomDAG(rng, 20)
 	lt := NewLevelTracker(g, cost, edge)
-	if got := lt.SetTaskCost(5, lt.TaskCost(5)); len(got) != 0 {
+	if got := lt.SetTaskCost(5, cost[5]); len(got) != 0 {
 		t.Fatalf("identical cost reported %d changes", len(got))
 	}
 }

@@ -14,8 +14,8 @@
 // indistinguishable to max-min fairness: progressive filling always
 // freezes them together, at the same rate. Start therefore folds such
 // flows into one weighted entity (a "super-flow") holding a member count.
-// The solver sees one entity consuming weight×rate on each of its links;
-// Rate fans the shared per-member rate back out on read. On the
+// The solver sees one entity consuming weight×rate on each of its links,
+// and every member drains at the entity's shared per-member rate. On the
 // hierarchical cluster presets a route is fully determined by the
 // (source node, destination node) pair — two links inside a cabinet, four
 // links (node up, cabinet up, cabinet down, node down) across cabinets —
@@ -101,10 +101,11 @@
 //
 // The solved rates are exactly the max-min fair point of the underlying
 // per-flow population (the aggregation is lossless and the repair exact up
-// to floating-point association); internal/sim keeps its from-scratch
-// MaxMin solver as the reference oracle, and the randomized tests in this
-// package assert agreement within 1e-9 against it across add/remove
-// sequences on the paper's and the production-scale topologies.
+// to floating-point association); the test-only internal/oracle package
+// keeps the from-scratch MaxMin solver as the reference, and the
+// randomized tests in this package assert agreement within 1e-9 against it
+// across add/remove sequences on the paper's and the production-scale
+// topologies.
 //
 // A Net is not safe for concurrent use; simulations are single-threaded
 // and the experiment harness parallelizes across independent engines.

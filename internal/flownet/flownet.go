@@ -174,10 +174,6 @@ func New(linkCaps []float64) *Net {
 // Flows returns the number of live flows (members, not entities).
 func (n *Net) Flows() int { return n.nMembers }
 
-// Entities returns the number of live solver entities (super-flows); the
-// aggregation ratio Flows()/Entities() is what the route collapse buys.
-func (n *Net) Entities() int { return len(n.active) }
-
 // Dirty reports whether the population changed since the last Solve.
 func (n *Net) Dirty() bool { return n.dirty }
 
@@ -207,37 +203,6 @@ func (n *Net) Start(links []int, rateCap, volume float64) int {
 	n.bumpDeadline(eid, e)
 	n.dirty = true
 	return int(mid)
-}
-
-// Remove deletes a live flow before completion.
-func (n *Net) Remove(id int) {
-	mid := int32(id)
-	eid := n.members[mid].ent
-	e := &n.ents[eid]
-	for i, h := range e.heap {
-		if h == mid {
-			n.heapDelete(e, i)
-			break
-		}
-	}
-	n.dropMembers(eid, 1)
-	if e.weight > 0 {
-		n.bumpDeadline(eid, e)
-	}
-	n.freeMember(mid)
-}
-
-// Rate returns the flow's current per-member rate (valid after Solve).
-func (n *Net) Rate(id int) float64 { return n.ents[n.members[id].ent].rate }
-
-// Remaining returns the flow's residual volume in bytes.
-func (n *Net) Remaining(id int) float64 {
-	m := &n.members[id]
-	e := &n.ents[m.ent]
-	if int(e.pos) < len(n.active) && n.active[e.pos] == m.ent {
-		return m.finish - n.drained[e.pos]
-	}
-	return m.finish // entity already destroyed: nothing drains anymore
 }
 
 // Advance drains every flow by rate·dt bytes of virtual time dt and moves
@@ -558,17 +523,6 @@ func (n *Net) heapPop(e *entity) int32 {
 	}
 	n.syncHeadFin(e)
 	return top
-}
-
-func (n *Net) heapDelete(e *entity, i int) {
-	last := len(e.heap) - 1
-	e.heap[i] = e.heap[last]
-	e.heap = e.heap[:last]
-	if i < last {
-		n.siftDown(e, i)
-		n.siftUp(e, i)
-	}
-	n.syncHeadFin(e)
 }
 
 func (n *Net) siftDown(e *entity, i int) {

@@ -1,7 +1,7 @@
 package flownet_test
 
 // Randomized equivalence of the incremental flownet solver against the
-// reference from-scratch progressive filling (sim.MaxMin), on the
+// reference from-scratch progressive filling (oracle.MaxMin), on the
 // topologies the replay actually uses: the paper's grelon cluster and the
 // production-scale big512/big1024 presets. Both fresh populations and long
 // add/remove sequences (the incremental repair path) are checked — well
@@ -13,8 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/flownet"
+	"repro/internal/oracle"
 	"repro/internal/platform"
-	"repro/internal/sim"
 )
 
 // tolClose checks relative agreement within 1e-9 (with an absolute floor
@@ -101,7 +101,7 @@ func (o *oracleNet) check() {
 		flowLinks[i] = f.links
 		flowCaps[i] = f.cap
 	}
-	want := sim.MaxMin(o.caps, flowLinks, flowCaps)
+	want := oracle.MaxMin(o.caps, flowLinks, flowCaps)
 	for i, f := range o.flows {
 		if got := o.net.Rate(f.id); !tolClose(got, want[i]) {
 			o.t.Fatalf("%s: flow %d (route %v cap %g) rate %g, oracle %g (%d flows, %d entities)",

@@ -3,6 +3,8 @@ package flownet
 import (
 	"math"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // level is one progressive-filling event of the bottleneck log: either a
@@ -206,26 +208,24 @@ func (n *Net) finishSolve() {
 	n.pendingCut = noLevel
 }
 
-// FullSolves, IncrementalSolves and ScratchSolves report how often Solve
-// re-solved from scratch with logging, repaired the level log, or took the
-// small-population scratch path (diagnostics and tests).
-func (n *Net) FullSolves() int        { return n.fullSolves }
-func (n *Net) IncrementalSolves() int { return n.incrSolves }
-func (n *Net) ScratchSolves() int     { return n.scratchSolves }
-
-// CheckpointRestores counts merge-replay solves that rewound the level log
-// to a stride checkpoint; OrphanedLevels counts old levels dropped because
-// their recorded bottleneck share went stale during the merge walk.
-func (n *Net) CheckpointRestores() int { return n.ckRestores }
-func (n *Net) OrphanedLevels() int     { return n.orphanLevels }
-
-// LevelsReplayed counts levels an incremental solve re-applied between the
-// restored checkpoint and the cut, LevelsRecommitted clean old levels the
-// merge walk carried over whole, and LevelsInserted the levels it wrote
-// fresh: inserted in place by the walk or appended by the fill after it.
-func (n *Net) LevelsReplayed() int    { return n.levelsReplayed }
-func (n *Net) LevelsRecommitted() int { return n.levelsRecommitted }
-func (n *Net) LevelsInserted() int    { return n.levelsInserted }
+// AddCounters adds the solver's regime counts into c: full solves (from
+// scratch, with logging), incremental level-log repairs and small-
+// population scratch solves; merge-replay solves that rewound to a stride
+// checkpoint, and old levels orphaned because their recorded bottleneck
+// share went stale during the merge walk; and the levels an incremental
+// solve re-applied between the restored checkpoint and the cut, the clean
+// old levels the merge walk carried over whole, and the levels it wrote
+// fresh (inserted in place by the walk or appended by the fill after it).
+func (n *Net) AddCounters(c *obs.Counters) {
+	c.SolvesFull += uint64(n.fullSolves)
+	c.SolvesIncremental += uint64(n.incrSolves)
+	c.SolvesScratch += uint64(n.scratchSolves)
+	c.CkRestores += uint64(n.ckRestores)
+	c.OrphanLevels += uint64(n.orphanLevels)
+	c.LevelsReplayed += uint64(n.levelsReplayed)
+	c.LevelsRecommitted += uint64(n.levelsRecommitted)
+	c.LevelsInserted += uint64(n.levelsInserted)
+}
 
 // queuePending moves a live non-exempt entity into the pending set: it
 // must be (re)fixed this solve, by a merge-walk event or by the fill.

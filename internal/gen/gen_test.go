@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/moldable"
+	"repro/internal/oracle"
 )
 
 func TestFFTTaskCountsMatchPaper(t *testing.T) {
@@ -41,8 +42,8 @@ func TestFFTStructure(t *testing.T) {
 		t.Fatalf("FFT(4) has %d levels, want 6", n)
 	}
 	// All real exits (preds of virtual exit) at the same level.
-	for _, p := range g.Preds(g.Exit()) {
-		if lvl[p] != 4 {
+	for _, e := range g.In(g.Exit()) {
+		if p := g.Edges[e].From; lvl[p] != 4 {
 			t.Errorf("butterfly exit %d at level %d, want 4", p, lvl[p])
 		}
 	}
@@ -57,7 +58,7 @@ func TestFFTAllPathsCritical(t *testing.T) {
 		return g.Tasks[tk].Ops()
 	}
 	ec := func(e int) float64 { return 0 }
-	_, onCP := g.CriticalPath(cost, ec)
+	_, onCP := oracle.CriticalPath(g, cost, ec)
 	for i := range g.Tasks {
 		if !onCP[i] {
 			t.Fatalf("task %d (%s) not on a critical path; FFT levels should have uniform costs",
@@ -88,11 +89,11 @@ func TestStrassenShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10 entry tasks hang off the virtual entry.
-	if got := len(g.Succs(g.Entry())); got != 10 {
+	if got := len(g.Out(g.Entry())); got != 10 {
 		t.Errorf("virtual entry has %d children, want 10 (S tasks)", got)
 	}
 	// 4 result quadrants feed the virtual exit.
-	if got := len(g.Preds(g.Exit())); got != 4 {
+	if got := len(g.In(g.Exit())); got != 4 {
 		t.Errorf("virtual exit has %d parents, want 4 (C quadrants)", got)
 	}
 	// Common quadrant size across all real tasks.

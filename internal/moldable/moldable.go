@@ -115,9 +115,6 @@ func (c *Costs) Time(task, p int) float64 { return c.models[task].Time(p) }
 // Work returns ω(task, p) = p·T(task, p).
 func (c *Costs) Work(task, p int) float64 { return c.models[task].Work(p) }
 
-// SeqTime returns T(task, 1).
-func (c *Costs) SeqTime(task int) float64 { return c.models[task].SeqTime }
-
 // Model returns the underlying Amdahl model of a task.
 func (c *Costs) Model(task int) Model { return c.models[task] }
 

@@ -72,8 +72,8 @@ func TestCostsFromGraph(t *testing.T) {
 	g.AddTask(dag.Task{M: 1e7, A: 100, Alpha: 0.1}) // 1e9 ops
 	g.AddVirtual("v")
 	c := NewCosts(g, 2.0) // 2 GFlop/s
-	if got := c.SeqTime(0); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("SeqTime = %g, want 0.5", got)
+	if got := c.Time(0, 1); math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("T(0, 1) = %g, want 0.5", got)
 	}
 	if got := c.Time(1, 64); got != 0 {
 		t.Errorf("virtual task time = %g, want 0", got)

@@ -36,7 +36,7 @@ type Tracer struct {
 	mu    sync.Mutex
 	ring  []Span
 	next  int    // ring slot the next span lands in
-	total uint64 // spans ever recorded (total - len(ring) = dropped)
+	total uint64 // spans ever recorded (total - len(ring) were evicted)
 }
 
 // DefaultTraceCapacity is the ring size NewTracer(0) selects: enough for
@@ -102,8 +102,8 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Total returns how many spans were ever recorded; Dropped how many fell
-// out of the ring. Both are 0 on a nil tracer.
+// Total returns how many spans were ever recorded (0 on a nil tracer);
+// Total minus len(Spans()) fell out of the ring.
 func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
@@ -111,16 +111,6 @@ func (t *Tracer) Total() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total
-}
-
-// Dropped returns the number of spans the ring evicted.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total - uint64(len(t.ring))
 }
 
 // Reset empties the ring (capacity and epoch are kept).

@@ -1,19 +1,20 @@
-package alloc
+package oracle
 
 import (
+	"repro/internal/alloc"
 	"repro/internal/dag"
 	"repro/internal/moldable"
 	"repro/internal/platform"
 )
 
-// ComputeReference is the original full-rewalk allocation procedure: every
+// ComputeAlloc is the original full-rewalk allocation procedure: every
 // refinement step recomputes the bottom and top levels of the whole DAG,
 // re-sums the total work and re-scans all tasks for the best critical-path
-// candidate. It is kept verbatim as the semantic oracle for the
-// incremental engine in incremental.go — Compute must return byte-identical
+// candidate. It is kept verbatim as the semantic oracle for alloc's
+// incremental engine — alloc.Compute must return byte-identical
 // allocations (TestAllocOracleEquivalence), and the root BenchmarkAlloc
-// measures the two side by side. Production callers use Compute.
-func ComputeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, opts Options) []int {
+// measures the two side by side.
+func ComputeAlloc(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, opts alloc.Options) []int {
 	n := g.N()
 	allocs := make([]int, n)
 	real := 0
@@ -28,7 +29,7 @@ func ComputeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster,
 	}
 
 	denom := float64(cl.P)
-	if opts.Method == HCPA || opts.Method == MCPA {
+	if opts.Method == alloc.HCPA || opts.Method == alloc.MCPA {
 		if real < cl.P {
 			denom = float64(real)
 		}
@@ -50,7 +51,7 @@ func ComputeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster,
 	for t := range taskCap {
 		taskCap[t] = cl.P
 	}
-	if opts.Method == MCPA || opts.Method == HCPA {
+	if opts.Method == alloc.MCPA || opts.Method == alloc.HCPA {
 		lvl, nl := g.Levels()
 		levelOf = lvl
 		levelUse = make([]int, nl)
@@ -61,7 +62,7 @@ func ComputeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster,
 				width[lvl[t]]++
 			}
 		}
-		if opts.Method == HCPA {
+		if opts.Method == alloc.HCPA {
 			for t := 0; t < n; t++ {
 				if g.Tasks[t].Virtual || width[lvl[t]] == 0 {
 					continue
@@ -113,7 +114,7 @@ func ComputeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster,
 			if !onCP[t] || g.Tasks[t].Virtual || allocs[t] >= cl.P || allocs[t] >= taskCap[t] {
 				continue
 			}
-			if opts.Method == MCPA && levelUse[levelOf[t]] >= cl.P {
+			if opts.Method == alloc.MCPA && levelUse[levelOf[t]] >= cl.P {
 				continue
 			}
 			gain := costs.Time(t, allocs[t]) - costs.Time(t, allocs[t]+1)
@@ -125,7 +126,7 @@ func ComputeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster,
 			break // critical path saturated; no further benefit possible
 		}
 		allocs[best]++
-		if opts.Method == MCPA {
+		if opts.Method == alloc.MCPA {
 			levelUse[levelOf[best]]++
 		}
 	}

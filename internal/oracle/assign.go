@@ -1,20 +1,11 @@
-// Package assign implements the linear assignment problem (Hungarian
-// algorithm, O(n³) with potentials).
-//
-// The redistribution layer uses it to choose the receiver rank order that
-// maximizes self-communication when the sender and receiver processor sets
-// of a redistribution intersect (§II-A of the paper: "our redistribution
-// algorithm tries to maximize the amount of self communications").
-//
-// Two solvers are provided: the dense MinCost/MaxWeight pair, and
-// MaxWeightSparse, which solves the same square problem over CSR triples
-// with a reusable Scratch and no matrix materialization. The sparse solver
-// is bit-identical to the dense one — same algorithm, same row order, same
-// floating-point expressions — which the hot alignment path depends on;
-// the dense solver is kept as its oracle.
-package assign
+package oracle
 
 import "math"
+
+// Dense Hungarian assignment: the O(n³) potentials algorithm over a
+// materialized cost matrix. assign.MaxWeightSparse runs the same algorithm
+// over CSR triples and must return bit-identical assignments; this is the
+// oracle it is checked against.
 
 // MinCost solves the rectangular assignment problem for an n×m cost matrix
 // with n ≤ m: it returns rowToCol (length n, the column assigned to each
@@ -27,7 +18,7 @@ func MinCost(cost [][]float64) (rowToCol []int, total float64) {
 	}
 	m := len(cost[0])
 	if n > m {
-		panic("assign: MinCost requires rows ≤ cols")
+		panic("oracle: MinCost requires rows ≤ cols")
 	}
 	// Hungarian algorithm with potentials, 1-indexed internals.
 	u := make([]float64, n+1)
@@ -101,7 +92,7 @@ func MaxWeight(weight [][]float64) (rowToCol []int, total float64) {
 		return nil, 0
 	}
 	if len(weight[0]) != n {
-		panic("assign: MaxWeight requires a square matrix")
+		panic("oracle: MaxWeight requires a square matrix")
 	}
 	neg := make([][]float64, n)
 	for i := range weight {

@@ -1,17 +1,4 @@
-// Package sim is a flow-level (fluid) discrete-event simulator of cluster
-// networks, substituting for the SimGrid toolkit the paper uses (§IV).
-//
-// The model is the one §IV-A describes: each network link has a latency λ
-// and a bandwidth β; concurrent flows share link bandwidth according to
-// max-min fairness (progressive filling); and each flow's rate is further
-// capped by the empirical TCP-window bandwidth β' = min(β, Wmax/RTT). A
-// transfer of S bytes therefore completes after its one-way route latency
-// plus the fluid time needed to drain S bytes at the (time-varying)
-// max-min rate.
-//
-// Computations do not share resources (one task per processor, enforced by
-// the replay layer), so they are plain timers.
-package sim
+package oracle
 
 import (
 	"math"
@@ -35,14 +22,14 @@ import (
 // is the unique max-min fair point: no flow's rate can be increased
 // without decreasing the rate of a flow with an equal or smaller rate.
 func MaxMin(linkCaps []float64, flowLinks [][]int, flowCaps []float64) []float64 {
-	var s maxMinSolver
+	var s MaxMinSolver
 	return s.Solve(linkCaps, flowLinks, flowCaps)
 }
 
-// maxMinSolver holds reusable scratch buffers so steady-state simulations
-// do not allocate on every rate recomputation. The zero value is ready to
-// use; it is not safe for concurrent use.
-type maxMinSolver struct {
+// MaxMinSolver is MaxMin with reusable scratch buffers, so steady-state
+// replays do not allocate on every rate recomputation. The zero value is
+// ready to use; it is not safe for concurrent use.
+type MaxMinSolver struct {
 	rem       []float64 // remaining capacity per link
 	cnt       []int     // unfixed flows per link
 	active    []int     // links with cnt > 0 (compacted as they drain)
@@ -52,7 +39,9 @@ type maxMinSolver struct {
 	capOrder  []int   // flow indices sorted by ascending cap
 }
 
-func (s *maxMinSolver) Solve(linkCaps []float64, flowLinks [][]int, flowCaps []float64) []float64 {
+// Solve is MaxMin on the solver's scratch. The returned slice is owned by
+// the solver and valid until the next call.
+func (s *MaxMinSolver) Solve(linkCaps []float64, flowLinks [][]int, flowCaps []float64) []float64 {
 	nf := len(flowLinks)
 	s.rates = resize(s.rates, nf)
 	rates := s.rates

@@ -13,6 +13,7 @@
 package redist
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/assign"
@@ -28,12 +29,6 @@ import (
 // tail of wide redistributions collapses (big512 mapping p99 from ~1.04 s
 // to ~3 ms) at a worst makespan delta of 0.011%.
 const AlignExactCap = 32
-
-// maxAlignID bounds the processor ids the indexed scratch path accepts. It
-// equals platform.MaxProcs, so every valid cluster's ids take that path;
-// anything negative or beyond it takes the map-based dense fallback rather
-// than sizing id-indexed slices to an arbitrary integer.
-const maxAlignID = 1 << 20
 
 // alignCand is one greedy candidate: shared processor proc kept b bytes
 // local if it takes receiver rank j.
@@ -110,7 +105,9 @@ func (sc *AlignScratch) ensure(ids, q int) {
 // to maximize the bytes that stay local given the sender rank order:
 // exactly up to AlignExactCap receivers, greedily above. Only processors
 // present in both lists can produce local traffic; the others fill the
-// remaining ranks in their original relative order.
+// remaining ranks in their original relative order. Processor ids must lie
+// in [0, platform.MaxProcs), as on every validated cluster: the scratch is
+// indexed by id.
 func AlignReceivers(total float64, senders, receivers []int) []int {
 	return AlignReceiversScratch(nil, total, senders, receivers, nil)
 }
@@ -144,23 +141,7 @@ func alignReceivers(dst []int, total float64, senders, receivers []int, greedy b
 		// the bitset test skips the rank index and band walk entirely.
 		return append(dst[:0], receivers...)
 	}
-	maxID := 0
-	for _, pr := range senders {
-		if pr < 0 || pr >= maxAlignID {
-			return alignReceiversDense(dst, total, senders, receivers, greedy)
-		}
-		if pr > maxID {
-			maxID = pr
-		}
-	}
-	for _, pr := range receivers {
-		if pr < 0 || pr >= maxAlignID {
-			return alignReceiversDense(dst, total, senders, receivers, greedy)
-		}
-		if pr > maxID {
-			maxID = pr
-		}
-	}
+	maxID := max(slices.Max(senders), slices.Max(receivers))
 	if sc == nil {
 		sc = &AlignScratch{}
 	}
@@ -260,94 +241,6 @@ func alignReceivers(dst []int, total float64, senders, receivers []int, greedy b
 	}
 	for _, pr := range sc.shared {
 		sc.chosen[pr] = 0
-	}
-	return out
-}
-
-// alignReceiversDense is the original map-and-matrix implementation, kept
-// for processor ids outside the indexed-scratch range and as the in-package
-// oracle the sparse path is tested against.
-func alignReceiversDense(dst []int, total float64, senders, receivers []int, greedy bool) []int {
-	senderRank := make(map[int]int, len(senders))
-	for r, p := range senders {
-		senderRank[p] = r
-	}
-	var shared []int // processors in both sets
-	for _, p := range receivers {
-		if _, ok := senderRank[p]; ok {
-			shared = append(shared, p)
-		}
-	}
-	if len(shared) == 0 {
-		return append(dst[:0], receivers...)
-	}
-	m := BlockMatrix(total, len(senders), len(receivers))
-	q := len(receivers)
-
-	// benefit[s][j]: bytes kept local if shared proc s takes receiver rank j.
-	benefit := func(proc, j int) float64 { return m.At(senderRank[proc], j) }
-
-	rankOf := make(map[int]int, len(shared)) // proc -> chosen receiver rank
-	if greedy {
-		var cands []alignCand
-		for _, p := range shared {
-			for j := 0; j < q; j++ {
-				if b := benefit(p, j); b > 0 {
-					cands = append(cands, alignCand{p, j, b})
-				}
-			}
-		}
-		sort.Sort(&alignCands{cands})
-		usedRank := make([]bool, q)
-		for _, c := range cands {
-			if _, done := rankOf[c.proc]; done || usedRank[c.j] {
-				continue
-			}
-			rankOf[c.proc] = c.j
-			usedRank[c.j] = true
-		}
-	} else {
-		// Square |q|×|q| problem: rows are receiver slots; the first
-		// len(shared) rows are the shared processors, the rest are dummy
-		// (zero benefit everywhere).
-		w := make([][]float64, q)
-		for i := range w {
-			w[i] = make([]float64, q)
-		}
-		for si, p := range shared {
-			for j := 0; j < q; j++ {
-				w[si][j] = benefit(p, j)
-			}
-		}
-		asg, _ := assign.MaxWeight(w)
-		for si, p := range shared {
-			rankOf[p] = asg[si]
-		}
-	}
-
-	var out []int
-	if cap(dst) >= q {
-		out = dst[:q]
-	} else {
-		out = make([]int, q)
-	}
-	taken := make([]bool, q)
-	placed := make(map[int]bool, len(rankOf))
-	for p, r := range rankOf {
-		out[r] = p
-		taken[r] = true
-		placed[p] = true
-	}
-	slot := 0
-	for _, p := range receivers {
-		if placed[p] {
-			continue
-		}
-		for taken[slot] {
-			slot++
-		}
-		out[slot] = p
-		taken[slot] = true
 	}
 	return out
 }

@@ -1,11 +1,13 @@
-package redist
+package redist_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/oracle"
 	"repro/internal/platform"
+	"repro/internal/redist"
 )
 
 // alignMode names one way these tests solve an alignment: the exact and
@@ -26,26 +28,26 @@ func (m alignMode) String() string { return [...]string{"hungarian", "greedy", "
 // greedy reports whether the mode takes the greedy assignment at q
 // receivers.
 func (m alignMode) greedy(q int) bool {
-	return m == modeGreedy || m == modeAuto && q > AlignExactCap
+	return m == modeGreedy || m == modeAuto && q > redist.AlignExactCap
 }
 
 // align runs the indexed engine in mode m.
-func (m alignMode) align(dst []int, total float64, senders, receivers []int, sc *AlignScratch) []int {
+func (m alignMode) align(dst []int, total float64, senders, receivers []int, sc *redist.AlignScratch) []int {
 	switch m {
 	case modeExact:
-		return AlignReceiversExact(dst, total, senders, receivers, sc)
+		return redist.AlignReceiversExact(dst, total, senders, receivers, sc)
 	case modeGreedy:
-		return alignReceivers(dst, total, senders, receivers, true, sc)
+		return redist.AlignReceiversGreedy(dst, total, senders, receivers, sc)
 	}
-	return AlignReceiversScratch(dst, total, senders, receivers, sc)
+	return redist.AlignReceiversScratch(dst, total, senders, receivers, sc)
 }
 
 // alignOracleCase runs both alignment engines on one instance and fails on
 // the first rank where they diverge: the sparse path must be byte-identical
 // to the dense map-and-matrix implementation, not merely equally optimal.
-func alignOracleCase(t *testing.T, total float64, senders, receivers []int, mode alignMode, sc *AlignScratch) {
+func alignOracleCase(t *testing.T, total float64, senders, receivers []int, mode alignMode, sc *redist.AlignScratch) {
 	t.Helper()
-	want := alignReceiversDense(nil, total, senders, receivers, mode.greedy(len(receivers)))
+	want := oracle.AlignReceivers(nil, total, senders, receivers, mode.greedy(len(receivers)))
 	got := mode.align(nil, total, senders, receivers, sc)
 	if len(got) != len(want) {
 		t.Fatalf("aligned length %d, want %d", len(got), len(want))
@@ -67,7 +69,7 @@ func TestAlignSparseVsDenseOracle(t *testing.T) {
 		P    int
 	}{{"grelon", 120}, {"big512", 512}, {"big1024", 1024}}
 	modes := allModes
-	var sc AlignScratch // shared across every case: stale state must not leak
+	var sc redist.AlignScratch // shared across every case: stale state must not leak
 	for _, scale := range scales {
 		scale := scale
 		t.Run(scale.name, func(t *testing.T) {
@@ -140,7 +142,7 @@ func dedupe(ids []int) []int {
 
 // TestAlignDegenerateTotalMatchesDense: a non-positive byte count makes
 // every band benefit ≤ 0; both modes must then leave the receiver order
-// untouched, exactly like the dense fallback (the greedy path once pushed
+// untouched, exactly like the dense oracle (the greedy path once pushed
 // the non-positive candidates and permuted anyway).
 func TestAlignDegenerateTotalMatchesDense(t *testing.T) {
 	senders := []int{0, 1, 2, 3}
@@ -157,7 +159,7 @@ func TestAlignDegenerateTotalMatchesDense(t *testing.T) {
 // sizes and modes).
 func TestAlignScratchReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	var sc AlignScratch
+	var sc redist.AlignScratch
 	for trial := 0; trial < 400; trial++ {
 		p := 1 + rng.Intn(20)
 		q := 1 + rng.Intn(20)
@@ -178,25 +180,28 @@ func TestAlignScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestAlignExoticIDsFallBack covers the dense fallback: processor ids the
-// indexed scratch refuses (negative or ≥ 2²⁰) must still align correctly.
-// No valid cluster produces them: maxAlignID covers platform.MaxProcs.
-func TestAlignExoticIDsFallBack(t *testing.T) {
-	if maxAlignID < platform.MaxProcs {
-		t.Fatalf("maxAlignID = %d < platform.MaxProcs = %d: valid clusters would take the dense fallback",
-			maxAlignID, platform.MaxProcs)
-	}
-	senders := []int{maxAlignID + 5, 3, maxAlignID + 9}
-	receivers := []int{maxAlignID + 9, maxAlignID + 5, 3}
-	got := AlignReceiversScratch(nil, 300, senders, receivers, &AlignScratch{})
+// TestAlignMaxProcsIDs: the indexed scratch sizes its id-indexed slices to
+// the largest processor id, so ids at the top of the valid range
+// (platform.MaxProcs-1, the largest id a validated cluster has) must take
+// the indexed path and align exactly like small ones, in every mode.
+func TestAlignMaxProcsIDs(t *testing.T) {
+	top := platform.MaxProcs - 1
+	senders := []int{top - 4, 3, top}
+	receivers := []int{top, top - 4, 3}
+	sc := &redist.AlignScratch{}
+	got := redist.AlignReceiversScratch(nil, 300, senders, receivers, sc)
 	for r, p := range got {
 		if senders[r] != p {
 			t.Errorf("rank %d = proc %d, want %d (identity recovery)", r, p, senders[r])
 		}
 	}
-	neg := alignReceivers(nil, 10, []int{-1, 2}, []int{2, -1}, true, nil)
-	if !SameSet(neg, []int{2, -1}) {
-		t.Errorf("negative-id alignment lost processors: %v", neg)
+	if sc.NExact != 1 {
+		t.Errorf("NExact = %d, want 1: ids below platform.MaxProcs must take the indexed path", sc.NExact)
+	}
+	wide := []int{top, 0, top - 1, 7, top - 2, 9}
+	for _, mode := range allModes {
+		alignOracleCase(t, 300, senders, receivers, mode, sc)
+		alignOracleCase(t, 120, wide, []int{9, top - 1, 5, top, 0}, mode, sc)
 	}
 }
 
@@ -217,14 +222,14 @@ func TestPropertyAutoDominance(t *testing.T) {
 		senders := r.Perm(nProcs)[:p]
 		receivers := r.Perm(nProcs)[:q]
 		total := 100.0
-		auto := AlignReceivers(total, senders, receivers)
+		auto := redist.AlignReceivers(total, senders, receivers)
 		greedy := modeGreedy.align(nil, total, senders, receivers, nil)
-		if !SameSet(auto, receivers) || !SameSet(greedy, receivers) {
+		if !redist.SameSet(auto, receivers) || !redist.SameSet(greedy, receivers) {
 			return false
 		}
-		lbA := LocalBytes(total, senders, auto)
-		lbG := LocalBytes(total, senders, greedy)
-		lbN := LocalBytes(total, senders, receivers)
+		lbA := redist.LocalBytes(total, senders, auto)
+		lbG := redist.LocalBytes(total, senders, greedy)
+		lbN := redist.LocalBytes(total, senders, receivers)
 		return lbA >= lbG-1e-9 && lbG >= lbN-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -246,7 +251,8 @@ func TestAlignReceiversIntoNeverAliases(t *testing.T) {
 		{"overlap-hungarian", []int{0, 1, 2, 3}, []int{7, 2, 8, 1, 9}, modeExact},
 		{"overlap-greedy", []int{0, 1, 2, 3}, []int{7, 2, 8, 1, 9}, modeGreedy},
 		{"overlap-auto", []int{0, 1, 2, 3}, []int{7, 2, 8, 1, 9}, modeAuto},
-		{"exotic-ids", []int{maxAlignID + 1, 4}, []int{4, maxAlignID + 1}, modeExact},
+		// Ids at the top of the valid range: the widest id-indexed scratch.
+		{"exotic-ids", []int{platform.MaxProcs - 1, 4}, []int{4, platform.MaxProcs - 1}, modeExact},
 	}
 	for _, c := range cases {
 		c := c
@@ -279,7 +285,7 @@ func BenchmarkAlignReceivers(b *testing.B) {
 			senders[i] = i
 			receivers[i] = q/2 + i
 		}
-		var sc AlignScratch
+		var sc redist.AlignScratch
 		buf := make([]int, 0, q)
 		for _, mode := range allModes {
 			mode := mode
@@ -320,7 +326,7 @@ func TestAlignAutoCapBoundary(t *testing.T) {
 			senders[i] = i
 			receivers[i] = q/2 + i // half-overlapping: alignment has work to do
 		}
-		var sc AlignScratch
+		var sc redist.AlignScratch
 		mode.align(nil, 1e9, senders, receivers, &sc)
 		return sc.NExact, sc.NGreedy
 	}
@@ -329,9 +335,9 @@ func TestAlignAutoCapBoundary(t *testing.T) {
 			q         int
 			wantExact bool
 		}{
-			{AlignExactCap - 1, true},
-			{AlignExactCap, true},
-			{AlignExactCap + 1, false},
+			{redist.AlignExactCap - 1, true},
+			{redist.AlignExactCap, true},
+			{redist.AlignExactCap + 1, false},
 		} {
 			exact, greedy := run(t, tc.q, modeAuto)
 			if tc.wantExact && (exact != 1 || greedy != 0) {
@@ -343,10 +349,10 @@ func TestAlignAutoCapBoundary(t *testing.T) {
 		}
 	})
 	t.Run("explicit-modes-ignore-cap", func(t *testing.T) {
-		exact, greedy := run(t, 2*AlignExactCap, modeExact)
+		exact, greedy := run(t, 2*redist.AlignExactCap, modeExact)
 		if exact != 1 || greedy != 0 {
 			t.Errorf("AlignReceiversExact at q=%d: (exact=%d greedy=%d), cap must be ignored",
-				2*AlignExactCap, exact, greedy)
+				2*redist.AlignExactCap, exact, greedy)
 		}
 	})
 }

@@ -106,15 +106,6 @@ func (m *Matrix) RowSum(i int) float64 {
 	return s
 }
 
-// ColSum returns the amount of data receiver rank j obtains (total/q).
-func (m *Matrix) ColSum(j int) float64 {
-	s := 0.0
-	for i := 0; i < m.P; i++ {
-		s += m.At(i, j)
-	}
-	return s
-}
-
 // Sum returns the total data volume in the matrix (= Total).
 func (m *Matrix) Sum() float64 {
 	s := 0.0
@@ -133,22 +124,6 @@ func (m *Matrix) NonZeros(fn func(i, j int, v float64)) {
 			}
 		}
 	}
-}
-
-// IsIdentity reports whether the matrix is diagonal (p == q and every rank
-// keeps exactly its own block), i.e. the redistribution is free when sender
-// and receiver rank r live on the same processor.
-func (m *Matrix) IsIdentity() bool {
-	if m.P != m.Q {
-		return false
-	}
-	id := true
-	m.NonZeros(func(i, j int, v float64) {
-		if i != j {
-			id = false
-		}
-	})
-	return id
 }
 
 // Flow is one point-to-point transfer between physical processors.

@@ -1,16 +1,18 @@
-package redist
+package redist_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/redist"
 )
 
 // TestPaperTableI reproduces Table I of the paper exactly: 10 units of
 // data redistributed from p=4 to q=5 processors.
 func TestPaperTableI(t *testing.T) {
-	m := BlockMatrix(10, 4, 5)
+	m := redist.BlockMatrix(10, 4, 5)
 	want := [4][5]float64{
 		{2, 0.5, 0, 0, 0},
 		{0, 1.5, 1, 0, 0},
@@ -27,17 +29,26 @@ func TestPaperTableI(t *testing.T) {
 }
 
 func TestIdentityWhenSameCounts(t *testing.T) {
-	m := BlockMatrix(100, 6, 6)
-	if !m.IsIdentity() {
-		t.Fatal("p == q block matrix must be the identity")
+	// offDiagonal counts the non-zero entries off the main diagonal.
+	offDiagonal := func(m redist.Matrix) int {
+		n := 0
+		m.NonZeros(func(i, j int, v float64) {
+			if i != j {
+				n++
+			}
+		})
+		return n
+	}
+	m := redist.BlockMatrix(100, 6, 6)
+	if n := offDiagonal(m); n != 0 {
+		t.Fatalf("p == q block matrix must be the identity, has %d off-diagonal entries", n)
 	}
 	for i := 0; i < 6; i++ {
 		if math.Abs(m.At(i, i)-100.0/6) > 1e-9 {
 			t.Errorf("diag[%d] = %g", i, m.At(i, i))
 		}
 	}
-	m45 := BlockMatrix(10, 4, 5)
-	if m45.IsIdentity() {
+	if offDiagonal(redist.BlockMatrix(10, 4, 5)) == 0 {
 		t.Error("4×5 matrix must not be identity")
 	}
 }
@@ -49,7 +60,7 @@ func TestPropertyConservation(t *testing.T) {
 		p := int(pr)%32 + 1
 		q := int(qr)%32 + 1
 		total := float64(tr)/7 + 1
-		m := BlockMatrix(total, p, q)
+		m := redist.BlockMatrix(total, p, q)
 		if math.Abs(m.Sum()-total) > 1e-9*total {
 			return false
 		}
@@ -59,7 +70,11 @@ func TestPropertyConservation(t *testing.T) {
 			}
 		}
 		for j := 0; j < q; j++ {
-			if math.Abs(m.ColSum(j)-total/float64(q)) > 1e-9*total {
+			col := 0.0
+			for i := 0; i < p; i++ {
+				col += m.At(i, j)
+			}
+			if math.Abs(col-total/float64(q)) > 1e-9*total {
 				return false
 			}
 		}
@@ -76,7 +91,7 @@ func TestPropertyBandWidth(t *testing.T) {
 	f := func(pr, qr uint8) bool {
 		p := int(pr)%64 + 1
 		q := int(qr)%64 + 1
-		m := BlockMatrix(1000, p, q)
+		m := redist.BlockMatrix(1000, p, q)
 		maxPeers := (q+p-1)/p + 1
 		for i := 0; i < p; i++ {
 			peers := 0
@@ -100,7 +115,7 @@ func TestFlowsMapping(t *testing.T) {
 	// 4 senders on procs 10..13, 5 receivers on procs 20..24.
 	senders := []int{10, 11, 12, 13}
 	receivers := []int{20, 21, 22, 23, 24}
-	fs := Flows(10, senders, receivers)
+	fs := redist.Flows(10, senders, receivers)
 	bytes := 0.0
 	for _, f := range fs {
 		if f.SrcProc < 10 || f.SrcProc > 13 || f.DstProc < 20 || f.DstProc > 24 {
@@ -112,21 +127,21 @@ func TestFlowsMapping(t *testing.T) {
 		t.Errorf("total flow bytes = %g, want 10", bytes)
 	}
 	// Disjoint sets: no local traffic.
-	if lb := LocalBytes(10, senders, receivers); lb != 0 {
+	if lb := redist.LocalBytes(10, senders, receivers); lb != 0 {
 		t.Errorf("LocalBytes = %g, want 0 for disjoint sets", lb)
 	}
 }
 
 func TestSameSetFreeRedistribution(t *testing.T) {
 	procs := []int{4, 7, 9}
-	if !SameSet(procs, []int{9, 4, 7}) {
+	if !redist.SameSet(procs, []int{9, 4, 7}) {
 		t.Error("SameSet should be order-insensitive")
 	}
-	if SameSet(procs, []int{4, 7}) || SameSet(procs, []int{4, 7, 8}) {
+	if redist.SameSet(procs, []int{4, 7}) || redist.SameSet(procs, []int{4, 7, 8}) {
 		t.Error("SameSet false positives")
 	}
 	// Same set, same order: everything is local.
-	if rb := RemoteBytes(99, procs, procs); rb != 0 {
+	if rb := redist.RemoteBytes(99, procs, procs); rb != 0 {
 		t.Errorf("RemoteBytes = %g, want 0 on identical rank orders", rb)
 	}
 }
@@ -170,17 +185,17 @@ func TestSameSetBitsetAgreesWithMultiset(t *testing.T) {
 		default:
 			b = randList(n, span, trial%3 == 0)
 		}
-		if got, want := SameSet(a, b), sameMultiset(a, b); got != want {
+		if got, want := redist.SameSet(a, b), redist.SameMultiset(a, b); got != want {
 			t.Fatalf("SameSet(%v, %v) = %v, multiset says %v", a, b, got, want)
 		}
 	}
 	// Length mismatch short-circuits.
-	if SameSet([]int{1, 2}, []int{1, 2, 3}) {
+	if redist.SameSet([]int{1, 2}, []int{1, 2, 3}) {
 		t.Error("SameSet must reject different lengths")
 	}
 	// Duplicates must stay multiset-compared: same set, same length,
 	// different multiplicities.
-	if SameSet([]int{1, 1, 2}, []int{1, 2, 2}) {
+	if redist.SameSet([]int{1, 1, 2}, []int{1, 2, 2}) {
 		t.Error("SameSet must distinguish multiplicities")
 	}
 }
@@ -197,10 +212,10 @@ func TestOverlapCounts(t *testing.T) {
 		{[]int{2000, 1, 3000}, []int{3000, 7}, 1}, // generic fallback
 	}
 	for _, c := range cases {
-		if got := Overlap(c.a, c.b); got != c.want {
+		if got := redist.Overlap(c.a, c.b); got != c.want {
 			t.Errorf("Overlap(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
-		if got := Overlap(c.b, c.a); got != c.want {
+		if got := redist.Overlap(c.b, c.a); got != c.want {
 			t.Errorf("Overlap(%v, %v) = %d, want %d (symmetry)", c.b, c.a, got, c.want)
 		}
 	}
@@ -233,7 +248,7 @@ func TestAlignReceiversRecoversIdentity(t *testing.T) {
 				t.Errorf("mode %v: rank %d = proc %d, want %d", mode, r, p, senders[r])
 			}
 		}
-		if rb := RemoteBytes(600, senders, got); rb != 0 {
+		if rb := redist.RemoteBytes(600, senders, got); rb != 0 {
 			t.Errorf("mode %v: RemoteBytes = %g after alignment, want 0", mode, rb)
 		}
 	}
@@ -242,13 +257,13 @@ func TestAlignReceiversRecoversIdentity(t *testing.T) {
 func TestAlignReceiversPartialOverlap(t *testing.T) {
 	senders := []int{0, 1, 2, 3}
 	receivers := []int{7, 2, 8, 1, 9} // shares procs 1 and 2
-	aligned := AlignReceivers(10, senders, receivers)
+	aligned := redist.AlignReceivers(10, senders, receivers)
 	// Alignment must not lose or duplicate processors.
-	if !SameSet(aligned, receivers) {
+	if !redist.SameSet(aligned, receivers) {
 		t.Fatalf("aligned %v is not a permutation of %v", aligned, receivers)
 	}
-	before := LocalBytes(10, senders, receivers)
-	after := LocalBytes(10, senders, aligned)
+	before := redist.LocalBytes(10, senders, receivers)
+	after := redist.LocalBytes(10, senders, aligned)
 	if after < before-1e-12 {
 		t.Errorf("alignment decreased local bytes: %g -> %g", before, after)
 	}
@@ -270,14 +285,14 @@ func TestPropertyAlignmentDominance(t *testing.T) {
 		perm2 := r.Perm(nProcs)
 		receivers := perm2[:q]
 		total := 100.0
-		hung := AlignReceiversExact(nil, total, senders, receivers, nil)
+		hung := redist.AlignReceiversExact(nil, total, senders, receivers, nil)
 		greedy := modeGreedy.align(nil, total, senders, receivers, nil)
-		if !SameSet(hung, receivers) || !SameSet(greedy, receivers) {
+		if !redist.SameSet(hung, receivers) || !redist.SameSet(greedy, receivers) {
 			return false
 		}
-		lbH := LocalBytes(total, senders, hung)
-		lbG := LocalBytes(total, senders, greedy)
-		lbN := LocalBytes(total, senders, receivers)
+		lbH := redist.LocalBytes(total, senders, hung)
+		lbG := redist.LocalBytes(total, senders, greedy)
+		lbN := redist.LocalBytes(total, senders, receivers)
 		return lbH >= lbG-1e-9 && lbH >= lbN-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -287,7 +302,7 @@ func TestPropertyAlignmentDominance(t *testing.T) {
 
 func BenchmarkBlockMatrix120x120(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		BlockMatrix(1e9, 120, 120)
+		redist.BlockMatrix(1e9, 120, 120)
 	}
 }
 
@@ -300,7 +315,7 @@ func BenchmarkAlignHungarian32(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AlignReceiversExact(nil, 1e9, senders, receivers, nil)
+		redist.AlignReceiversExact(nil, 1e9, senders, receivers, nil)
 	}
 }
 
@@ -313,14 +328,14 @@ func TestVisitBlocksMatchesBlockMatrix(t *testing.T) {
 		p := 1 + rng.Intn(64)
 		q := 1 + rng.Intn(64)
 		total := rng.Float64() * 1e9
-		m := BlockMatrix(total, p, q)
+		m := redist.BlockMatrix(total, p, q)
 		type entry struct {
 			i, j int
 			v    float64
 		}
 		var want, got []entry
 		m.NonZeros(func(i, j int, v float64) { want = append(want, entry{i, j, v}) })
-		VisitBlocks(total, p, q, func(i, j int, v float64) { got = append(got, entry{i, j, v}) })
+		redist.VisitBlocks(total, p, q, func(i, j int, v float64) { got = append(got, entry{i, j, v}) })
 		if len(got) != len(want) {
 			t.Fatalf("p=%d q=%d: %d entries, want %d", p, q, len(got), len(want))
 		}
@@ -338,5 +353,5 @@ func TestVisitBlocksPanicsOnBadDims(t *testing.T) {
 			t.Error("VisitBlocks(10, 0, 5) should panic")
 		}
 	}()
-	VisitBlocks(10, 0, 5, func(i, j int, v float64) {})
+	redist.VisitBlocks(10, 0, 5, func(i, j int, v float64) {})
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/oracle"
 )
 
 // exactQuantile computes the true q-quantile of samples with the same
@@ -95,7 +96,7 @@ func TestWritePrometheusLints(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := b.String()
-	if errs := obs.LintPrometheus(strings.NewReader(text)); len(errs) > 0 {
+	if errs := oracle.LintPrometheus(strings.NewReader(text)); len(errs) > 0 {
 		t.Fatalf("exposition fails lint: %v\n%s", errs, text)
 	}
 	for _, want := range []string{

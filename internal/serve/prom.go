@@ -13,7 +13,7 @@ import (
 // obs.Counters field, named rats_engine_<field>_total), and the latency
 // and queue-wait distributions as native Prometheus histograms with
 // cumulative le buckets in seconds. The output passes the vendored
-// obs.LintPrometheus validator; CI scrapes and lints it.
+// oracle.LintPrometheus validator; CI scrapes and lints it.
 func (c *Collector) WritePrometheus(w io.Writer) error {
 	c.mu.Lock()
 	up := time.Since(c.started).Seconds()

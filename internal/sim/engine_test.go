@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"testing"
+
+	"repro/internal/oracle"
 )
 
 func TestTimersFireInOrder(t *testing.T) {
@@ -132,22 +134,23 @@ func TestParkingLotCompletionTimes(t *testing.T) {
 
 func TestRecomputeReleasesScratchReferences(t *testing.T) {
 	// Start many concurrent flows, then let the population shrink to zero:
-	// the rate-recomputation scratch of the reference pool must not keep
-	// pointing at completed flows' link slices, which would pin them for
-	// the rest of a long simulation.
-	e := NewReference([]float64{100, 100, 100})
+	// the rate-recomputation scratch of the reference network must not
+	// keep pointing at completed flows' link slices, which would pin them
+	// for the rest of a long simulation.
+	net := oracle.NewMaxMinNet([]float64{100, 100, 100})
+	e := NewOn(net)
 	for i := 0; i < 8; i++ {
 		links := []int{i % 3}
 		e.StartFlow(links, 0, 0, float64(100*(i+1)), nil)
 	}
 	e.Run()
-	p := e.pool.(*maxminPool)
-	for i, l := range p.scratchLnk {
+	scratch := net.ScratchLinks()
+	for i, l := range scratch {
 		if l != nil {
 			t.Fatalf("scratchLnk[%d] still references a link slice after Run", i)
 		}
 	}
-	if cap(p.scratchLnk) < 8 {
-		t.Fatalf("scratch capacity %d, want ≥ 8 (buffer should be reused, not dropped)", cap(p.scratchLnk))
+	if len(scratch) < 8 {
+		t.Fatalf("scratch capacity %d, want ≥ 8 (buffer should be reused, not dropped)", len(scratch))
 	}
 }

@@ -2,8 +2,8 @@ package sim
 
 // Adversarial timer/flow interleavings: randomized programs of staggered
 // arrivals, chained completions and timer-started flows are replayed on
-// both engines — the incremental flownet pool and the reference from-
-// scratch MaxMin pool — which must agree on every completion time, on the
+// both networks — the incremental flownet solver and the reference from-
+// scratch max-min network (oracle.MaxMinNet) — which must agree on every completion time, on the
 // completion order (up to floating-point ties) and on the final virtual
 // time.
 
@@ -12,8 +12,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/platform"
 )
+
+// newReference creates an engine over the reference max-min network.
+func newReference(linkCaps []float64) *Engine { return NewOn(oracle.NewMaxMinNet(linkCaps)) }
 
 // fuzzEvent is one recorded completion.
 type fuzzEvent struct {
@@ -78,7 +82,7 @@ func (p fuzzProgram) run(newEngine func([]float64) *Engine) ([]fuzzEvent, float6
 	return log, e.Run()
 }
 
-// timeClose allows the ulp-level divergence of the two pools' arithmetic.
+// timeClose allows the ulp-level divergence of the two networks' arithmetic.
 func timeClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Max(math.Abs(a), math.Abs(b)), 1)
 }
@@ -89,7 +93,7 @@ func TestFuzzEnginesAgree(t *testing.T) {
 	for _, cl := range clusters {
 		for s := 0; s < programs; s++ {
 			p := fuzzProgram{cl: cl, seed: int64(100*s + 17), flows: 40 + s%3*60}
-			ref, refEnd := p.run(NewReference)
+			ref, refEnd := p.run(newReference)
 			got, gotEnd := p.run(New)
 			if !timeClose(refEnd, gotEnd) {
 				t.Fatalf("%s seed %d: final time %g (flownet) vs %g (maxmin)", cl.Name, p.seed, gotEnd, refEnd)
@@ -136,7 +140,7 @@ func TestFuzzEngineDeterminism(t *testing.T) {
 	for _, engine := range []struct {
 		name string
 		new  func([]float64) *Engine
-	}{{"flownet", New}, {"maxmin", NewReference}} {
+	}{{"flownet", New}, {"maxmin", newReference}} {
 		p := fuzzProgram{cl: platform.Grelon(), seed: 321, flows: 120}
 		a, aEnd := p.run(engine.new)
 		b, bEnd := p.run(engine.new)

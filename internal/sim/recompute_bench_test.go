@@ -6,17 +6,19 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/flownet"
+	"repro/internal/oracle"
 	"repro/internal/platform"
 )
 
 // BenchmarkRecompute isolates the steady-state recompute path of the two
-// fluid-network pools: a fixed-size random flow population over a
+// fluid networks: a fixed-size random flow population over a
 // production-scale cluster where every completion immediately starts a
 // replacement flow, so each benchmark op is one population change — the
 // rate re-solve plus the completion bookkeeping, without the engine's
 // timer machinery or the schedule-replay setup around it. allocs/op is
-// the headline: the flownet pool recycles members, entities and solver
-// state, while the reference pool pays per-flow allocations on every
+// the headline: flownet recycles members, entities and solver state,
+// while the reference network pays per-flow allocations on every
 // churn cycle. cmd/benchtraj folds the per-cluster allocs/op ratio into
 // BENCH_sim.json next to the end-to-end replay speedups.
 func BenchmarkRecompute(b *testing.B) {
@@ -25,19 +27,18 @@ func BenchmarkRecompute(b *testing.B) {
 		caps := cl.LinkCapacities()
 		for _, eng := range []struct {
 			name string
-			new  func([]float64) *Engine
+			new  func([]float64) Network
 		}{
-			{"flownet", New},
-			{"maxmin", NewReference},
+			{"flownet", func(c []float64) Network { return flownet.New(c) }},
+			{"maxmin", func(c []float64) Network { return oracle.NewMaxMinNet(c) }},
 		} {
 			b.Run(cl.Name+"/"+eng.name, func(b *testing.B) {
-				pool := eng.new(caps).pool
+				net := eng.new(caps)
 				rng := rand.New(rand.NewSource(41))
-				// Pre-generated churn: route construction and the shared
-				// completion callback live outside the measurement — a
-				// per-flow closure or route slice would charge both pools
-				// identically and drown out the solver-side difference
-				// being measured.
+				// Pre-generated churn: route construction lives outside the
+				// measurement — a per-flow route slice would charge both
+				// networks identically and drown out the solver-side
+				// difference being measured.
 				type churnFlow struct {
 					links   []int
 					rateCap float64
@@ -54,41 +55,43 @@ func BenchmarkRecompute(b *testing.B) {
 					flows[i] = churnFlow{links: links, rateCap: cl.EffectiveBandwidth(src, dst), volume: 1e5 + rng.Float64()*1e9}
 				}
 				next := 0
-				remaining := b.N
-				var startOne func()
-				done := func() {
-					if remaining > 0 {
-						remaining--
-						startOne()
-					}
-				}
-				startOne = func() {
+				startOne := func() {
 					f := &flows[next%len(flows)]
 					next++
-					pool.start(f.links, f.rateCap, f.volume, done)
+					net.Start(f.links, f.rateCap, f.volume)
 				}
+				// Every completion starts one replacement, after the pop:
+				// the network must not change while it yields.
+				drained := 0
+				countDrained := func(int) { drained++ }
 				for i := 0; i < population; i++ {
 					startOne()
 				}
-				pool.recompute()
+				net.Solve()
 				now := 0.0
+				remaining := b.N
 				b.ResetTimer()
 				b.ReportAllocs()
 				var ms0 runtime.MemStats
 				runtime.ReadMemStats(&ms0)
-				for remaining > 0 && pool.count() > 0 {
-					if pool.dirty() {
-						pool.recompute()
+				for remaining > 0 && net.Flows() > 0 {
+					if net.Dirty() {
+						net.Solve()
 					}
-					t := pool.next(now)
+					t := net.NextDeadline(now)
 					if math.IsInf(t, 1) {
 						b.Fatal("population stalled")
 					}
 					if t > now {
-						pool.advance(t - now)
+						net.Advance(t - now)
 						now = t
 					}
-					pool.popDrained(now)
+					drained = 0
+					net.PopDrained(now, completionEps, countDrained)
+					for ; drained > 0 && remaining > 0; drained-- {
+						remaining--
+						startOne()
+					}
 				}
 				b.StopTimer()
 				// allocs/op rounds to integers; the churn sits near zero on

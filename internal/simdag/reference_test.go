@@ -9,12 +9,21 @@ import (
 	"repro/internal/dag"
 	"repro/internal/gen"
 	"repro/internal/moldable"
+	"repro/internal/oracle"
 	"repro/internal/platform"
+	"repro/internal/sim"
 )
+
+// executeReference replays s on the reference max-min network
+// (oracle.MaxMinNet), which re-solves rates from scratch on every
+// population change.
+func executeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.Schedule) (*Result, error) {
+	return ExecuteOn(sim.NewOn(oracle.NewMaxMinNet(cl.LinkCapacities())), g, costs, cl, s)
+}
 
 // TestExecuteMatchesReferenceEndToEnd replays the library's default
 // time-cost schedules on both engines: Execute (the incremental flownet
-// solver) must reproduce ExecuteReference's makespans and traffic
+// solver) must reproduce executeReference's makespans and traffic
 // accounting (rates are equal up to floating-point accumulation order).
 func TestExecuteMatchesReferenceEndToEnd(t *testing.T) {
 	graphs := []struct {
@@ -38,7 +47,7 @@ func TestExecuteMatchesReferenceEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", cl.Name, gc.name, err)
 			}
-			ref, err := ExecuteReference(g, costs, cl, s)
+			ref, err := executeReference(g, costs, cl, s)
 			if err != nil {
 				t.Fatalf("%s %s (reference): %v", cl.Name, gc.name, err)
 			}
@@ -56,7 +65,7 @@ func TestExecuteMatchesReferenceEndToEnd(t *testing.T) {
 // TestExecuteMatchesReferenceBindingWMax replays on a custom grelon whose
 // TCP window makes β' = WMax/RTT bind on cross-cabinet routes (and not
 // inside a cabinet), so the flow solver's rate-cap events fire: Execute
-// must still reproduce ExecuteReference. The same schedule replayed with
+// must still reproduce the reference. The same schedule replayed with
 // the preset's non-binding window must take a different time, or the
 // caps never mattered.
 func TestExecuteMatchesReferenceBindingWMax(t *testing.T) {
@@ -75,7 +84,7 @@ func TestExecuteMatchesReferenceBindingWMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ExecuteReference(g, costs, cl, s)
+	ref, err := executeReference(g, costs, cl, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,19 +57,13 @@ type Result struct {
 // invalid or the replay fails to complete every task (which would indicate
 // a scheduling bug rather than a property of the workload).
 func Execute(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.Schedule) (*Result, error) {
-	return execute(g, costs, cl, s, sim.New)
+	return ExecuteOn(sim.New(cl.LinkCapacities()), g, costs, cl, s)
 }
 
-// ExecuteReference is Execute on the reference engine (sim.NewReference),
-// which re-solves max-min rates from scratch on every population change.
-// It is a test oracle for Execute: only tests and benchmarks may call it.
-func ExecuteReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.Schedule) (*Result, error) {
-	return execute(g, costs, cl, s, sim.NewReference)
-}
-
-// execute is the one replay loop behind Execute and ExecuteReference;
-// newEngine builds the engine over cl's link capacities.
-func execute(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.Schedule, newEngine func([]float64) *sim.Engine) (*Result, error) {
+// ExecuteOn is Execute on a given engine, which must be fresh and built
+// over cl's link capacities. It is the seam through which tests replay on
+// the reference max-min network.
+func ExecuteOn(eng *sim.Engine, g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.Schedule) (*Result, error) {
 	if err := s.Validate(g, cl); err != nil {
 		return nil, err
 	}
@@ -81,13 +75,13 @@ func execute(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.
 			Finish:     make([]float64, n),
 			EdgeFinish: make([]float64, len(g.Edges)),
 		},
-		eng:       newEngine(cl.LinkCapacities()),
+		eng:       eng,
 		queues:    make([][]int, cl.P),
 		cursor:    make([]int, cl.P),
 		edgesLeft: make([]int, n),
 		started:   make([]bool, n),
 	}
-	res, eng := rp.res, rp.eng
+	res := rp.res
 
 	// Per-processor task queues in mapping order.
 	for _, t := range s.Order {
