@@ -48,10 +48,10 @@
 //  1. Levels follow the recurrences bl(t) = T(t) + max over successors of
 //     (edge + bl(succ)) and tl(t) = max over predecessors of (tl(pred) +
 //     T(pred) + edge), evaluated with the same operand order as
-//     dag.BottomLevels/TopLevels. A single-processor grant changes T of
-//     one task only, so bl may change only on that task's ancestors and
-//     tl only on its descendants (the "cone"); everything outside keeps
-//     bit-identical values.
+//     dag.Graph.BottomLevelsInto and oracle.TopLevels. A single-processor
+//     grant changes T of one task only, so bl may change only on that
+//     task's ancestors and tl only on its descendants (the "cone");
+//     everything outside keeps bit-identical values.
 //  2. C∞ = max bl(t), and a task is a refinement candidate iff
 //     tl(t) + bl(t) ≥ C∞ − C∞·1e-9, i.e. it lies on a critical path
 //     within relative tolerance.

@@ -36,7 +36,7 @@ func oracleRedistTime(cl *platform.Cluster, bytes float64, senders, receivers []
 				t = ft
 			}
 		}
-		if _, lat := cl.Route(f.SrcProc, f.DstProc); lat > maxLat {
+		if _, lat := cl.AppendRoute(nil, f.SrcProc, f.DstProc); lat > maxLat {
 			maxLat = lat
 		}
 	}

@@ -177,7 +177,7 @@ func TestBottomLevelsChain(t *testing.T) {
 	g.AddEdge(1, 2, 0)
 	cost := func(t int) float64 { return float64(t + 1) } // 1,2,3
 	ec := func(e int) float64 { return 0.5 }
-	bl := g.BottomLevels(cost, ec)
+	bl := g.BottomLevelsInto(nil, cost, ec)
 	// bl[2]=3; bl[1]=2+0.5+3=5.5; bl[0]=1+0.5+5.5=7
 	want := []float64{7, 5.5, 3}
 	for i := range want {
@@ -215,7 +215,7 @@ func TestTopLevels(t *testing.T) {
 	g := diamond()
 	cost := func(t int) float64 { return 1 }
 	ec := func(e int) float64 { return 2 }
-	tl := g.TopLevels(cost, ec)
+	tl := oracle.TopLevels(g, cost, ec)
 	want := []float64{0, 3, 3, 6}
 	for i := range want {
 		if tl[i] != want[i] {
@@ -317,7 +317,7 @@ func TestPropertyBottomLevelsDecreaseAlongEdges(t *testing.T) {
 		g := randomLayeredGraph(r)
 		cost := func(t int) float64 { return 1 + float64(t%7) }
 		ec := func(e int) float64 { return float64(e % 3) }
-		bl := g.BottomLevels(cost, ec)
+		bl := g.BottomLevelsInto(nil, cost, ec)
 		for _, e := range g.Edges {
 			// bl(from) >= cost(from) + ec + bl(to)
 			if bl[e.From] < cost(e.From)+ec(e.ID)+bl[e.To]-1e-9 {

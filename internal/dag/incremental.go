@@ -5,9 +5,10 @@ package dag
 // levels of every task under point updates of a single task's cost,
 // recomputing only the affected ancestor/descendant cone instead of
 // re-walking the whole DAG. The recomputation is bit-identical to a full
-// BottomLevels/TopLevels pass: every task's level is evaluated with the
-// exact same float operations in the exact same edge order, and a task
-// outside the cone keeps a value whose inputs did not change.
+// bottom- and top-level pass (Graph.BottomLevelsInto and the test oracle's
+// TopLevels): every task's level is evaluated with the exact same float
+// operations in the exact same edge order, and a task outside the cone
+// keeps a value whose inputs did not change.
 
 // LevelTracker maintains bottom levels (longest path to the exit,
 // including the task's own cost) and top levels (longest path from the
@@ -24,7 +25,7 @@ type LevelTracker struct {
 	// Flattened adjacency (CSR layout) with edge costs copied inline:
 	// successors of t are outTo[outStart[t]:outStart[t+1]], in the same
 	// order as Graph.Out(t) so the max-folds visit operands in the same
-	// order as BottomLevels/TopLevels. The cone sweeps touch these arrays
+	// order as the full passes. The cone sweeps touch these arrays
 	// thousands of times per allocation run; contiguous storage beats the
 	// graph's slice-of-slices by a wide margin.
 	outStart, inStart []int
@@ -97,7 +98,7 @@ func NewLevelTracker(g *Graph, taskCost, edgeCost []float64) *LevelTracker {
 }
 
 // recomputeBottom evaluates the bottom-level recurrence of task t from the
-// current levels of its successors, mirroring Graph.BottomLevels exactly.
+// current levels of its successors, mirroring Graph.BottomLevelsInto exactly.
 func (lt *LevelTracker) recomputeBottom(t int) float64 {
 	best := 0.0
 	for k := lt.outStart[t]; k < lt.outStart[t+1]; k++ {
@@ -109,7 +110,8 @@ func (lt *LevelTracker) recomputeBottom(t int) float64 {
 }
 
 // recomputeTop evaluates the top-level recurrence of task t from the
-// current levels of its predecessors, mirroring Graph.TopLevels exactly.
+// current levels of its predecessors, mirroring the full top-level pass
+// exactly.
 func (lt *LevelTracker) recomputeTop(t int) float64 {
 	top := 0.0
 	for k := lt.inStart[t]; k < lt.inStart[t+1]; k++ {

@@ -1,16 +1,19 @@
-package dag
+package dag_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/dag"
+	"repro/internal/oracle"
 )
 
 // randomDAG builds a layered random DAG with edges only from lower to
 // higher IDs, so it is acyclic by construction.
-func randomDAG(rng *rand.Rand, n int) (*Graph, []float64, []float64) {
-	g := NewGraph(n, 3*n)
+func randomDAG(rng *rand.Rand, n int) (*dag.Graph, []float64, []float64) {
+	g := dag.NewGraph(n, 3*n)
 	for i := 0; i < n; i++ {
-		g.AddTask(Task{Name: "t", M: 1e7, A: 100, Alpha: 0.1})
+		g.AddTask(dag.Task{Name: "t", M: 1e7, A: 100, Alpha: 0.1})
 	}
 	for v := 1; v < n; v++ {
 		// At least one parent keeps the graph connected enough to be
@@ -36,22 +39,22 @@ func randomDAG(rng *rand.Rand, n int) (*Graph, []float64, []float64) {
 
 // TestLevelTrackerMatchesFullRecompute drives random cost updates through a
 // LevelTracker and checks after each one that every level is bit-identical
-// to a from-scratch BottomLevels/TopLevels pass — the exact contract the
-// incremental allocation engine relies on.
+// to a from-scratch BottomLevelsInto/oracle.TopLevels pass — the exact
+// contract the incremental allocation engine relies on.
 func TestLevelTrackerMatchesFullRecompute(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g, cost, edge := randomDAG(rng, 40)
 
 		ref := append([]float64(nil), cost...)
-		lt := NewLevelTracker(g, cost, edge)
+		lt := dag.NewLevelTracker(g, cost, edge)
 		if lt == nil {
 			t.Fatal("NewLevelTracker returned nil for an acyclic graph")
 		}
 		check := func(step int) {
 			t.Helper()
-			bl := g.BottomLevels(func(tk int) float64 { return ref[tk] }, func(e int) float64 { return edge[e] })
-			tl := g.TopLevels(func(tk int) float64 { return ref[tk] }, func(e int) float64 { return edge[e] })
+			bl := g.BottomLevelsInto(nil, func(tk int) float64 { return ref[tk] }, func(e int) float64 { return edge[e] })
+			tl := oracle.TopLevels(g, func(tk int) float64 { return ref[tk] }, func(e int) float64 { return edge[e] })
 			for tk := 0; tk < g.N(); tk++ {
 				if lt.BottomLevel(tk) != bl[tk] {
 					t.Fatalf("seed %d step %d: bottom[%d] = %v, want %v", seed, step, tk, lt.BottomLevel(tk), bl[tk])
@@ -98,7 +101,7 @@ func TestLevelTrackerMatchesFullRecompute(t *testing.T) {
 func TestLevelTrackerNoChangeOnIdenticalCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, cost, edge := randomDAG(rng, 20)
-	lt := NewLevelTracker(g, cost, edge)
+	lt := dag.NewLevelTracker(g, cost, edge)
 	if got := lt.SetTaskCost(5, cost[5]); len(got) != 0 {
 		t.Fatalf("identical cost reported %d changes", len(got))
 	}
@@ -106,12 +109,12 @@ func TestLevelTrackerNoChangeOnIdenticalCost(t *testing.T) {
 
 // TestLevelTrackerCyclicGraph checks that a cyclic graph yields nil.
 func TestLevelTrackerCyclicGraph(t *testing.T) {
-	g := NewGraph(2, 2)
-	g.AddTask(Task{Name: "a"})
-	g.AddTask(Task{Name: "b"})
+	g := dag.NewGraph(2, 2)
+	g.AddTask(dag.Task{Name: "a"})
+	g.AddTask(dag.Task{Name: "b"})
 	g.AddEdge(0, 1, 0)
 	g.AddEdge(1, 0, 0)
-	if lt := NewLevelTracker(g, []float64{1, 1}, []float64{0, 0}); lt != nil {
+	if lt := dag.NewLevelTracker(g, []float64{1, 1}, []float64{0, 0}); lt != nil {
 		t.Fatal("want nil tracker for cyclic graph")
 	}
 }
@@ -120,9 +123,9 @@ func TestLevelTrackerCyclicGraph(t *testing.T) {
 // descendant cone iterators on a diamond with a tail.
 func TestVisitConeOrders(t *testing.T) {
 	// 0 → {1,2} → 3 → 4
-	g := NewGraph(5, 6)
+	g := dag.NewGraph(5, 6)
 	for i := 0; i < 5; i++ {
-		g.AddTask(Task{Name: "t"})
+		g.AddTask(dag.Task{Name: "t"})
 	}
 	g.AddEdge(0, 1, 0)
 	g.AddEdge(0, 2, 0)

@@ -43,7 +43,7 @@ func TestCapAdmissionOnPresets(t *testing.T) {
 				if dst >= src {
 					dst++
 				}
-				links, _ := cl.Route(src, dst)
+				links, _ := cl.AppendRoute(nil, src, dst)
 				rateCap := cl.EffectiveBandwidth(src, dst)
 				if rng.Intn(8) == 0 {
 					rateCap = 0
@@ -53,7 +53,7 @@ func TestCapAdmissionOnPresets(t *testing.T) {
 				ids = append(ids, n.Start(links, rateCap, 1e6))
 			}
 			n.Solve()
-			if c := cap(n.capHeap); c != 0 {
+			if c := n.capHeap.Cap(); c != 0 {
 				t.Fatalf("%s step %d: the cap heap received entries (capacity %d)", name, step, c)
 			}
 		}
@@ -71,13 +71,13 @@ func TestCapAdmissionRule(t *testing.T) {
 	n := New([]float64{100, 50})
 	eq := n.Start([]int{0, 1}, 50, 1)
 	n.Solve()
-	if r := n.Rate(eq); r != 50 || cap(n.capHeap) != 0 {
-		t.Fatalf("cap at the narrowest link: rate %g, cap heap capacity %d; want 50 and no entry", r, cap(n.capHeap))
+	if r := n.Rate(eq); r != 50 || n.capHeap.Cap() != 0 {
+		t.Fatalf("cap at the narrowest link: rate %g, cap heap capacity %d; want 50 and no entry", r, n.capHeap.Cap())
 	}
 	below := n.Start([]int{1, 0}, 20, 1)
 	n.Solve()
-	if r := n.Rate(below); r != 20 || cap(n.capHeap) == 0 {
-		t.Fatalf("cap below the narrowest link: rate %g, cap heap capacity %d; want 20 and an entry", r, cap(n.capHeap))
+	if r := n.Rate(below); r != 20 || n.capHeap.Cap() == 0 {
+		t.Fatalf("cap below the narrowest link: rate %g, cap heap capacity %d; want 20 and an entry", r, n.capHeap.Cap())
 	}
 	if r := n.Rate(eq); r != 30 {
 		t.Fatalf("uncapped-in-effect flow: rate %g, want the link's remaining 30", r)

@@ -18,24 +18,24 @@ import (
 // checkDeadlineIndex verifies the deadline heap against the entity table.
 func checkDeadlineIndex(t *testing.T, n *Net, op string) {
 	t.Helper()
-	if len(n.dlPos) != len(n.ents) {
-		t.Fatalf("%s: %d position slots for %d entity slots", op, len(n.dlPos), len(n.ents))
-	}
-	for i, k := range n.dlHeap {
-		if p := n.dlPos[k.eid]; p != int32(i) {
-			t.Fatalf("%s: heap[%d] holds entity %d, whose position reads %d", op, i, k.eid, p)
+	for i := 0; i < n.dl.Len(); i++ {
+		k := n.dl.At(i)
+		if p := n.dl.Slot(k.ID); p != i {
+			t.Fatalf("%s: heap[%d] holds entity %d, whose position reads %d", op, i, k.ID, p)
 		}
-		if i > 0 && dlLess(k, n.dlHeap[(i-1)/2]) {
-			t.Fatalf("%s: heap[%d] = %+v orders before its parent %+v", op, i, k, n.dlHeap[(i-1)/2])
+		if i > 0 {
+			if pk := n.dl.At((i - 1) / 2); k.K < pk.K || (k.K == pk.K && k.ID < pk.ID) {
+				t.Fatalf("%s: heap[%d] = %+v orders before its parent %+v", op, i, *k, *pk)
+			}
 		}
 	}
 	for eid := range n.ents {
 		e := &n.ents[eid]
 		live := int(e.pos) < len(n.active) && n.active[e.pos] == int32(eid)
 		want := live && e.weight > 0 && e.rate > 0 && !math.IsInf(n.headFin[e.pos], 1)
-		p := n.dlPos[eid]
-		if p >= int32(len(n.dlHeap)) || (p >= 0 && n.dlHeap[p].eid != int32(eid)) {
-			t.Fatalf("%s: entity %d points at heap slot %d of %d", op, eid, p, len(n.dlHeap))
+		p := n.dl.Slot(int64(eid))
+		if p >= n.dl.Len() || (p >= 0 && n.dl.At(p).ID != int64(eid)) {
+			t.Fatalf("%s: entity %d points at heap slot %d of %d", op, eid, p, n.dl.Len())
 		}
 		if has := p >= 0; has != want {
 			t.Fatalf("%s: entity %d (live %v, weight %d, rate %g) has entry %v, want %v",
@@ -85,7 +85,7 @@ func TestDeadlineIndexInvariant(t *testing.T) {
 					if dst >= src {
 						dst++
 					}
-					links, _ = cl.Route(src, dst)
+					links, _ = cl.AppendRoute(nil, src, dst)
 					rateCap = cl.EffectiveBandwidth(src, dst)
 				}
 				switch rng.Intn(6) {

@@ -129,7 +129,7 @@ func TestDeltaLogProperties(t *testing.T) {
 			if dst >= src {
 				dst++
 			}
-			links, _ := cl.Route(src, dst)
+			links, _ := cl.AppendRoute(nil, src, dst)
 			rateCap := cl.EffectiveBandwidth(src, dst)
 			switch rng.Intn(8) {
 			case 0:

@@ -92,7 +92,8 @@
 // and finding work is O(log entities) per event rather than a scan of the
 // whole population. The heap only schedules which entities are examined
 // — the drained-state test against the eagerly accumulated volumes stays
-// authoritative.
+// authoritative. The member, deadline, link and pending-cap heaps are all
+// internal/heapq heaps.
 //
 // Replaying a stored flush is the same arithmetic the solve that wrote it
 // performed — the same float64(weight)·rate per link, clamp and weight

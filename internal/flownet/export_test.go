@@ -24,9 +24,10 @@ func (n *Net) Remove(id int) {
 	mid := int32(id)
 	eid := n.members[mid].ent
 	e := &n.ents[eid]
-	for i, h := range e.heap {
-		if h == mid {
-			n.heapDelete(e, i)
+	for i := 0; i < e.heap.Len(); i++ {
+		if e.heap.At(i).ID == int64(mid) {
+			e.heap.Remove(i)
+			n.syncHeadFin(e)
 			break
 		}
 	}
@@ -35,17 +36,6 @@ func (n *Net) Remove(id int) {
 		n.bumpDeadline(eid, e)
 	}
 	n.freeMember(mid)
-}
-
-func (n *Net) heapDelete(e *entity, i int) {
-	last := len(e.heap) - 1
-	e.heap[i] = e.heap[last]
-	e.heap = e.heap[:last]
-	if i < last {
-		n.siftDown(e, i)
-		n.siftUp(e, i)
-	}
-	n.syncHeadFin(e)
 }
 
 // Remaining returns the flow's residual volume in bytes.

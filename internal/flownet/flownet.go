@@ -1,6 +1,10 @@
 package flownet
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/heapq"
+)
 
 // maxAggRoute is the longest route eligible for super-flow aggregation.
 // Platform routes have two links (intra-cabinet) or four (cross-cabinet);
@@ -41,9 +45,8 @@ type entity struct {
 	links   []int32 // route (dense link ids, repeats allowed)
 	linkPos []int32 // position of occurrence i in Net.linkEnts[links[i]]
 	cap     float64 // per-member rate cap (<= 0: none)
-	weight  int32   // live member count
 	rate    float64 // current per-member rate
-	heap    []int32 // member ids, min-heap by (finish, seq)
+	weight  int32   // live member count
 	gen     uint32  // bumped on destroy; stale log entries detect reuse
 	pos     int32   // index in Net.active
 	agg     bool    // registered in byRoute
@@ -55,6 +58,12 @@ type entity struct {
 	capBinds bool
 
 	changed bool // population changed since the last solve
+
+	// heap holds the live members keyed (finish, member id). Members
+	// with equal finish volumes complete in the same PopDrained batch,
+	// which yields them in arrival order, so the id tie-break is never
+	// observed.
+	heap heapq.Heap[struct{}]
 }
 
 // Net maintains the flow population, the rate allocation and the fluid
@@ -94,9 +103,8 @@ type Net struct {
 	// (draining is linear), so only entities touched by a solve or a
 	// completion are re-keyed, in place. The exact eager drained-state
 	// test stays authoritative — the heap only selects which entities
-	// PopDrained examines.
-	dlHeap []dlKey
-	dlPos  []int32 // by entity id: index in dlHeap, -1 when absent
+	// PopDrained examines. Keyed (deadline, entity id), indexed by id.
+	dl heapq.Heap[struct{}]
 
 	seq   int64
 	dirty bool
@@ -122,19 +130,19 @@ type Net struct {
 	unfixedList    []int32
 	rem            []float64
 	wcnt           []int32
-	share          []float64 // cached rem/wcnt per link, maintained by flushLevel
-	wsum           []int32   // per-link weight accumulator of the level being applied
-	touchedLn      []int32   // links with nonzero wsum, in first-touch order
-	lnHeap         []lnKey   // lazy min-heap of active links by (share, id)
-	lastLinkWeight []int32   // linkWeight as of the last Solve (checkpoint base)
-	bnLevel        []int32   // level index where the link is the bottleneck
+	share          []float64            // cached rem/wcnt per link, maintained by flushLevel
+	wsum           []int32              // per-link weight accumulator of the level being applied
+	touchedLn      []int32              // links with nonzero wsum, in first-touch order
+	lnHeap         heapq.Heap[struct{}] // lazy min-heap of active links by (share, id); see minLink
+	lastLinkWeight []int32              // linkWeight as of the last Solve (checkpoint base)
+	bnLevel        []int32              // level index where the link is the bottleneck
 	ckRem          []float64
 	ckWcnt         []int32
 	oldLevels      []level     // merge-replay scratch: the old log suffix
 	oldFixes       []fixEntry  // merge-replay scratch: its fix entries
 	oldDeltas      []linkDelta // merge-replay scratch: its link deltas
 	nCk            int
-	capHeap        []capKey // pending capped entities by (cap, id), lazily pruned
+	capHeap        heapq.Heap[struct{}] // pending capped entities by (cap, id), lazily pruned
 	levels         []level
 	fixes          []fixEntry
 	deltas         []linkDelta // per-level link flushes, parallel to fixes
@@ -168,6 +176,7 @@ func New(linkCaps []float64) *Net {
 		n.bnLevel[i] = noLevel
 		n.livePos[i] = -1
 	}
+	n.dl.IndexByID()
 	return n
 }
 
@@ -190,7 +199,8 @@ func (n *Net) Start(links []int, rateCap, volume float64) int {
 	m.seq = n.seq
 	n.seq++
 	m.finish = volume + n.drained[e.pos]
-	n.heapPush(e, mid)
+	e.heap.Push(m.finish, int64(mid), struct{}{})
+	n.syncHeadFin(e)
 	e.weight++
 	for _, l := range e.links {
 		if n.linkWeight[l]++; n.linkWeight[l] == 1 && n.livePos[l] < 0 {
@@ -238,10 +248,10 @@ func (n *Net) bumpDeadline(eid int32, e *entity) {
 // clamp the result to now — complete them with PopDrained; now must be
 // consistent with the accumulated Advance time.
 func (n *Net) NextDeadline(now float64) float64 {
-	if len(n.dlHeap) == 0 {
+	if n.dl.Len() == 0 {
 		return math.Inf(1)
 	}
-	if t := n.dlHeap[0].t; !(t < now) {
+	if t := n.dl.At(0).K; !(t < now) {
 		return t
 	}
 	return now
@@ -254,8 +264,8 @@ func (n *Net) NextDeadline(now float64) float64 {
 // not call back into the Net. It reports whether any flow completed.
 func (n *Net) PopDrained(now, eps float64, yield func(id int)) bool {
 	n.popped = n.popped[:0]
-	for len(n.dlHeap) > 0 && !(n.dlHeap[0].t > now) {
-		eid := n.dlHeap[0].eid
+	for n.dl.Len() > 0 && !(n.dl.At(0).K > now) {
+		eid := int32(n.dl.At(0).ID)
 		e := &n.ents[eid]
 		pos := int(e.pos)
 		// Exact drained-state test on the candidate; the heap deadline is
@@ -266,17 +276,16 @@ func (n *Net) PopDrained(now, eps float64, yield func(id int)) bool {
 			continue
 		}
 		popCount := int32(0)
-		for len(e.heap) > 0 {
-			head := e.heap[0]
-			hrem := n.members[head].finish - n.drained[pos]
+		for e.heap.Len() > 0 {
+			hrem := e.heap.At(0).K - n.drained[pos]
 			if hrem <= eps || (e.rate > 0 && now+hrem/e.rate <= now) {
-				n.heapPop(e)
-				n.popped = append(n.popped, head)
+				n.popped = append(n.popped, int32(e.heap.Pop().ID))
 				popCount++
 				continue
 			}
 			break
 		}
+		n.syncHeadFin(e)
 		if popCount == 0 {
 			// The head moved without completing (defensive).
 			n.dlRemove(eid)
@@ -383,7 +392,6 @@ func (n *Net) newEntity(links []int, rateCap float64, agg bool) int32 {
 		n.walkEp = append(n.walkEp, 0)
 		n.genByID = append(n.genByID, 0)
 		n.fixedLevel = append(n.fixedLevel, 0)
-		n.dlPos = append(n.dlPos, -1)
 		eid = int32(len(n.ents) - 1)
 	}
 	e := &n.ents[eid]
@@ -392,7 +400,7 @@ func (n *Net) newEntity(links []int, rateCap float64, agg bool) int32 {
 	e.cap = rateCap
 	e.capBinds = rateCap > 0
 	e.weight = 0
-	e.heap = e.heap[:0]
+	e.heap.Reset()
 	e.agg = agg
 	e.changed = false
 	n.solveEp[eid] = 0
@@ -478,173 +486,28 @@ func (n *Net) freeMember(mid int32) {
 	n.memFree = append(n.memFree, mid)
 }
 
-// Member heap by (finish, seq): completions within an entity in virtual
-// finish-volume order, FIFO on exact ties. Manual sift code keeps the hot
-// path free of interface allocations. Every mutation refreshes the dense
-// headFin mirror.
-
-func (n *Net) memLess(a, b int32) bool {
-	ma, mb := &n.members[a], &n.members[b]
-	if ma.finish != mb.finish {
-		return ma.finish < mb.finish
-	}
-	return ma.seq < mb.seq
-}
-
+// syncHeadFin refreshes the dense mirror of the entity's earliest member
+// finish volume after its member heap changed.
 func (n *Net) syncHeadFin(e *entity) {
-	if len(e.heap) > 0 {
-		n.headFin[e.pos] = n.members[e.heap[0]].finish
+	if e.heap.Len() > 0 {
+		n.headFin[e.pos] = e.heap.At(0).K
 	} else {
 		n.headFin[e.pos] = math.Inf(1)
 	}
 }
 
-func (n *Net) heapPush(e *entity, mid int32) {
-	e.heap = append(e.heap, mid)
-	i := len(e.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !n.memLess(e.heap[i], e.heap[p]) {
-			break
-		}
-		e.heap[i], e.heap[p] = e.heap[p], e.heap[i]
-		i = p
-	}
-	n.syncHeadFin(e)
-}
-
-func (n *Net) heapPop(e *entity) int32 {
-	top := e.heap[0]
-	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
-	e.heap = e.heap[:last]
-	if last > 0 {
-		n.siftDown(e, 0)
-	}
-	n.syncHeadFin(e)
-	return top
-}
-
-func (n *Net) siftDown(e *entity, i int) {
-	h := e.heap
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if r := c + 1; r < len(h) && n.memLess(h[r], h[c]) {
-			c = r
-		}
-		if !n.memLess(h[c], h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
-func (n *Net) siftUp(e *entity, i int) {
-	h := e.heap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !n.memLess(h[i], h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-// dlKey is one deadline-heap entry. Entries are unique per entity, so
-// (t, eid) is a total order and the heap's top is deterministic.
-type dlKey struct {
-	t   float64
-	eid int32
-}
-
-func dlLess(a, b dlKey) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.eid < b.eid
-}
-
 // dlSet inserts or re-keys entity eid's deadline entry.
 func (n *Net) dlSet(eid int32, t float64) {
-	i := int(n.dlPos[eid])
-	if i < 0 {
-		i = len(n.dlHeap)
-		n.dlHeap = append(n.dlHeap, dlKey{t: t, eid: eid})
-		n.dlPos[eid] = int32(i)
-		n.dlSiftUp(i)
-		return
-	}
-	old := n.dlHeap[i].t
-	n.dlHeap[i].t = t
-	if t < old {
-		n.dlSiftUp(i)
+	if i := n.dl.Slot(int64(eid)); i >= 0 {
+		n.dl.Fix(i, t)
 	} else {
-		n.dlSiftDown(i)
+		n.dl.Push(t, int64(eid), struct{}{})
 	}
 }
 
 // dlRemove drops entity eid's deadline entry, if it has one.
 func (n *Net) dlRemove(eid int32) {
-	i := int(n.dlPos[eid])
-	if i < 0 {
-		return
+	if i := n.dl.Slot(int64(eid)); i >= 0 {
+		n.dl.Remove(i)
 	}
-	n.dlPos[eid] = -1
-	last := len(n.dlHeap) - 1
-	if i == last {
-		n.dlHeap = n.dlHeap[:last]
-		return
-	}
-	moved := n.dlHeap[last]
-	n.dlHeap = n.dlHeap[:last]
-	n.dlHeap[i] = moved
-	n.dlPos[moved.eid] = int32(i)
-	if i > 0 && dlLess(moved, n.dlHeap[(i-1)/2]) {
-		n.dlSiftUp(i)
-	} else {
-		n.dlSiftDown(i)
-	}
-}
-
-func (n *Net) dlSiftUp(i int) {
-	h := n.dlHeap
-	k := h[i]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !dlLess(k, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		n.dlPos[h[i].eid] = int32(i)
-		i = p
-	}
-	h[i] = k
-	n.dlPos[k.eid] = int32(i)
-}
-
-func (n *Net) dlSiftDown(i int) {
-	h := n.dlHeap
-	k := h[i]
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if r := c + 1; r < len(h) && dlLess(h[r], h[c]) {
-			c = r
-		}
-		if !dlLess(h[c], k) {
-			break
-		}
-		h[i] = h[c]
-		n.dlPos[h[i].eid] = int32(i)
-		i = c
-	}
-	h[i] = k
-	n.dlPos[k.eid] = int32(i)
 }

@@ -68,7 +68,7 @@ func (o *oracleNet) addRandom() {
 	for dst == src {
 		dst = o.rng.Intn(o.cl.P)
 	}
-	links, _ := o.cl.Route(src, dst)
+	links, _ := o.cl.AppendRoute(nil, src, dst)
 	rateCap := o.cl.EffectiveBandwidth(src, dst)
 	switch o.rng.Intn(8) {
 	case 0:

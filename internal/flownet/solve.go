@@ -40,16 +40,6 @@ type fixEntry struct {
 	gen uint32
 }
 
-// capKey is one pending-cap heap entry: a queued entity whose cap can
-// bind, keyed by (cap, entity id) — the candidate order progressive
-// filling consumes rate-cap events in. Entities refixed by link events
-// before their cap fires are skipped lazily (their fixedEp stamp marks
-// them stale).
-type capKey struct {
-	cap float64
-	eid int32
-}
-
 // ckStride is the checkpoint spacing: the solver snapshots the (rem,
 // wcnt) state every ckStride levels, so a later solve can restore the
 // state at any cut point with one O(links) copy plus at most ckStride
@@ -94,7 +84,7 @@ func (n *Net) Solve() {
 	n.wsum = n.wsum[:nl]
 	n.epoch++
 	n.unfixedList = n.unfixedList[:0]
-	n.capHeap = n.capHeap[:0]
+	n.capHeap.Reset()
 
 	// Small populations re-solve from scratch without any log bookkeeping:
 	// no levels, no fix entries, no checkpoints, and only the live links'
@@ -241,63 +231,61 @@ func (n *Net) queuePending(eid int32, e *entity) {
 	n.solveEp[eid] = n.epoch
 	n.unfixedList = append(n.unfixedList, eid)
 	if e.capBinds {
-		n.capHeap = append(n.capHeap, capKey{cap: e.cap, eid: eid})
-		n.capSiftUp(len(n.capHeap) - 1)
+		n.capHeap.Push(e.cap, int64(eid), struct{}{})
 	}
 }
 
 // peekCap returns the earliest pending rate-cap event, lazily discarding
 // entities already refixed by link events.
 func (n *Net) peekCap() (int32, float64) {
-	for len(n.capHeap) > 0 {
-		top := n.capHeap[0]
-		if n.fixedEp[top.eid] != n.epoch {
-			return top.eid, top.cap
+	for n.capHeap.Len() > 0 {
+		top := n.capHeap.At(0)
+		if eid := int32(top.ID); n.fixedEp[eid] != n.epoch {
+			return eid, top.K
 		}
-		last := len(n.capHeap) - 1
-		n.capHeap[0] = n.capHeap[last]
-		n.capHeap = n.capHeap[:last]
-		if last > 0 {
-			n.capSiftDown(0)
-		}
+		n.capHeap.Pop()
 	}
 	return -1, math.Inf(1)
 }
 
-func (n *Net) capLess(a, b capKey) bool {
-	if a.cap != b.cap {
-		return a.cap < b.cap
+// minLink returns the dirty or active link with the smallest fair share
+// rem/wcnt and that share, or (-1, +Inf) when none is finite. The link
+// heap is lazy: shares only grow while levels are committed (every fix
+// runs at or below the current minimum), so a stale key is a valid lower
+// bound. The top is re-keyed in place when its share moved and discarded
+// when its link saturated. cached reads the share from the per-link cache
+// flushLevel maintains for the fill instead of dividing. Links with
+// infinite capacity never win the reference solver's strict minimum test.
+func (n *Net) minLink(cached bool) (int32, float64) {
+	for n.lnHeap.Len() > 0 {
+		top := n.lnHeap.At(0)
+		l := int32(top.ID)
+		if n.wcnt[l] == 0 {
+			n.lnHeap.Pop()
+			continue
+		}
+		var cur float64
+		if cached {
+			cur = n.share[l]
+		} else {
+			cur = n.rem[l] / float64(n.wcnt[l])
+		}
+		if cur != top.K {
+			n.lnHeap.Fix(0, cur)
+			continue
+		}
+		if math.IsInf(cur, 1) {
+			break
+		}
+		return l, cur
 	}
-	return a.eid < b.eid
+	return -1, math.Inf(1)
 }
 
-func (n *Net) capSiftUp(i int) {
-	h := n.capHeap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !n.capLess(h[i], h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (n *Net) capSiftDown(i int) {
-	h := n.capHeap
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if r := c + 1; r < len(h) && n.capLess(h[r], h[c]) {
-			c = r
-		}
-		if !n.capLess(h[c], h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
+// pushLink adds link l to the link heap keyed by its current fair share.
+func (n *Net) pushLink(l int32) {
+	if n.wcnt[l] > 0 {
+		n.lnHeap.Push(n.rem[l]/float64(n.wcnt[l]), int64(l), struct{}{})
 	}
 }
 
@@ -418,15 +406,13 @@ func (n *Net) mergeReplay() int {
 	kept := cutLow
 
 	// Dirty-link heap over the changed links with live weight.
-	n.lnHeap = n.lnHeap[:0]
+	n.lnHeap.Reset()
 	for _, l := range n.chLinks {
 		if n.wcnt[l] > 0 {
-			n.lnHeap = append(n.lnHeap, lnKey{share: n.rem[l] / float64(n.wcnt[l]), link: l})
+			n.lnHeap.Append(n.rem[l]/float64(n.wcnt[l]), int64(l), struct{}{})
 		}
 	}
-	for i := len(n.lnHeap)/2 - 1; i >= 0; i-- {
-		n.lnSiftDown(i)
-	}
+	n.lnHeap.Init()
 
 	for oi := 0; oi < len(n.oldLevels); {
 		if i := len(n.levels); i%ckStride == 0 && i/ckStride >= n.nCk {
@@ -434,29 +420,7 @@ func (n *Net) mergeReplay() int {
 			n.nCk = i/ckStride + 1
 		}
 		// Earliest pending link event of the dirty population.
-		dShare := math.Inf(1)
-		dLink := int32(-1)
-		for len(n.lnHeap) > 0 {
-			top := n.lnHeap[0]
-			if n.wcnt[top.link] == 0 {
-				last := len(n.lnHeap) - 1
-				n.lnHeap[0] = n.lnHeap[last]
-				n.lnHeap = n.lnHeap[:last]
-				if last > 0 {
-					n.lnSiftDown(0)
-				}
-				continue
-			}
-			if cur := n.rem[top.link] / float64(n.wcnt[top.link]); cur != top.share {
-				n.lnHeap[0].share = cur
-				n.lnSiftDown(0)
-				continue
-			}
-			if !math.IsInf(top.share, 1) {
-				dShare, dLink = top.share, top.link
-			}
-			break
-		}
+		dLink, dShare := n.minLink(false)
 		// Earliest pending rate-cap event.
 		capEnt, capVal := n.peekCap()
 		minPend := dShare
@@ -500,12 +464,7 @@ func (n *Net) mergeReplay() int {
 		if nfix == 0 {
 			// Defensive: live weight with no eligible entity would loop
 			// forever. Drop the entry and force a full solve next time.
-			last := len(n.lnHeap) - 1
-			n.lnHeap[0] = n.lnHeap[last]
-			n.lnHeap = n.lnHeap[:last]
-			if last > 0 {
-				n.lnSiftDown(0)
-			}
+			n.lnHeap.Pop()
 			n.logOK = false
 			continue
 		}
@@ -532,10 +491,7 @@ func (n *Net) skipOldLevel(lv *level) {
 		if l := d.link; !n.linkChanged[l] {
 			n.linkChanged[l] = true
 			n.chLinks = append(n.chLinks, l)
-			if n.wcnt[l] > 0 {
-				n.lnHeap = append(n.lnHeap, lnKey{share: n.rem[l] / float64(n.wcnt[l]), link: l})
-				n.lnSiftUp(len(n.lnHeap) - 1)
-			}
+			n.pushLink(l)
 		}
 	}
 }
@@ -583,10 +539,7 @@ func (n *Net) dirtyFlush(r float64) {
 		if !n.linkChanged[l] {
 			n.linkChanged[l] = true
 			n.chLinks = append(n.chLinks, l)
-			if n.wcnt[l] > 0 {
-				n.lnHeap = append(n.lnHeap, lnKey{share: n.rem[l] / float64(n.wcnt[l]), link: l})
-				n.lnSiftUp(len(n.lnHeap) - 1)
-			}
+			n.pushLink(l)
 		}
 	}
 	n.flushLevel(r, false)
@@ -737,59 +690,30 @@ func (n *Net) fill() {
 	if n.unfixed == 0 {
 		return
 	}
-	// The bottleneck candidate comes from a lazy min-heap of the active
-	// links keyed by (cached fair share, link id). Fair shares only grow
-	// while filling progresses (every fix runs at or below the current
-	// minimum), so a stale heap key is a valid lower bound: the top is
-	// re-keyed in place when its cached share moved, and discarded when
-	// its link saturated. Ties break on the link id, reproducing the
-	// reference solver's ascending-id scan exactly.
-	n.lnHeap = n.lnHeap[:0]
+	// The bottleneck candidate comes from the lazy link heap over the
+	// active links (minLink), keyed by (cached fair share, link id). Ties
+	// break on the link id, reproducing the reference solver's
+	// ascending-id scan exactly.
+	n.lnHeap.Reset()
 	for _, l := range n.liveLinks {
 		if n.wcnt[l] > 0 {
 			sh := n.rem[l] / float64(n.wcnt[l])
 			n.share[l] = sh
-			n.lnHeap = append(n.lnHeap, lnKey{share: sh, link: l})
+			n.lnHeap.Append(sh, int64(l), struct{}{})
 		}
 	}
-	for i := len(n.lnHeap)/2 - 1; i >= 0; i-- {
-		n.lnSiftDown(i)
-	}
+	n.lnHeap.Init()
 	solveEp, fixedEp, epoch := n.solveEp, n.fixedEp, n.epoch
-	wcnt, shares := n.wcnt, n.share
 
 	for n.unfixed > 0 {
 		if i := len(n.levels); !n.nolog && i%ckStride == 0 && i/ckStride >= n.nCk {
 			n.snapshotCk(i / ckStride)
 			n.nCk = i/ckStride + 1
 		}
-		// Candidate 1: smallest fair share among active links.
-		share := math.Inf(1)
-		bottleneck := int32(-1)
-		for len(n.lnHeap) > 0 {
-			top := n.lnHeap[0]
-			if wcnt[top.link] == 0 {
-				last := len(n.lnHeap) - 1
-				n.lnHeap[0] = n.lnHeap[last]
-				n.lnHeap = n.lnHeap[:last]
-				if last > 0 {
-					n.lnSiftDown(0)
-				}
-				continue
-			}
-			if cur := shares[top.link]; cur != top.share {
-				n.lnHeap[0].share = cur
-				n.lnSiftDown(0)
-				continue
-			}
-			// Links with infinite capacity never win the reference
-			// solver's strict minimum test; leaving bottleneck unset
-			// routes control to the defensive path below.
-			if !math.IsInf(top.share, 1) {
-				share, bottleneck = top.share, top.link
-			}
-			break
-		}
+		// Candidate 1: smallest fair share among active links. Infinite
+		// shares leave bottleneck unset, routing control to the
+		// defensive path below.
+		bottleneck, share := n.minLink(true)
 		// Candidate 2: smallest cap among pending capped entities.
 		capEnt, capVal := n.peekCap()
 		if capEnt >= 0 && !(capVal < share) {
@@ -834,50 +758,6 @@ func (n *Net) fill() {
 			n.logOK = false
 			return
 		}
-	}
-}
-
-// lnKey is one link-heap entry: the link's fair share at key time (a
-// lower bound on its current share) with the link id as tie-break.
-type lnKey struct {
-	share float64
-	link  int32
-}
-
-func (n *Net) lnLess(a, b lnKey) bool {
-	if a.share != b.share {
-		return a.share < b.share
-	}
-	return a.link < b.link
-}
-
-func (n *Net) lnSiftDown(i int) {
-	h := n.lnHeap
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if r := c + 1; r < len(h) && n.lnLess(h[r], h[c]) {
-			c = r
-		}
-		if !n.lnLess(h[c], h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
-func (n *Net) lnSiftUp(i int) {
-	h := n.lnHeap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !n.lnLess(h[i], h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
 	}
 }
 

@@ -90,7 +90,7 @@ func ComputeAlloc(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, opt
 	for {
 		// One bottom-level and one top-level pass per iteration give both
 		// C∞ and the critical-path membership.
-		bl := g.BottomLevels(taskCost, edgeCost)
+		bl := g.BottomLevelsInto(nil, taskCost, edgeCost)
 		cInf := 0.0
 		for _, v := range bl {
 			if v > cInf {
@@ -101,7 +101,7 @@ func ComputeAlloc(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, opt
 		if cInf <= area {
 			break
 		}
-		tl := g.TopLevels(taskCost, edgeCost)
+		tl := TopLevels(g, taskCost, edgeCost)
 		tol := cInf * rel
 		onCP := make([]bool, n)
 		for t := 0; t < n; t++ {

@@ -6,11 +6,33 @@ import "repro/internal/dag"
 // against. The production allocators track the critical path
 // incrementally (dag.LevelTracker) and never materialize it.
 
+// TopLevels computes, for every task, the length of the longest path from
+// the entry up to (but excluding) the task itself: the from-scratch pass
+// dag.LevelTracker's top levels are checked against. Returns nil on a
+// cyclic graph.
+func TopLevels(g *dag.Graph, cost dag.CostFunc, edgeCost dag.EdgeCostFunc) []float64 {
+	order, ok := g.TopoOrder()
+	if !ok {
+		return nil
+	}
+	tl := make([]float64, g.N())
+	for _, t := range order {
+		for _, e := range g.In(t) {
+			from := g.Edges[e].From
+			v := tl[from] + cost(from) + edgeCost(e)
+			if v > tl[t] {
+				tl[t] = v
+			}
+		}
+	}
+	return tl
+}
+
 // CriticalPathLength returns C∞, the length of the critical path: the
 // maximum over tasks of bottom level, which for a single-entry DAG is the
 // bottom level of the entry.
 func CriticalPathLength(g *dag.Graph, cost dag.CostFunc, edgeCost dag.EdgeCostFunc) float64 {
-	bl := g.BottomLevels(cost, edgeCost)
+	bl := g.BottomLevelsInto(nil, cost, edgeCost)
 	best := 0.0
 	for _, v := range bl {
 		if v > best {
@@ -27,8 +49,8 @@ func CriticalPathLength(g *dag.Graph, cost dag.CostFunc, edgeCost dag.EdgeCostFu
 // CPA allocation loop iterates over; the tests check the allocators'
 // stopping rule against it.
 func CriticalPath(g *dag.Graph, cost dag.CostFunc, edgeCost dag.EdgeCostFunc) (path []int, onCP []bool) {
-	bl := g.BottomLevels(cost, edgeCost)
-	tl := g.TopLevels(cost, edgeCost)
+	bl := g.BottomLevelsInto(nil, cost, edgeCost)
+	tl := TopLevels(g, cost, edgeCost)
 	if bl == nil {
 		return nil, nil
 	}

@@ -11,8 +11,9 @@
 //   - MinCost, MaxWeight and AlignReceivers: the dense Hungarian
 //     assignment and the map-and-matrix receiver alignment that
 //     assign.MaxWeightSparse and redist's banded alignment must match.
-//   - CriticalPath and CriticalPathLength: the critical-path walks the
-//     allocation, generator and graph tests measure against.
+//   - CriticalPath, CriticalPathLength and TopLevels: the critical-path
+//     walks and the from-scratch top-level pass the allocation,
+//     generator and graph tests (and dag.LevelTracker's) measure against.
 //   - LintPrometheus: the exposition linter behind cmd/promlint and the
 //     metrics tests.
 //

@@ -1,5 +1,6 @@
-// Package par provides small parallel-execution utilities used by the
-// experiment harness to fan simulation scenarios out across CPU cores.
+// Package par provides small parallel-execution utilities: the experiment
+// harness fans simulation scenarios out across CPU cores with them, and
+// rats.ScheduleAll runs its batches on ForEach's worker pool.
 //
 // The helpers deliberately avoid any external dependency: a bounded worker
 // pool over a work channel and a ForEach convenience wrapper with

@@ -6,13 +6,13 @@ import (
 	"repro/internal/platform"
 )
 
-// ExampleCluster_Route shows the two route shapes of the cluster model:
+// ExampleCluster_AppendRoute shows the two route shapes of the cluster model:
 // flat clusters traverse two private links; grelon's hierarchical network
 // adds the cabinet uplinks for cross-cabinet flows.
-func ExampleCluster_Route() {
+func ExampleCluster_AppendRoute() {
 	g := platform.Grelon()
-	intra, latIntra := g.Route(0, 5)  // same cabinet
-	inter, latInter := g.Route(0, 30) // cabinet 0 -> cabinet 1
+	intra, latIntra := g.AppendRoute(nil, 0, 5)  // same cabinet
+	inter, latInter := g.AppendRoute(nil, 0, 30) // cabinet 0 -> cabinet 1
 	fmt.Printf("intra-cabinet: %d links, %.0f µs\n", len(intra), latIntra*1e6)
 	fmt.Printf("cross-cabinet: %d links, %.0f µs\n", len(inter), latInter*1e6)
 	// Output:

@@ -254,7 +254,7 @@ func TestPropertyHeteroRouteFastPaths(t *testing.T) {
 		f := func(a, b uint16) bool {
 			src := int(a) % c.P
 			dst := int(b) % c.P
-			links, lat := c.Route(src, dst)
+			links, lat := c.AppendRoute(nil, src, dst)
 			if c.RouteLatency(src, dst) != lat {
 				return false
 			}

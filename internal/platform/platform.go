@@ -377,20 +377,13 @@ func (c *Cluster) LinkCapacities() []float64 {
 	return caps
 }
 
-// Route returns the directed links traversed by a flow from node src to
-// node dst and the one-way latency of the route (sum of link latencies).
-// A self-route (src == dst) is empty with zero latency: intra-node copies
-// are free, which implements the paper's "no redistribution cost on the
-// same processor" assumption at the flow level.
-func (c *Cluster) Route(src, dst int) (links []LinkID, latency float64) {
-	return c.AppendRoute(nil, src, dst)
-}
-
-// AppendRoute appends the route's links to buf and returns the extended
-// slice with the one-way latency — the amortized-allocation companion of
-// Route for replay loops that start thousands of flows (callers keep the
-// links in an arena instead of one slice allocation per flow). Routes have
-// at most four links.
+// AppendRoute appends the directed links traversed by a flow from node
+// src to node dst to buf and returns the extended slice with the one-way
+// latency of the route (sum of link latencies). A self-route (src == dst)
+// is empty with zero latency: intra-node copies are free, which implements
+// the paper's "no redistribution cost on the same processor" assumption at
+// the flow level. Routes have at most four links; replay loops that start
+// thousands of flows keep them in an arena (pass nil to allocate).
 func (c *Cluster) AppendRoute(buf []LinkID, src, dst int) (links []LinkID, latency float64) {
 	if src == dst {
 		return buf, 0
@@ -409,7 +402,7 @@ func (c *Cluster) AppendRoute(buf []LinkID, src, dst int) (links []LinkID, laten
 
 // RouteLatency returns the one-way latency of the route from src to dst
 // without materializing the link list — the allocation-free companion of
-// Route for hot paths that only need the latency.
+// AppendRoute for hot paths that only need the latency.
 func (c *Cluster) RouteLatency(src, dst int) float64 {
 	if src == dst {
 		return 0

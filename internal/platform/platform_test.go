@@ -62,7 +62,7 @@ func TestBigPresets(t *testing.T) {
 			t.Errorf("%s: %d cabinets, want %d", tc.c.Name, tc.c.Cabinets(), tc.cabs)
 		}
 		// Cross-cabinet routes must traverse the backbone uplinks.
-		links, _ := tc.c.Route(0, tc.c.P-1)
+		links, _ := tc.c.AppendRoute(nil, 0, tc.c.P-1)
 		if len(links) != 4 {
 			t.Errorf("%s: cross-cabinet route has %d links, want 4", tc.c.Name, len(links))
 		}
@@ -87,7 +87,7 @@ func TestGrelonCabinets(t *testing.T) {
 
 func TestFlatRoute(t *testing.T) {
 	c := Grillon()
-	links, lat := c.Route(3, 7)
+	links, lat := c.AppendRoute(nil, 3, 7)
 	if len(links) != 2 {
 		t.Fatalf("flat route has %d links, want 2", len(links))
 	}
@@ -104,7 +104,7 @@ func TestFlatRoute(t *testing.T) {
 
 func TestSelfRoute(t *testing.T) {
 	c := Chti()
-	links, lat := c.Route(5, 5)
+	links, lat := c.AppendRoute(nil, 5, 5)
 	if len(links) != 0 || lat != 0 {
 		t.Errorf("self route = %v, %g; want empty, 0", links, lat)
 	}
@@ -113,12 +113,12 @@ func TestSelfRoute(t *testing.T) {
 func TestHierarchicalRoute(t *testing.T) {
 	g := Grelon()
 	// same cabinet: 2 links
-	links, lat := g.Route(0, 10)
+	links, lat := g.AppendRoute(nil, 0, 10)
 	if len(links) != 2 || math.Abs(lat-200e-6) > 1e-12 {
 		t.Errorf("intra-cabinet: %d links, lat %g", len(links), lat)
 	}
 	// cross cabinet: 4 links
-	links, lat = g.Route(0, 30)
+	links, lat = g.AppendRoute(nil, 0, 30)
 	if len(links) != 4 {
 		t.Fatalf("cross-cabinet route has %d links, want 4", len(links))
 	}
@@ -169,8 +169,8 @@ func TestPropertyRouteSymmetry(t *testing.T) {
 	f := func(a, b uint8) bool {
 		src := int(a) % g.P
 		dst := int(b) % g.P
-		l1, lat1 := g.Route(src, dst)
-		l2, lat2 := g.Route(dst, src)
+		l1, lat1 := g.AppendRoute(nil, src, dst)
+		l2, lat2 := g.AppendRoute(nil, dst, src)
 		if len(l1) != len(l2) || math.Abs(lat1-lat2) > 1e-15 {
 			return false
 		}
@@ -215,7 +215,7 @@ func TestPropertyRouteFastPaths(t *testing.T) {
 		f := func(a, b uint16) bool {
 			src := int(a) % c.P
 			dst := int(b) % c.P
-			links, lat := c.Route(src, dst)
+			links, lat := c.AppendRoute(nil, src, dst)
 			if c.RouteLatency(src, dst) != lat {
 				return false
 			}

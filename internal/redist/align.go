@@ -101,21 +101,17 @@ func (sc *AlignScratch) ensure(ids, q int) {
 	}
 }
 
-// AlignReceivers returns a permutation of receivers (a rank order) chosen
-// to maximize the bytes that stay local given the sender rank order:
-// exactly up to AlignExactCap receivers, greedily above. Only processors
-// present in both lists can produce local traffic; the others fill the
-// remaining ranks in their original relative order. Processor ids must lie
-// in [0, platform.MaxProcs), as on every validated cluster: the scratch is
-// indexed by id.
-func AlignReceivers(total float64, senders, receivers []int) []int {
-	return AlignReceiversScratch(nil, total, senders, receivers, nil)
-}
-
-// AlignReceiversScratch is AlignReceivers writing the aligned rank order
-// into dst (grown as needed), so hot mapping paths can recycle candidate
-// buffers instead of allocating one per evaluated placement. dst must not
-// alias receivers. The returned slice always has len(receivers) elements,
+// AlignReceiversScratch returns a permutation of receivers (a rank order)
+// chosen to maximize the bytes that stay local given the sender rank
+// order: exactly up to AlignExactCap receivers, greedily above. Only
+// processors present in both lists can produce local traffic; the others
+// fill the remaining ranks in their original relative order. Processor ids
+// must lie in [0, platform.MaxProcs), as on every validated cluster: the
+// scratch is indexed by id.
+//
+// The aligned rank order is written into dst (grown as needed; pass nil to
+// allocate), so hot mapping paths can recycle candidate buffers instead of
+// allocating one per evaluated placement. dst must not alias receivers. The returned slice always has len(receivers) elements,
 // every one of them written, and never shares memory with receivers. With
 // a non-nil sc the call allocates nothing beyond dst growth; a nil scratch
 // uses a temporary one.

@@ -222,7 +222,7 @@ func TestPropertyAutoDominance(t *testing.T) {
 		senders := r.Perm(nProcs)[:p]
 		receivers := r.Perm(nProcs)[:q]
 		total := 100.0
-		auto := redist.AlignReceivers(total, senders, receivers)
+		auto := redist.AlignReceiversScratch(nil, total, senders, receivers, nil)
 		greedy := modeGreedy.align(nil, total, senders, receivers, nil)
 		if !redist.SameSet(auto, receivers) || !redist.SameSet(greedy, receivers) {
 			return false

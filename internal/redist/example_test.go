@@ -24,13 +24,13 @@ func ExampleBlockMatrix() {
 	//   0.0  0.0  0.0  0.5  2.0
 }
 
-// ExampleAlignReceivers shows the self-communication maximization of
+// ExampleAlignReceiversScratch shows the self-communication maximization of
 // §II-A: when producer and consumer share processors, the consumer's rank
 // order is permuted so data stays local.
-func ExampleAlignReceivers() {
+func ExampleAlignReceiversScratch() {
 	senders := []int{3, 7, 9, 11}
 	receivers := []int{9, 3, 11, 7} // same set, scrambled
-	aligned := redist.AlignReceivers(100, senders, receivers)
+	aligned := redist.AlignReceiversScratch(nil, 100, senders, receivers, nil)
 	fmt.Println("aligned ranks:", aligned)
 	fmt.Println("remote bytes :", redist.RemoteBytes(100, senders, aligned))
 	// Output:

@@ -18,7 +18,7 @@
 //     RATS exploits by packing/stretching allocations onto a predecessor's
 //     exact processor set.
 //   - When the sets merely intersect, the receiver rank order is a free
-//     variable; AlignReceivers permutes it to maximize the number of bytes
+//     variable; AlignReceiversScratch permutes it to maximize the number of bytes
 //     that stay on-node ("self communications"), optimally via a Hungarian
 //     assignment or greedily.
 package redist
@@ -102,15 +102,6 @@ func (m *Matrix) RowSum(i int) float64 {
 	s := 0.0
 	for _, v := range m.rowVals[i] {
 		s += v
-	}
-	return s
-}
-
-// Sum returns the total data volume in the matrix (= Total).
-func (m *Matrix) Sum() float64 {
-	s := 0.0
-	for i := 0; i < m.P; i++ {
-		s += m.RowSum(i)
 	}
 	return s
 }
@@ -237,8 +228,8 @@ func sameMultiset(a, b []int) bool {
 
 // Overlap counts the distinct processors present in both lists, branch-
 // free via word-wise intersection popcounts when the ids fit the stack
-// bitsets (falling back to a map for exotic inputs). AlignReceivers uses
-// it to skip alignment work for disjoint sender/receiver sets.
+// bitsets (falling back to a map for exotic inputs). AlignReceiversScratch
+// uses it to skip alignment work for disjoint sender/receiver sets.
 func Overlap(a, b []int) int {
 	var aw, bw bitset1024
 	for _, p := range a {

@@ -244,9 +244,6 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// Metrics returns the server's collector, for tests and embedding.
-func (s *Server) Metrics() *Collector { return s.metrics }
-
 // Drain stops intake (new requests get 503) and blocks until every
 // already-accepted request has been executed and answered.
 func (s *Server) Drain() {

@@ -213,7 +213,7 @@ func TestServedBatchSharesContext(t *testing.T) {
 		}
 	}
 
-	snap := s.Metrics().Snapshot()
+	snap := s.metrics.Snapshot()
 	if snap.Completed != n {
 		t.Fatalf("collector counted %d completed, want %d", snap.Completed, n)
 	}
@@ -268,7 +268,7 @@ func TestServeSheddingReturns429(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("no request succeeded at all")
 	}
-	if snap := s.Metrics().Snapshot(); snap.Shed == 0 {
+	if snap := s.metrics.Snapshot(); snap.Shed == 0 {
 		t.Fatal("collector did not count the shed requests")
 	}
 }
@@ -360,7 +360,7 @@ func TestServePanicAnswers500(t *testing.T) {
 	if resp, sr := postSchedule(t, ts.URL, body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after the panic: HTTP %d (%s), want 200", resp.StatusCode, sr.Error)
 	}
-	snap := s.Metrics().Snapshot()
+	snap := s.metrics.Snapshot()
 	if snap.Accepted != 2 || snap.Completed != 1 || snap.Failed != 1 || snap.Panicked != 1 {
 		t.Fatalf("counters after one panic and one success: %+v", snap)
 	}
@@ -401,7 +401,7 @@ func TestServeDrainLosesNothing(t *testing.T) {
 			t.Fatalf("request finished with %d, want 200 or 503", c)
 		}
 	}
-	snap := s.Metrics().Snapshot()
+	snap := s.metrics.Snapshot()
 	if snap.Accepted != snap.Completed {
 		t.Fatalf("drain lost requests: accepted %d, completed %d", snap.Accepted, snap.Completed)
 	}

@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"repro/internal/flownet"
+	"repro/internal/heapq"
 	"repro/internal/obs"
 )
 
@@ -35,7 +36,7 @@ const completionEps = 1e-6
 // the experiment harness is across independent engines).
 type Engine struct {
 	now    float64
-	timers timerHeap
+	timers heapq.Heap[func()] // keyed (at, seq): FIFO on simultaneous timers
 	seq    int64
 	net    Network
 	done   []func() // completion callbacks by network flow id (ids are recycled)
@@ -73,64 +74,6 @@ type Network interface {
 	AddCounters(c *obs.Counters)
 }
 
-type timer struct {
-	at  float64
-	seq int64 // FIFO tie-break for simultaneous timers
-	fn  func()
-}
-
-// timerHeap is a concrete binary min-heap by (at, seq): container/heap
-// would box every timer through interface{} on push and pop, one
-// allocation each, which at big-cluster replay scales is a third of the
-// replay's allocation volume.
-type timerHeap []timer
-
-func (h timerHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *timerHeap) push(t timer) {
-	*h = append(*h, t)
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !hh.less(i, p) {
-			break
-		}
-		hh[i], hh[p] = hh[p], hh[i]
-		i = p
-	}
-}
-
-func (h *timerHeap) pop() timer {
-	hh := *h
-	top := hh[0]
-	last := len(hh) - 1
-	hh[0] = hh[last]
-	*h = hh[:last]
-	hh = hh[:last]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= len(hh) {
-			break
-		}
-		if r := c + 1; r < len(hh) && hh.less(r, c) {
-			c = r
-		}
-		if !hh.less(c, i) {
-			break
-		}
-		hh[i], hh[c] = hh[c], hh[i]
-		i = c
-	}
-	return top
-}
-
 // New creates an engine over links with the given capacities (bytes/s),
 // backed by the incremental internal/flownet solver: route aggregation
 // into weighted super-flows, bottleneck-level repair across population
@@ -154,7 +97,7 @@ func (e *Engine) At(t float64, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	e.timers.push(timer{at: t, seq: e.seq, fn: fn})
+	e.timers.Push(t, e.seq, fn)
 }
 
 // After schedules fn to run d seconds from now.
@@ -289,8 +232,8 @@ func (e *Engine) Run() float64 {
 		// Next flow completion and next timer.
 		tFlow := e.net.NextDeadline(e.now)
 		tTimer := math.Inf(1)
-		if len(e.timers) > 0 {
-			tTimer = e.timers[0].at
+		if e.timers.Len() > 0 {
+			tTimer = e.timers.At(0).K
 		}
 		t := math.Min(tFlow, tTimer)
 		if math.IsInf(t, 1) {
@@ -306,9 +249,8 @@ func (e *Engine) Run() float64 {
 			e.now = t
 		}
 		// Fire due timers.
-		for len(e.timers) > 0 && e.timers[0].at <= e.now {
-			it := e.timers.pop()
-			it.fn()
+		for e.timers.Len() > 0 && e.timers.At(0).K <= e.now {
+			e.timers.Pop().V()
 		}
 	}
 }

@@ -43,7 +43,7 @@ func (p fuzzProgram) run(newEngine func([]float64) *Engine) ([]fuzzEvent, float6
 	newFlow := func() (links []int, rateCap, bytes float64, id int) {
 		src := rng.Intn(p.cl.P)
 		dst := rng.Intn(p.cl.P)
-		links, _ = p.cl.Route(src, dst)
+		links, _ = p.cl.AppendRoute(nil, src, dst)
 		rateCap = p.cl.EffectiveBandwidth(src, dst)
 		if rng.Intn(8) == 0 {
 			rateCap = 0

@@ -51,7 +51,7 @@ func BenchmarkRecompute(b *testing.B) {
 					for dst == src {
 						dst = rng.Intn(cl.P)
 					}
-					links, _ := cl.Route(src, dst)
+					links, _ := cl.AppendRoute(nil, src, dst)
 					flows[i] = churnFlow{links: links, rateCap: cl.EffectiveBandwidth(src, dst), volume: 1e5 + rng.Float64()*1e9}
 				}
 				next := 0

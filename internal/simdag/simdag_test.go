@@ -93,7 +93,7 @@ func TestChainDisjointProcsPaysRedistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	bytes := g.Tasks[0].Bytes()
-	_, lat := cl.Route(0, 1)
+	_, lat := cl.AppendRoute(nil, 0, 1)
 	rate := math.Min(cl.LinkBandwidth, cl.EffectiveBandwidth(0, 1))
 	wantGap := lat + bytes/rate
 	gap := r.Start[1] - r.Finish[0]
@@ -126,7 +126,7 @@ func TestContentionSlowsConcurrentRedistributions(t *testing.T) {
 		t.Fatal(err)
 	}
 	bytes := g.Tasks[0].Bytes()
-	_, lat := cl.Route(0, 1)
+	_, lat := cl.AppendRoute(nil, 0, 1)
 	solo := lat + bytes/cl.LinkBandwidth
 	shared := lat + 2*bytes/cl.LinkBandwidth // both flows on src's uplink
 	gap1 := r.Start[1] - r.Finish[0]

@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/moldable"
+	"repro/internal/par"
 	"repro/internal/simdag"
 )
 
@@ -320,46 +319,20 @@ func (s *Scheduler) ScheduleAll(ctx context.Context, dags []*DAG) ([]*Result, er
 
 	results := make([]*Result, len(dags))
 	errs := make([]error, len(dags))
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(dags) {
-		workers = len(dags)
-	}
-	if len(dags) == 0 {
-		return results, nil
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	work := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				r, err := s.run(dags[i], nil)
-				if err != nil {
-					errs[i] = fmt.Errorf("dag %d (%s): %w", i, dags[i].Name, err)
-					cancel()
-					continue
-				}
-				results[i] = r
-			}
-		}()
-	}
-	for i := range dags {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-
+	par.ForEach(len(dags), s.workers, func(i int) {
+		if err := ctx.Err(); err != nil {
+			errs[i] = err
+			return
+		}
+		r, err := s.run(dags[i], nil)
+		if err != nil {
+			errs[i] = fmt.Errorf("dag %d (%s): %w", i, dags[i].Name, err)
+			cancel()
+			return
+		}
+		results[i] = r
+	})
 	return results, errors.Join(errs...)
 }
