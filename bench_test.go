@@ -20,7 +20,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/platform"
 	"repro/internal/redist"
-	"repro/internal/sim"
 	"repro/internal/simdag"
 )
 
@@ -431,7 +430,7 @@ type simBenchCase struct {
 
 // executeReference replays s on the reference max-min network.
 func executeReference(g *dag.Graph, costs *moldable.Costs, cl *platform.Cluster, s *core.Schedule) (*simdag.Result, error) {
-	return simdag.ExecuteOn(sim.NewOn(oracle.NewMaxMinNet(cl.LinkCapacities())), g, costs, cl, s)
+	return simdag.ExecuteOn(oracle.NewMaxMinNet(cl.LinkCapacities()), g, costs, cl, s)
 }
 
 // BenchmarkSim replays fixed schedules under contention on both

@@ -150,7 +150,7 @@ func run(family, file, benchtime, label, pattern string, smoke bool) error {
 			rt = "2000x"
 		}
 		rout, err := exec.Command("go", "test", "-run", "^$", "-bench", "^BenchmarkRecompute$",
-			"-benchtime", rt, "-benchmem", "./internal/sim/").CombinedOutput()
+			"-benchtime", rt, "-benchmem", "./internal/flownet/").CombinedOutput()
 		if err != nil {
 			return fmt.Errorf("go test -bench recompute failed: %w\n%s", err, rout)
 		}

@@ -12,10 +12,10 @@
 // The reproduction itself lives under internal/: the RATS scheduling
 // framework (internal/core), the CPA/HCPA/MCPA allocation procedures
 // (internal/alloc), the 1-D block redistribution model (internal/redist),
-// a SimGrid-like flow-level simulator (internal/sim, internal/simdag), the
-// cluster platform model (internal/platform), the workload generators
-// (internal/gen) and the evaluation harness (internal/exp,
-// internal/metrics).
+// a SimGrid-like flow-level simulator (internal/simdag over
+// internal/flownet), the cluster platform model (internal/platform), the
+// workload generators (internal/gen) and the evaluation harness
+// (internal/exp, internal/metrics).
 //
 // See README.md for a tour and the quickstart. The benchmarks in
 // bench_test.go regenerate a scaled-down version of every table and figure

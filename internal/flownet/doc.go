@@ -3,7 +3,7 @@
 // follow max-min fairness (progressive filling), maintained incrementally
 // as flows start and complete.
 //
-// It replaces the from-scratch rate re-solve that internal/sim performed on
+// It replaces the from-scratch rate re-solve the replay once performed on
 // every population change — the pipeline's dominant cost when replaying
 // large redistribution fan-outs on the 512/1024-node presets — with three
 // cooperating mechanisms:
@@ -108,6 +108,6 @@
 // across add/remove sequences on the paper's and the production-scale
 // topologies.
 //
-// A Net is not safe for concurrent use; simulations are single-threaded
-// and the experiment harness parallelizes across independent engines.
+// A Net is not safe for concurrent use; replays are single-threaded and
+// the experiment harness parallelizes across independent replays.
 package flownet

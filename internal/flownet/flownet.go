@@ -130,7 +130,6 @@ type Net struct {
 	unfixedList    []int32
 	rem            []float64
 	wcnt           []int32
-	share          []float64            // cached rem/wcnt per link, maintained by flushLevel
 	wsum           []int32              // per-link weight accumulator of the level being applied
 	touchedLn      []int32              // links with nonzero wsum, in first-touch order
 	lnHeap         heapq.Heap[struct{}] // lazy min-heap of active links by (share, id); see minLink

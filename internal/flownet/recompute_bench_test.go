@@ -1,4 +1,4 @@
-package sim
+package flownet_test
 
 import (
 	"math"
@@ -11,26 +11,38 @@ import (
 	"repro/internal/platform"
 )
 
+// network is the part of the replay's Network seam the churn loop drives.
+type network interface {
+	Start(links []int, rateCap, volume float64) int
+	Flows() int
+	Dirty() bool
+	Solve()
+	PopDrained(now, eps float64, yield func(id int)) bool
+	NextDeadline(now float64) float64
+	Advance(dt float64)
+}
+
 // BenchmarkRecompute isolates the steady-state recompute path of the two
 // fluid networks: a fixed-size random flow population over a
 // production-scale cluster where every completion immediately starts a
 // replacement flow, so each benchmark op is one population change — the
-// rate re-solve plus the completion bookkeeping, without the engine's
-// timer machinery or the schedule-replay setup around it. allocs/op is
+// rate re-solve plus the completion bookkeeping, without the replay's
+// event loop or schedule setup around it. allocs/op is
 // the headline: flownet recycles members, entities and solver state,
 // while the reference network pays per-flow allocations on every
 // churn cycle. cmd/benchtraj folds the per-cluster allocs/op ratio into
 // BENCH_sim.json next to the end-to-end replay speedups.
 func BenchmarkRecompute(b *testing.B) {
+	const completionEps = 1e-6 // the replay's drain tolerance
 	const population = 512
 	for _, cl := range []*platform.Cluster{platform.Big512(), platform.Big1024()} {
 		caps := cl.LinkCapacities()
 		for _, eng := range []struct {
 			name string
-			new  func([]float64) Network
+			new  func([]float64) network
 		}{
-			{"flownet", func(c []float64) Network { return flownet.New(c) }},
-			{"maxmin", func(c []float64) Network { return oracle.NewMaxMinNet(c) }},
+			{"flownet", func(c []float64) network { return flownet.New(c) }},
+			{"maxmin", func(c []float64) network { return oracle.NewMaxMinNet(c) }},
 		} {
 			b.Run(cl.Name+"/"+eng.name, func(b *testing.B) {
 				net := eng.new(caps)

@@ -77,7 +77,6 @@ func (n *Net) Solve() {
 	nl := len(n.caps)
 	n.rem = resizeF(n.rem, nl)
 	n.wcnt = resizeI32(n.wcnt, nl)
-	n.share = resizeF(n.share, nl)
 	if cap(n.wsum) < nl {
 		n.wsum = make([]int32, nl)
 	}
@@ -253,10 +252,9 @@ func (n *Net) peekCap() (int32, float64) {
 // heap is lazy: shares only grow while levels are committed (every fix
 // runs at or below the current minimum), so a stale key is a valid lower
 // bound. The top is re-keyed in place when its share moved and discarded
-// when its link saturated. cached reads the share from the per-link cache
-// flushLevel maintains for the fill instead of dividing. Links with
-// infinite capacity never win the reference solver's strict minimum test.
-func (n *Net) minLink(cached bool) (int32, float64) {
+// when its link saturated. Links with infinite capacity never win the
+// reference solver's strict minimum test.
+func (n *Net) minLink() (int32, float64) {
 	for n.lnHeap.Len() > 0 {
 		top := n.lnHeap.At(0)
 		l := int32(top.ID)
@@ -264,12 +262,7 @@ func (n *Net) minLink(cached bool) (int32, float64) {
 			n.lnHeap.Pop()
 			continue
 		}
-		var cur float64
-		if cached {
-			cur = n.share[l]
-		} else {
-			cur = n.rem[l] / float64(n.wcnt[l])
-		}
+		cur := n.rem[l] / float64(n.wcnt[l])
 		if cur != top.K {
 			n.lnHeap.Fix(0, cur)
 			continue
@@ -420,7 +413,7 @@ func (n *Net) mergeReplay() int {
 			n.nCk = i/ckStride + 1
 		}
 		// Earliest pending link event of the dirty population.
-		dLink, dShare := n.minLink(false)
+		dLink, dShare := n.minLink()
 		// Earliest pending rate-cap event.
 		capEnt, capVal := n.peekCap()
 		minPend := dShare
@@ -542,7 +535,7 @@ func (n *Net) dirtyFlush(r float64) {
 			n.pushLink(l)
 		}
 	}
-	n.flushLevel(r, false)
+	n.flushLevel(r)
 }
 
 // applyDeltas re-applies a logged level's flush to rem and wcnt only —
@@ -568,9 +561,8 @@ func (n *Net) applyDeltas(ds []linkDelta, r float64) {
 // decrement regardless of how many entities the level fixed (on the
 // hierarchical presets a saturating node link drains its cabinet uplink
 // once, not once per receiver), logged as the level's link deltas unless
-// the solve keeps no log. With updateShares set the cached fair shares of
-// the touched links are refreshed for the fill's link heap.
-func (n *Net) flushLevel(r float64, updateShares bool) {
+// the solve keeps no log.
+func (n *Net) flushLevel(r float64) {
 	for _, l := range n.touchedLn {
 		w := n.wsum[l]
 		n.wsum[l] = 0
@@ -581,9 +573,7 @@ func (n *Net) flushLevel(r float64, updateShares bool) {
 		if n.rem[l] < 0 {
 			n.rem[l] = 0
 		}
-		if n.wcnt[l] -= w; n.wcnt[l] > 0 && updateShares {
-			n.share[l] = n.rem[l] / float64(n.wcnt[l])
-		}
+		n.wcnt[l] -= w
 	}
 	n.touchedLn = n.touchedLn[:0]
 }
@@ -678,8 +668,8 @@ func (n *Net) applyFix(eid int32, rate float64) {
 
 // fill runs weighted progressive filling over the unfixed population,
 // appending the levels it discovers to the log and checkpointing the
-// state every ckStride levels. It mirrors the reference solver in
-// internal/sim: repeatedly take the smallest pending event — the minimum
+// state every ckStride levels. It mirrors the reference solver
+// (oracle.MaxMin): repeatedly take the smallest pending event — the minimum
 // fair share remaining/weight over active links, or the smallest unfixed
 // rate cap when lower — freeze the constrained entities, remove their
 // consumption (batched per level through flushLevel), repeat. Stragglers
@@ -691,15 +681,13 @@ func (n *Net) fill() {
 		return
 	}
 	// The bottleneck candidate comes from the lazy link heap over the
-	// active links (minLink), keyed by (cached fair share, link id). Ties
+	// active links (minLink), keyed by (fair share, link id). Ties
 	// break on the link id, reproducing the reference solver's
 	// ascending-id scan exactly.
 	n.lnHeap.Reset()
 	for _, l := range n.liveLinks {
 		if n.wcnt[l] > 0 {
-			sh := n.rem[l] / float64(n.wcnt[l])
-			n.share[l] = sh
-			n.lnHeap.Append(sh, int64(l), struct{}{})
+			n.lnHeap.Append(n.rem[l]/float64(n.wcnt[l]), int64(l), struct{}{})
 		}
 	}
 	n.lnHeap.Init()
@@ -713,7 +701,7 @@ func (n *Net) fill() {
 		// Candidate 1: smallest fair share among active links. Infinite
 		// shares leave bottleneck unset, routing control to the
 		// defensive path below.
-		bottleneck, share := n.minLink(true)
+		bottleneck, share := n.minLink()
 		// Candidate 2: smallest cap among pending capped entities.
 		capEnt, capVal := n.peekCap()
 		if capEnt >= 0 && !(capVal < share) {
@@ -723,7 +711,7 @@ func (n *Net) fill() {
 		switch {
 		case capEnt >= 0:
 			n.fixMeta(capEnt, capVal)
-			n.flushLevel(capVal, true)
+			n.flushLevel(capVal)
 			if !n.nolog {
 				n.logLevel(-1, fixStart, dStart, capVal)
 			}
@@ -736,7 +724,7 @@ func (n *Net) fill() {
 					n.fixMeta(ref.ent, share)
 				}
 			}
-			n.flushLevel(share, true)
+			n.flushLevel(share)
 			if !n.nolog {
 				n.logLevel(bottleneck, fixStart, dStart, share)
 			}

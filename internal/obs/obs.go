@@ -44,7 +44,7 @@ type Counters struct {
 	AlignExact  uint64 `json:"align_exact"`
 	AlignGreedy uint64 `json:"align_greedy"`
 
-	// Replay rate solving (internal/flownet via internal/sim): how often
+	// Replay rate solving (internal/flownet under internal/simdag): how often
 	// Solve ran each regime — full rebuild, incremental merge-replay,
 	// small-population scratch — plus merge-replay checkpoint restores,
 	// old bottleneck levels orphaned by stale shares, and what the merge
@@ -60,8 +60,9 @@ type Counters struct {
 	LevelsRecommitted uint64 `json:"levels_recommitted"`
 	LevelsInserted    uint64 `json:"levels_inserted"`
 
-	// Replay event loop (internal/sim): StartFlowBatch calls and the wire
-	// flows they carried (mean batch size = FlowBatchFlows/FlowBatches).
+	// Replay event loop (internal/simdag): flow batches (one per edge and
+	// distinct route latency) and the wire flows they carried (mean batch
+	// size = FlowBatchFlows/FlowBatches).
 	FlowBatches    uint64 `json:"flow_batches"`
 	FlowBatchFlows uint64 `json:"flow_batch_flows"`
 }

@@ -2,10 +2,10 @@
 // engines are tested against, and nothing the production build needs:
 //
 //   - MaxMin, MaxMinSolver and MaxMinNet: from-scratch progressive filling
-//     and a fluid network re-solved by it on every population change. The
-//     replay engine runs on MaxMinNet through sim.NewOn, and
-//     simdag.ExecuteOn replays whole schedules on it; internal/flownet's
-//     incremental solver must agree within 1e-9.
+//     and a fluid network re-solved by it on every population change.
+//     simdag.ExecuteOn replays whole schedules on MaxMinNet, and
+//     internal/flownet's incremental solver must agree with it within
+//     1e-9.
 //   - ComputeAlloc: the full-rewalk allocation loop alloc.Compute must
 //     match byte for byte.
 //   - MinCost, MaxWeight and AlignReceivers: the dense Hungarian

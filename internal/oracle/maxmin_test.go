@@ -1,23 +1,21 @@
-package sim
+package oracle
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/oracle"
 )
 
 func TestMaxMinSingleFlow(t *testing.T) {
-	rates := oracle.MaxMin([]float64{100}, [][]int{{0}}, nil)
+	rates := MaxMin([]float64{100}, [][]int{{0}}, nil)
 	if rates[0] != 100 {
 		t.Errorf("rate = %g, want 100", rates[0])
 	}
 }
 
 func TestMaxMinEqualSharing(t *testing.T) {
-	rates := oracle.MaxMin([]float64{100}, [][]int{{0}, {0}, {0}, {0}}, nil)
+	rates := MaxMin([]float64{100}, [][]int{{0}, {0}, {0}, {0}}, nil)
 	for i, r := range rates {
 		if math.Abs(r-25) > 1e-9 {
 			t.Errorf("rate[%d] = %g, want 25", i, r)
@@ -29,7 +27,7 @@ func TestMaxMinEqualSharing(t *testing.T) {
 // link 0 only; flow C uses link 1 only. Link 0 has capacity 10, link 1 has
 // capacity 100. Max-min: A and B share link 0 → 5 each; C gets 100−5 = 95.
 func TestMaxMinParkingLot(t *testing.T) {
-	rates := oracle.MaxMin(
+	rates := MaxMin(
 		[]float64{10, 100},
 		[][]int{{0, 1}, {0}, {1}},
 		nil,
@@ -45,21 +43,21 @@ func TestMaxMinParkingLot(t *testing.T) {
 func TestMaxMinFlowCap(t *testing.T) {
 	// Two flows on a 100-capacity link; one capped at 10. The capped flow
 	// freezes at 10, the other takes the rest (90).
-	rates := oracle.MaxMin([]float64{100}, [][]int{{0}, {0}}, []float64{10, 0})
+	rates := MaxMin([]float64{100}, [][]int{{0}, {0}}, []float64{10, 0})
 	if math.Abs(rates[0]-10) > 1e-9 || math.Abs(rates[1]-90) > 1e-9 {
 		t.Errorf("rates = %v, want [10 90]", rates)
 	}
 }
 
 func TestMaxMinNoLinksNoCap(t *testing.T) {
-	rates := oracle.MaxMin([]float64{1}, [][]int{nil}, nil)
+	rates := MaxMin([]float64{1}, [][]int{nil}, nil)
 	if !math.IsInf(rates[0], 1) {
 		t.Errorf("unconstrained flow rate = %g, want +Inf", rates[0])
 	}
 }
 
 func TestMaxMinEmpty(t *testing.T) {
-	if rates := oracle.MaxMin([]float64{5}, nil, nil); len(rates) != 0 {
+	if rates := MaxMin([]float64{5}, nil, nil); len(rates) != 0 {
 		t.Errorf("want empty rates, got %v", rates)
 	}
 }
@@ -91,7 +89,7 @@ func TestPropertyMaxMinFeasible(t *testing.T) {
 				fcaps[i] = 0.5 + r.Float64()*20
 			}
 		}
-		rates := oracle.MaxMin(caps, flows, fcaps)
+		rates := MaxMin(caps, flows, fcaps)
 		load := make([]float64, nl)
 		for i, ls := range flows {
 			if rates[i] < 0 {
@@ -137,7 +135,7 @@ func TestPropertyMaxMinBottleneck(t *testing.T) {
 				}
 			}
 		}
-		rates := oracle.MaxMin(caps, flows, nil)
+		rates := MaxMin(caps, flows, nil)
 		load := make([]float64, nl)
 		maxOn := make([]float64, nl)
 		for i, ls := range flows {
@@ -174,7 +172,7 @@ func TestPropertyMaxMinBottleneck(t *testing.T) {
 // flows unwritten — silently handing back stale scratch from a previous
 // solve — instead of freezing them deterministically at 0.
 func TestMaxMinNoProgressFreezesAtZero(t *testing.T) {
-	var s oracle.MaxMinSolver
+	var s MaxMinSolver
 	// First solve: populate the reused rates scratch with nonzero values.
 	warm := s.Solve([]float64{100}, [][]int{{0}, {0}}, nil)
 	if warm[0] != 50 || warm[1] != 50 {
@@ -208,6 +206,6 @@ func BenchmarkMaxMin200Flows(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		oracle.MaxMin(caps, flows, fcaps)
+		MaxMin(caps, flows, fcaps)
 	}
 }

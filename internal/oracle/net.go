@@ -8,9 +8,9 @@ import (
 
 // MaxMinNet is the reference fluid network: one allocated record per flow,
 // max-min rates re-solved from scratch by MaxMin on every population
-// change. It has *flownet.Net's method set, so sim.NewOn runs the replay
-// engine on it — the engine the incremental flownet solver is verified
-// against.
+// change. It has *flownet.Net's method set, so simdag.ExecuteOn replays
+// schedules on it: the reference the incremental flownet solver is
+// verified against.
 type MaxMinNet struct {
 	linkCaps []float64
 	flows    []*mmFlow // live flows in arrival order

@@ -9,7 +9,7 @@
 //
 // Communications follow the bounded multi-port model: a node may exchange
 // data with several peers at once, but the bandwidth of its private link is
-// shared among the flows (max-min fairness, implemented in internal/sim).
+// shared among the flows (max-min fairness, implemented in internal/flownet).
 // As in SimGrid, an empirical per-flow bandwidth β' = min(β, Wmax/RTT)
 // accounts for the TCP window, with RTT twice the sum of link latencies
 // along the route.

@@ -293,12 +293,12 @@ func BenchmarkReplay50TaskIrregular(b *testing.B) {
 	}
 }
 
-// TestReplayAllocsBelowPerFlowCost guards the batched flow launch: before
-// StartFlowBatch, every wire flow paid at least one allocation (the
-// closure StartFlow captures per flow), so a replay's allocs/op was bounded
-// below by its FlowCount — measured 2447 allocs for the 1102-flow scenario
-// here. Batched, the same replay measures ~1423: the remainder is
-// first-use pool growth (solver entities, edge waits, timers) that a fresh
+// TestReplayAllocsBelowPerFlowCost guards the batched flow launch: when
+// every wire flow was launched through its own captured closure, a
+// replay's allocs/op was bounded below by its FlowCount — measured 2447
+// allocs for the 1102-flow scenario here. With one typed event per flow
+// batch, the same replay measures ~1201: the remainder is first-use
+// buffer growth (solver entities, event heap, flow arena) that a fresh
 // Execute cannot avoid, comfortably under the per-flow floor.
 func TestReplayAllocsBelowPerFlowCost(t *testing.T) {
 	cl := platform.Grillon()
