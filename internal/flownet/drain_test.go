@@ -55,6 +55,12 @@ func checkDone(t *testing.T, got, want []float64) {
 	}
 }
 
+func TestSingleFlowCompletion(t *testing.T) {
+	// One link at 100 B/s; 1000 bytes after 0.5 s latency → done at 10.5 s.
+	done, _ := drainAll(New([]float64{100}), []arrival{{0.5, []int{0}, 0, 1000}})
+	checkDone(t, done, []float64{10.5})
+}
+
 // Two equal flows on one link: both at cap/2 until the first finishes,
 // then the survivor speeds up. Flow A = 100 bytes, flow B = 200 bytes,
 // link 100 B/s. Phase 1: both at 50 B/s; A done at t=2 (100/50). B has
