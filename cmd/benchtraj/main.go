@@ -400,10 +400,10 @@ func mapMeans(ms []Measurement, metric func(Measurement) float64) map[string]flo
 
 // simScratchPcts derives, per cluster, the arithmetic mean of the
 // scratch-solve-pct counter rate over the flownet replay shapes (the
-// maxmin reference has no scratch path, so its points are skipped). The
-// rate tracks how often the incremental engine's small-population scratch
-// path fired — a workload-shape property the trajectory watches alongside
-// the speedup it buys.
+// maxmin reference keeps no such counter, so its points are skipped). The
+// rate tracks how often the incremental engine solved a small population
+// from scratch — a workload-shape property the trajectory watches
+// alongside the speedup the merge replay buys.
 func simScratchPcts(ms []Measurement) map[string]float64 {
 	sum := map[string]float64{}
 	counts := map[string]int{}

@@ -24,7 +24,7 @@ func main() {
 	k := flag.Int("k", 8, "FFT data points (power of two)")
 	width := flag.Float64("width", 0.5, "width parameter in (0,1]")
 	density := flag.Float64("density", 0.2, "density parameter in (0,1]")
-	regularity := flag.Float64("regularity", 0.8, "regularity parameter in (0,1]")
+	regularity := flag.Float64("regularity", 0.8, "regularity parameter in [0,1]")
 	jump := flag.Int("jump", 1, "jump edge length (irregular): 1, 2 or 4")
 	seed := flag.Int64("seed", 1, "generator seed")
 	format := flag.String("format", "dot", "output format: dot or json")

@@ -79,6 +79,9 @@ func (s *Schedule) Validate(g *dag.Graph, cl *platform.Cluster) error {
 		return fmt.Errorf("core: schedule arrays sized %d/%d/%d, want %d",
 			len(s.Alloc), len(s.Procs), len(s.Order), n)
 	}
+	// owner[p] == t+1 once task t claimed processor p: one stamp slice
+	// for the whole check instead of a set per task.
+	owner := make([]int32, cl.P)
 	for t := 0; t < n; t++ {
 		if g.Tasks[t].Virtual {
 			if s.Alloc[t] != 0 || len(s.Procs[t]) != 0 {
@@ -92,15 +95,14 @@ func (s *Schedule) Validate(g *dag.Graph, cl *platform.Cluster) error {
 		if len(s.Procs[t]) != s.Alloc[t] {
 			return fmt.Errorf("core: task %d has %d procs, alloc %d", t, len(s.Procs[t]), s.Alloc[t])
 		}
-		seen := make(map[int]bool, len(s.Procs[t]))
 		for _, p := range s.Procs[t] {
 			if p < 0 || p >= cl.P {
 				return fmt.Errorf("core: task %d mapped on invalid processor %d", t, p)
 			}
-			if seen[p] {
+			if owner[p] == int32(t+1) {
 				return fmt.Errorf("core: task %d mapped twice on processor %d", t, p)
 			}
-			seen[p] = true
+			owner[p] = int32(t + 1)
 		}
 	}
 	pos := make([]int, n)

@@ -90,14 +90,20 @@ func checkDeltaLog(t *testing.T, n *Net) {
 		t.Fatalf("log holds %d fix entries for %d solvable entities", got, n.solvable)
 	}
 
+	// Checkpoints hold consumed weight: the restored count is
+	// linkWeight − consumed.
 	rem := append([]float64(nil), n.ckRem[:nl]...)
-	wcnt := append([]int32(nil), n.ckWcnt[:nl]...)
+	wcnt := make([]int32, nl)
+	for l := range wcnt {
+		wcnt[l] = n.linkWeight[l] - n.ckUsed[l]
+	}
 	for li := range n.levels {
 		if c := li / ckStride; li%ckStride == 0 && c > 0 && c < n.nCk {
 			for _, l := range n.liveLinks {
-				if n.ckRem[c*nl+int(l)] != rem[l] || n.ckWcnt[c*nl+int(l)] != wcnt[l] {
+				ckR, ckW := n.ckRem[c*nl+int(l)], n.linkWeight[l]-n.ckUsed[c*nl+int(l)]
+				if ckR != rem[l] || ckW != wcnt[l] {
 					t.Fatalf("checkpoint %d link %d: (%v, %d), replay gives (%v, %d)",
-						c, l, n.ckRem[c*nl+int(l)], n.ckWcnt[c*nl+int(l)], rem[l], wcnt[l])
+						c, l, ckR, ckW, rem[l], wcnt[l])
 				}
 			}
 		}
@@ -156,7 +162,7 @@ func TestDeltaLogProperties(t *testing.T) {
 				}
 			}
 			n.Solve()
-			if n.solvable <= DefaultScratchThreshold || !n.logOK {
+			if n.solvable <= scratchThreshold || !n.logOK {
 				t.Fatalf("%s step %d: population left the logged regime", cl.Name, step)
 			}
 			checkDeltaLog(t, n)

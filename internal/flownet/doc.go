@@ -31,8 +31,11 @@
 // its entities at the fair share, or an entity freezing at its rate cap),
 // with nondecreasing rate values, the per-level entity lists (the fix
 // log), each level's flush as a per-link delta list ((link, weight sum)
-// pairs, written by the same flush that applied them), and (rem, wcnt)
-// state checkpoints every ckStride levels. A population change perturbs only the events that the changed entities
+// pairs, written by the same flush that applied them), and state
+// checkpoints every ckStride levels: rem and the consumed weight
+// linkWeight − wcnt, which stays exact while entities fixed after the
+// checkpoint come and go, so checkpoints need no upkeep between solves.
+// A population change perturbs only the events that the changed entities
 // and links can influence; everything else keeps its rates — literally:
 // entities fixed by still-valid levels are not touched at all. Solve
 // proceeds in three zones (see mergeReplay):
@@ -71,8 +74,13 @@
 // while the entity is pending rem[l]/wcnt[l] ≤ caps[l]/weight ≤ cap and a
 // cap event must be strictly below every link event.
 //
-// Solve falls back to a full solve when no trusted log exists (first
-// solve, or after a defensive freeze of stalled entities).
+// Solve falls back to a full solve — progressive filling from the raw
+// capacities, rebuilding the log — when no trusted log exists (first
+// solve, after a defensive freeze of stalled entities, or after a small
+// solve), when at least half the solvable entities changed, or when at
+// most 16 solvable entities are live. A small solve leaves the log
+// untrusted, so the solve after it is full too; the replay's last bits
+// depend on that rule. Solve has these two regimes only.
 //
 // # Lazy fluid draining and the deadline index
 //

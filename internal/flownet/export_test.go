@@ -49,8 +49,8 @@ func (n *Net) Remaining(id int) float64 {
 }
 
 // FullSolves, IncrementalSolves and ScratchSolves report how often Solve
-// re-solved from scratch with logging, repaired the level log, or took the
-// small-population scratch path.
+// re-solved from scratch above the scratch threshold, repaired the level
+// log, or re-solved a population at or below the threshold from scratch.
 func (n *Net) FullSolves() int        { return n.fullSolves }
 func (n *Net) IncrementalSolves() int { return n.incrSolves }
 func (n *Net) ScratchSolves() int     { return n.scratchSolves }

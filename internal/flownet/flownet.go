@@ -120,38 +120,33 @@ type Net struct {
 	// live in dense by-id arrays (not the entity structs): the fill loop
 	// walks capList and link incidence lists checking them, and the
 	// compact layout keeps those scattered reads in cache.
-	genByID        []uint32 // by entity id: mirror of entity.gen for the log streams
-	fixedLevel     []int32  // by entity id: index of the entity's fix in the level log
-	solveEp        []uint32 // by entity id: == epoch when in the unfixed set
-	fixedEp        []uint32 // by entity id: == epoch when fixed this solve
-	walkEp         []uint32 // by entity id: == epoch when recommitted by the merge replay
-	epoch          uint32
-	unfixed        int
-	unfixedList    []int32
-	rem            []float64
-	wcnt           []int32
-	wsum           []int32              // per-link weight accumulator of the level being applied
-	touchedLn      []int32              // links with nonzero wsum, in first-touch order
-	lnHeap         heapq.Heap[struct{}] // lazy min-heap of active links by (share, id); see minLink
-	lastLinkWeight []int32              // linkWeight as of the last Solve (checkpoint base)
-	bnLevel        []int32              // level index where the link is the bottleneck
-	ckRem          []float64
-	ckWcnt         []int32
-	oldLevels      []level     // merge-replay scratch: the old log suffix
-	oldFixes       []fixEntry  // merge-replay scratch: its fix entries
-	oldDeltas      []linkDelta // merge-replay scratch: its link deltas
-	nCk            int
-	capHeap        heapq.Heap[struct{}] // pending capped entities by (cap, id), lazily pruned
-	levels         []level
-	fixes          []fixEntry
-	deltas         []linkDelta // per-level link flushes, parallel to fixes
-	logOK          bool
+	genByID     []uint32 // by entity id: mirror of entity.gen for the log streams
+	fixedLevel  []int32  // by entity id: index of the entity's fix in the level log
+	solveEp     []uint32 // by entity id: == epoch when in the unfixed set
+	fixedEp     []uint32 // by entity id: == epoch when fixed this solve
+	walkEp      []uint32 // by entity id: == epoch when recommitted by the merge replay
+	epoch       uint32
+	unfixed     int
+	unfixedList []int32
+	rem         []float64
+	wcnt        []int32
+	wsum        []int32              // per-link weight accumulator of the level being applied
+	touchedLn   []int32              // links with nonzero wsum, in first-touch order
+	lnHeap      heapq.Heap[struct{}] // lazy min-heap of active links by (share, id); see minLink
+	bnLevel     []int32              // level index where the link is the bottleneck
+	ckRem       []float64
+	ckUsed      []int32     // checkpointed consumed weight, linkWeight − wcnt (see snapshotCk)
+	oldLevels   []level     // merge-replay scratch: the old log suffix
+	oldFixes    []fixEntry  // merge-replay scratch: its fix entries
+	oldDeltas   []linkDelta // merge-replay scratch: its link deltas
+	nCk         int
+	capHeap     heapq.Heap[struct{}] // pending capped entities by (cap, id), lazily pruned
+	levels      []level
+	fixes       []fixEntry
+	deltas      []linkDelta // per-level link flushes, parallel to fixes
+	logOK       bool
 
 	popped []int32
-
-	// nolog suppresses the level/fix/checkpoint bookkeeping for the
-	// duration of one small-population scratch solve (see solve.go).
-	nolog bool
 
 	fullSolves, incrSolves, scratchSolves             int
 	ckRestores, orphanLevels                          int
@@ -161,15 +156,14 @@ type Net struct {
 // New creates a network over links with the given capacities (bytes/s).
 func New(linkCaps []float64) *Net {
 	n := &Net{
-		caps:           append([]float64(nil), linkCaps...),
-		linkWeight:     make([]int32, len(linkCaps)),
-		lastLinkWeight: make([]int32, len(linkCaps)),
-		bnLevel:        make([]int32, len(linkCaps)),
-		livePos:        make([]int32, len(linkCaps)),
-		linkEnts:       make([][]linkRef, len(linkCaps)),
-		linkChanged:    make([]bool, len(linkCaps)),
-		byRoute:        make(map[routeKey]int32),
-		pendingCut:     noLevel,
+		caps:        append([]float64(nil), linkCaps...),
+		linkWeight:  make([]int32, len(linkCaps)),
+		bnLevel:     make([]int32, len(linkCaps)),
+		livePos:     make([]int32, len(linkCaps)),
+		linkEnts:    make([][]linkRef, len(linkCaps)),
+		linkChanged: make([]bool, len(linkCaps)),
+		byRoute:     make(map[routeKey]int32),
+		pendingCut:  noLevel,
 	}
 	for i := range n.bnLevel {
 		n.bnLevel[i] = noLevel

@@ -1,9 +1,9 @@
 package flownet_test
 
-// Oracle equivalence of the adaptive small-population mode: populations at
-// or below the scratch threshold solve without bottleneck-log bookkeeping,
-// and must produce exactly the same rates as the reference solver — also
-// across transitions into and out of the logged regime.
+// Oracle equivalence of the small-population rule: populations at or below
+// the scratch threshold always take a full solve and leave the log
+// untrusted, and must produce exactly the same rates as the reference
+// solver — also across transitions into and out of the incremental regime.
 
 import (
 	"testing"
@@ -12,9 +12,9 @@ import (
 )
 
 // TestSmallPopulationScratchPathTaken pins that tiny-population churn (the
-// irregular jump=2 replay profile) actually runs the scratch path instead
-// of the log machinery, and still matches the from-scratch oracle on every
-// solve.
+// irregular jump=2 replay profile) actually takes the small-population full
+// solve instead of the merge replay, and still matches the from-scratch
+// oracle on every solve.
 func TestSmallPopulationScratchPathTaken(t *testing.T) {
 	for _, cl := range []*platform.Cluster{platform.Grelon(), platform.Big1024()} {
 		cl := cl
@@ -33,7 +33,7 @@ func TestSmallPopulationScratchPathTaken(t *testing.T) {
 				o.check()
 			}
 			if o.net.ScratchSolves() < 50 {
-				t.Errorf("scratch solves = %d (full %d, incremental %d): tiny populations must skip the log bookkeeping",
+				t.Errorf("scratch solves = %d (full %d, incremental %d): tiny populations must not repair the log",
 					o.net.ScratchSolves(), o.net.FullSolves(), o.net.IncrementalSolves())
 			}
 			if o.net.IncrementalSolves() > 0 {
@@ -45,33 +45,53 @@ func TestSmallPopulationScratchPathTaken(t *testing.T) {
 
 // TestSmallPopulationRegimeTransitions grows a population across the
 // scratch threshold and shrinks it back, checking oracle equivalence at
-// every step: the first above-threshold solve after a scratch era must
-// rebuild the log from scratch (the scratch path leaves it untrusted), and
-// dropping back below the threshold must stay exact.
+// every step. The first above-threshold solve after a small one must be a
+// full solve, not an incremental one: a small solve leaves the log
+// untrusted, and that rule is what the replay digests depend on. Dropping
+// back below the threshold must stay exact.
 func TestSmallPopulationRegimeTransitions(t *testing.T) {
 	cl := platform.Big512()
+	transitions := 0
 	for seed := int64(0); seed < 6; seed++ {
 		o := newOracleNet(t, cl, 9000+seed)
+		afterSmall := false
+		check := func() {
+			t.Helper()
+			small, full, incr := o.net.ScratchSolves(), o.net.FullSolves(), o.net.IncrementalSolves()
+			o.check()
+			if o.net.ScratchSolves() > small {
+				afterSmall = true
+				return
+			}
+			if afterSmall {
+				if o.net.FullSolves() == full {
+					t.Fatalf("seed %d: the first solve above the threshold after a small one was not full (incremental solves %d → %d)",
+						seed, incr, o.net.IncrementalSolves())
+				}
+				transitions++
+			}
+			afterSmall = false
+		}
 		// Grow 0 → 120 one flow at a time, solving at every step.
 		for i := 0; i < 120; i++ {
 			o.addRandom()
-			o.check()
+			check()
 		}
 		// Churn in the logged regime so the log carries real history.
 		for step := 0; step < 20; step++ {
 			o.removeRandom()
 			o.addRandom()
-			o.check()
+			check()
 		}
 		// Shrink back through the threshold to a handful of flows.
 		for len(o.flows) > 3 {
 			o.removeRandom()
-			o.check()
+			check()
 		}
-		// And grow again: the post-scratch log rebuild must be exact.
+		// And grow again: the post-small log rebuild must be exact.
 		for i := 0; i < 60; i++ {
 			o.addRandom()
-			o.check()
+			check()
 		}
 		if o.net.ScratchSolves() == 0 {
 			t.Fatal("transition sequence never exercised the scratch path")
@@ -79,5 +99,8 @@ func TestSmallPopulationRegimeTransitions(t *testing.T) {
 		if o.net.IncrementalSolves() == 0 {
 			t.Fatal("transition sequence never exercised the log-repair path")
 		}
+	}
+	if transitions == 0 {
+		t.Fatal("no solve followed a small one above the threshold")
 	}
 }

@@ -41,24 +41,23 @@ type fixEntry struct {
 }
 
 // ckStride is the checkpoint spacing: the solver snapshots the (rem,
-// wcnt) state every ckStride levels, so a later solve can restore the
-// state at any cut point with one O(links) copy plus at most ckStride
-// levels of delta replay instead of re-applying the whole prefix.
+// consumed weight) state every ckStride levels, so a later solve can
+// restore the state at any cut point with one O(links) copy plus at most
+// ckStride levels of delta replay instead of re-applying the whole prefix.
 const ckStride = 32
 
-// DefaultScratchThreshold is the population size at or below which Solve
-// re-solves from scratch without any bottleneck-log bookkeeping: for tiny
+// scratchThreshold is the population size at or below which Solve takes a
+// full solve even when the log could be repaired, and leaves the log
+// untrusted afterwards, so the next solve is full as well. For tiny
 // populations (the irregular jump=2 scenario classes keep a handful of
-// concurrent flows) progressive filling is cheaper than the merge replay's
-// fixed costs — checkpoint restore, level/fix logging, snapshot
-// maintenance — and the scratch path additionally touches only the live
-// links instead of copying full capacity vectors. The solve regimes
-// compute the same max-min rates up to floating-point rounding (the
-// oracle suite pins them to 1e-9), so moving the threshold can change the
-// last digits of a replayed makespan. 16 is measured: replaying the
+// concurrent flows) progressive filling costs no more than the merge
+// replay. Full and incremental solves compute the same max-min rates only
+// up to floating-point rounding (the oracle suite pins them to 1e-9), so
+// the threshold fixes the last digits of replayed makespans: with 0,
+// TestReplayGolden's big512 digests move. 16 is measured: replaying the
 // served paper-scale request pool, thresholds 32 and 64 were about 2% and
 // 11% slower per replay, and at big scale the three tied.
-const DefaultScratchThreshold = 16
+const scratchThreshold = 16
 
 const noLevel = math.MaxInt32
 
@@ -85,65 +84,24 @@ func (n *Net) Solve() {
 	n.unfixedList = n.unfixedList[:0]
 	n.capHeap.Reset()
 
-	// Small populations re-solve from scratch without any log bookkeeping:
-	// no levels, no fix entries, no checkpoints, and only the live links'
-	// working state restored. The log is declared untrusted, so the next
-	// above-threshold solve rebuilds it with one full pass.
-	if n.solvable <= DefaultScratchThreshold {
-		n.scratchSolves++
-		for _, l := range n.chLinks {
-			// Keep the checkpoint weight base in sync even though the
-			// checkpoints themselves are dropped: the next full solve
-			// snapshots against current weights, and later drift folds
-			// must not double-count the small-era changes.
-			n.lastLinkWeight[l] = n.linkWeight[l]
-		}
-		n.nCk = 0
-		n.logOK = false
-		n.levels = n.levels[:0]
-		n.fixes = n.fixes[:0]
-		n.deltas = n.deltas[:0]
-		for _, l := range n.liveLinks {
-			n.rem[l] = n.caps[l]
-			n.wcnt[l] = n.linkWeight[l]
-		}
-		for _, eid := range n.active {
-			if e := &n.ents[eid]; !e.exempt {
-				n.queuePending(eid, e)
-			}
-		}
-		n.unfixed = len(n.unfixedList)
-		n.nolog = true
-		n.fill()
-		n.nolog = false
-		n.finishSolve()
-		return
-	}
-
-	// Checkpoint weight maintenance: snapshots store wcnt relative to the
-	// link weights of the solve that took them. Changed links fold the
-	// weight drift into every retained snapshot so restores are plain
-	// copies.
-	for _, l := range n.chLinks {
-		if d := n.linkWeight[l] - n.lastLinkWeight[l]; d != 0 {
-			for c := 0; c < n.nCk; c++ {
-				n.ckWcnt[c*nl+int(l)] += d
-			}
-			n.lastLinkWeight[l] = n.linkWeight[l]
-		}
-	}
-
-	// A burst that changes most of the population (a large redistribution
-	// fan-out arriving at once) makes log repair pure overhead: nearly
-	// every level would be skipped or reinserted. Solve from scratch and
-	// let progressive filling rebuild the log in one pass.
-	full := !n.logOK || n.nCk == 0 || 2*len(n.chEnts) >= n.solvable
-	n.logOK = true // the walk or the fill may drop it again
-	kept := 0      // levels an incremental solve carries over from the old log
+	// A small population, or a burst that changes most of the population
+	// (a large redistribution fan-out arriving at once), makes log repair
+	// pure overhead: nearly every level would be skipped or reinserted.
+	// Solve from scratch and let progressive filling rebuild the log in
+	// one pass. A small solve leaves the log untrusted, so the solve after
+	// it is full too.
+	small := n.solvable <= scratchThreshold
+	full := small || !n.logOK || 2*len(n.chEnts) >= n.solvable
+	n.logOK = !small // the walk or the fill may drop it again
+	kept := 0        // levels an incremental solve carries over from the old log
 	if full {
 		// Full solve: no trusted log. Start from the raw capacities and
 		// seed checkpoint 0 with the initial state.
-		n.fullSolves++
+		if small {
+			n.scratchSolves++
+		} else {
+			n.fullSolves++
+		}
 		n.levels = n.levels[:0]
 		n.fixes = n.fixes[:0]
 		n.deltas = n.deltas[:0]
@@ -181,11 +139,7 @@ func (n *Net) Solve() {
 	if !full {
 		n.levelsInserted += len(n.levels) - kept
 	}
-	n.finishSolve()
-}
-
-// finishSolve clears the change tracking every solve path shares.
-func (n *Net) finishSolve() {
+	// Clear the change tracking.
 	for _, l := range n.chLinks {
 		n.linkChanged[l] = false
 	}
@@ -197,14 +151,15 @@ func (n *Net) finishSolve() {
 	n.pendingCut = noLevel
 }
 
-// AddCounters adds the solver's regime counts into c: full solves (from
-// scratch, with logging), incremental level-log repairs and small-
-// population scratch solves; merge-replay solves that rewound to a stride
-// checkpoint, and old levels orphaned because their recorded bottleneck
-// share went stale during the merge walk; and the levels an incremental
-// solve re-applied between the restored checkpoint and the cut, the clean
-// old levels the merge walk carried over whole, and the levels it wrote
-// fresh (inserted in place by the walk or appended by the fill after it).
+// AddCounters adds the solver's regime counts into c: full solves of
+// populations above the scratch threshold, incremental level-log repairs
+// and full solves of small populations; merge-replay solves that rewound
+// to a stride checkpoint, and old levels orphaned because their recorded
+// bottleneck share went stale during the merge walk; and the levels an
+// incremental solve re-applied between the restored checkpoint and the
+// cut, the clean old levels the merge walk carried over whole, and the
+// levels it wrote fresh (inserted in place by the walk or appended by the
+// fill after it).
 func (n *Net) AddCounters(c *obs.Counters) {
 	c.SolvesFull += uint64(n.fullSolves)
 	c.SolvesIncremental += uint64(n.incrSolves)
@@ -364,12 +319,12 @@ func (n *Net) mergeReplay() int {
 		ck = n.nCk - 1
 	}
 	n.ckRestores++
-	ckR, ckW := n.ckRem[ck*nl:(ck+1)*nl], n.ckWcnt[ck*nl:(ck+1)*nl]
+	ckR, ckU := n.ckRem[ck*nl:(ck+1)*nl], n.ckUsed[ck*nl:(ck+1)*nl]
 	for _, l := range n.liveLinks {
-		n.rem[l], n.wcnt[l] = ckR[l], ckW[l]
+		n.rem[l], n.wcnt[l] = ckR[l], n.linkWeight[l]-ckU[l]
 	}
 	for _, l := range n.chLinks {
-		n.rem[l], n.wcnt[l] = ckR[l], ckW[l]
+		n.rem[l], n.wcnt[l] = ckR[l], n.linkWeight[l]-ckU[l]
 	}
 	for li := ck * ckStride; li < cutLow; li++ {
 		lv := &n.levels[li]
@@ -560,15 +515,12 @@ func (n *Net) applyDeltas(ds []linkDelta, r float64) {
 // every distinct link gets a single multiply-subtract and weight-count
 // decrement regardless of how many entities the level fixed (on the
 // hierarchical presets a saturating node link drains its cabinet uplink
-// once, not once per receiver), logged as the level's link deltas unless
-// the solve keeps no log.
+// once, not once per receiver), logged as the level's link deltas.
 func (n *Net) flushLevel(r float64) {
 	for _, l := range n.touchedLn {
 		w := n.wsum[l]
 		n.wsum[l] = 0
-		if !n.nolog {
-			n.deltas = append(n.deltas, linkDelta{link: l, w: w})
-		}
+		n.deltas = append(n.deltas, linkDelta{link: l, w: w})
 		n.rem[l] -= float64(w) * r
 		if n.rem[l] < 0 {
 			n.rem[l] = 0
@@ -580,20 +532,14 @@ func (n *Net) flushLevel(r float64) {
 
 // fixMeta freezes one entity of the level being built: rate, epoch stamps
 // and the fix-log entry, with the link consumption deferred to flushLevel.
-// In nolog (small-population) mode the fix log is skipped and the entity is
-// marked as absent from it.
 func (n *Net) fixMeta(eid int32, rate float64) {
 	e := &n.ents[eid]
 	e.rate = rate
 	n.rates[e.pos] = rate
 	n.fixedEp[eid] = n.epoch
 	n.bumpDeadline(eid, e)
-	if n.nolog {
-		n.fixedLevel[eid] = noLevel
-	} else {
-		n.fixedLevel[eid] = int32(len(n.levels))
-		n.fixes = append(n.fixes, fixEntry{ent: eid, gen: e.gen})
-	}
+	n.fixedLevel[eid] = int32(len(n.levels))
+	n.fixes = append(n.fixes, fixEntry{ent: eid, gen: e.gen})
 	for _, l := range e.links {
 		if n.wsum[l] == 0 {
 			n.touchedLn = append(n.touchedLn, l)
@@ -616,8 +562,11 @@ func (n *Net) logLevel(link, fixStart, dStart int32, value float64) {
 	})
 }
 
-// snapshotCk stores the current (rem, wcnt) as checkpoint c (the state
-// before level c*ckStride).
+// snapshotCk stores the current state as checkpoint c (the state before
+// level c*ckStride): rem, and the weight the levels before it consumed,
+// linkWeight − wcnt. Entities fixed before the checkpoint are unchanged
+// while it is valid, so the consumed weight needs no upkeep when other
+// entities come and go: a restore reads wcnt = linkWeight − consumed.
 func (n *Net) snapshotCk(c int) {
 	nl := len(n.caps)
 	need := (c + 1) * nl
@@ -625,45 +574,25 @@ func (n *Net) snapshotCk(c int) {
 		grown := make([]float64, need, 2*need)
 		copy(grown, n.ckRem)
 		n.ckRem = grown
-		grownW := make([]int32, need, 2*need)
-		copy(grownW, n.ckWcnt)
-		n.ckWcnt = grownW
+		grownU := make([]int32, need, 2*need)
+		copy(grownU, n.ckUsed)
+		n.ckUsed = grownU
 	}
 	n.ckRem = n.ckRem[:need]
-	n.ckWcnt = n.ckWcnt[:need]
+	n.ckUsed = n.ckUsed[:need]
 	// Links without live weight hold stale scratch (the sparse restore
 	// never rewrites them); their canonical state is the full capacity:
 	// a link with no live entities has no fixes in the log, hence no
 	// prefix consumption (every dead entity's fix entry has been cut or
 	// dropped by the walk before a snapshot can see it).
-	ckR, ckW := n.ckRem[c*nl:need], n.ckWcnt[c*nl:need]
+	ckR, ckU := n.ckRem[c*nl:need], n.ckUsed[c*nl:need]
 	copy(ckR, n.caps)
-	for i := range ckW {
-		ckW[i] = 0
+	for i := range ckU {
+		ckU[i] = 0
 	}
 	for _, l := range n.liveLinks {
-		ckR[l], ckW[l] = n.rem[l], n.wcnt[l]
+		ckR[l], ckU[l] = n.rem[l], n.linkWeight[l]-n.wcnt[l]
 	}
-}
-
-// applyFix freezes an entity's rate and removes its consumption from the
-// working state; only the defensive no-progress path uses it (the level
-// fills go through fixMeta + flushLevel).
-func (n *Net) applyFix(eid int32, rate float64) {
-	e := &n.ents[eid]
-	e.rate = rate
-	n.rates[e.pos] = rate
-	n.bumpDeadline(eid, e)
-	n.fixedEp[eid] = n.epoch
-	w := float64(e.weight)
-	for _, l := range e.links {
-		n.rem[l] -= w * rate
-		if n.rem[l] < 0 {
-			n.rem[l] = 0
-		}
-		n.wcnt[l] -= e.weight
-	}
-	n.unfixed--
 }
 
 // fill runs weighted progressive filling over the unfixed population,
@@ -694,7 +623,7 @@ func (n *Net) fill() {
 	solveEp, fixedEp, epoch := n.solveEp, n.fixedEp, n.epoch
 
 	for n.unfixed > 0 {
-		if i := len(n.levels); !n.nolog && i%ckStride == 0 && i/ckStride >= n.nCk {
+		if i := len(n.levels); i%ckStride == 0 && i/ckStride >= n.nCk {
 			n.snapshotCk(i / ckStride)
 			n.nCk = i/ckStride + 1
 		}
@@ -712,9 +641,7 @@ func (n *Net) fill() {
 		case capEnt >= 0:
 			n.fixMeta(capEnt, capVal)
 			n.flushLevel(capVal)
-			if !n.nolog {
-				n.logLevel(-1, fixStart, dStart, capVal)
-			}
+			n.logLevel(-1, fixStart, dStart, capVal)
 		case bottleneck >= 0:
 			if share < 0 {
 				share = 0
@@ -725,22 +652,22 @@ func (n *Net) fill() {
 				}
 			}
 			n.flushLevel(share)
-			if !n.nolog {
-				n.logLevel(bottleneck, fixStart, dStart, share)
-			}
+			n.logLevel(bottleneck, fixStart, dStart, share)
 		default:
 			// Defensive no-progress path (mirrors the reference solver):
 			// freeze the remaining capped entities at their caps, anything
-			// left at 0, and drop the log — these events are not ordered
-			// levels a later replay could trust. The caps are read off the
-			// entities, not the cap heap, which holds only binding caps.
+			// left at 0, one flush each, and drop the log — these events
+			// are not ordered levels a later replay could trust. The caps
+			// are read off the entities, not the cap heap, which holds
+			// only binding caps.
 			for _, eid := range n.unfixedList {
 				if fixedEp[eid] != epoch {
 					r := 0.0
 					if c := n.ents[eid].cap; c > 0 {
 						r = c
 					}
-					n.applyFix(eid, r)
+					n.fixMeta(eid, r)
+					n.flushLevel(r)
 				}
 			}
 			n.logOK = false

@@ -45,12 +45,13 @@ type Counters struct {
 	AlignGreedy uint64 `json:"align_greedy"`
 
 	// Replay rate solving (internal/flownet under internal/simdag): how often
-	// Solve ran each regime — full rebuild, incremental merge-replay,
-	// small-population scratch — plus merge-replay checkpoint restores,
-	// old bottleneck levels orphaned by stale shares, and what the merge
-	// replays did with the level log: levels re-applied from a checkpoint
-	// up to the cut, clean old levels recommitted whole, and levels
-	// written fresh.
+	// Solve ran each of its two regimes — full rebuild, incremental
+	// merge-replay — with full rebuilds of small populations (at most 16
+	// solvable entities) counted apart in SolvesScratch; plus merge-replay
+	// checkpoint restores, old bottleneck levels orphaned by stale shares,
+	// and what the merge replays did with the level log: levels re-applied
+	// from a checkpoint up to the cut, clean old levels recommitted whole,
+	// and levels written fresh.
 	SolvesFull        uint64 `json:"solves_full"`
 	SolvesIncremental uint64 `json:"solves_incremental"`
 	SolvesScratch     uint64 `json:"solves_scratch"`
@@ -103,8 +104,8 @@ func (c *Counters) DedupSkipPct() float64 {
 	return ratio(c.DedupSkips, c.CandEvals+c.DedupSkips)
 }
 
-// ScratchSolvePct returns the share of rate solves that took the
-// small-population scratch path.
+// ScratchSolvePct returns the share of rate solves that were full
+// rebuilds of a small population.
 func (c *Counters) ScratchSolvePct() float64 {
 	return ratio(c.SolvesScratch, c.SolvesFull+c.SolvesIncremental+c.SolvesScratch)
 }

@@ -62,9 +62,10 @@ var replayGoldenCases = []struct {
 // TestReplayGolden replays every golden case through Execute and compares
 // digests. Together the cases must exercise the merge replay's
 // incremental solves, checkpoint restores and orphaned levels, so the
-// digests cannot pass on a path that never repairs the log.
+// digests cannot pass on a path that never repairs the log, and the
+// small-population solves, whose threshold the digests depend on.
 func TestReplayGolden(t *testing.T) {
-	var incr, restores, orphans uint64
+	var incr, restores, orphans, small uint64
 	for _, c := range replayGoldenCases {
 		c := c
 		t.Run(c.cl.Name+"/"+c.label, func(t *testing.T) {
@@ -79,6 +80,7 @@ func TestReplayGolden(t *testing.T) {
 			incr += r.Counters.SolvesIncremental
 			restores += r.Counters.CkRestores
 			orphans += r.Counters.OrphanLevels
+			small += r.Counters.SolvesScratch
 			if got := replayDigest(r); got != c.want {
 				t.Errorf("replay digest = %s, want %s (replayed times changed)", got, c.want)
 			}
@@ -87,5 +89,8 @@ func TestReplayGolden(t *testing.T) {
 	if incr == 0 || restores == 0 || orphans == 0 {
 		t.Errorf("golden cases never repair the level log: %d incremental solves, %d checkpoint restores, %d orphaned levels",
 			incr, restores, orphans)
+	}
+	if small == 0 {
+		t.Error("golden cases never solve a small population")
 	}
 }

@@ -208,17 +208,31 @@ type RandomSpec struct {
 }
 
 // Random generates a random mixed-parallel application DAG. An invalid
-// spec yields a DAG whose Build (and scheduling) fails with the cause.
+// spec — N < 1, or Width, Regularity or Density outside the ranges
+// RandomSpec gives (NaN and ±Inf included) — yields a DAG whose Build (and
+// scheduling) fails with the cause.
 func Random(spec RandomSpec) *DAG {
 	kind := "irregular"
 	if spec.Layered {
 		kind = "layered"
 	}
 	name := fmt.Sprintf("%s(n=%d,seed=%d)", kind, spec.N, spec.Seed)
-	if spec.N < 1 {
+	// The negated range tests reject NaN as well.
+	var bad string
+	switch {
+	case spec.N < 1:
+		bad = fmt.Sprintf("N must be ≥ 1, got %d", spec.N)
+	case !(spec.Width > 0 && spec.Width <= 1):
+		bad = fmt.Sprintf("Width must be in (0, 1], got %g", spec.Width)
+	case !(spec.Regularity >= 0 && spec.Regularity <= 1):
+		bad = fmt.Sprintf("Regularity must be in [0, 1], got %g", spec.Regularity)
+	case !(spec.Density > 0 && spec.Density <= 1):
+		bad = fmt.Sprintf("Density must be in (0, 1], got %g", spec.Density)
+	}
+	if bad != "" {
 		d := NewDAG()
 		d.Name = name
-		return d.fail("rats: RandomSpec.N must be ≥ 1, got %d", spec.N)
+		return d.fail("rats: RandomSpec.%s", bad)
 	}
 	return wrap(name, gen.Random(gen.RandomParams{
 		N:          spec.N,

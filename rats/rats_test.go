@@ -65,6 +65,47 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestRandomSpecRanges checks that Random rejects, through the DAG's build
+// error, every spec outside the ranges RandomSpec documents, and builds
+// the range boundaries.
+func TestRandomSpecRanges(t *testing.T) {
+	ok := RandomSpec{N: 10, Width: 0.5, Regularity: 0.5, Density: 0.5, Seed: 1}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name  string
+		edit  func(*RandomSpec)
+		field string // named by the error; "" for a valid spec
+	}{
+		{"width 0", func(s *RandomSpec) { s.Width = 0 }, "Width"},
+		{"width -1", func(s *RandomSpec) { s.Width = -1 }, "Width"},
+		{"width 2", func(s *RandomSpec) { s.Width = 2 }, "Width"},
+		{"width NaN", func(s *RandomSpec) { s.Width = nan }, "Width"},
+		{"width +Inf", func(s *RandomSpec) { s.Width = inf }, "Width"},
+		{"regularity -3", func(s *RandomSpec) { s.Regularity = -3 }, "Regularity"},
+		{"regularity 1.5", func(s *RandomSpec) { s.Regularity = 1.5 }, "Regularity"},
+		{"regularity NaN", func(s *RandomSpec) { s.Regularity = nan }, "Regularity"},
+		{"density 0", func(s *RandomSpec) { s.Density = 0 }, "Density"},
+		{"density 5", func(s *RandomSpec) { s.Density = 5 }, "Density"},
+		{"density -Inf", func(s *RandomSpec) { s.Density = -inf }, "Density"},
+		{"n 0", func(s *RandomSpec) { s.N = 0 }, "N"},
+		{"upper bounds", func(s *RandomSpec) { s.Width, s.Regularity, s.Density = 1, 1, 1 }, ""},
+		{"regularity 0", func(s *RandomSpec) { s.Regularity = 0 }, ""},
+	} {
+		spec := ok
+		c.edit(&spec)
+		for _, layered := range []bool{false, true} {
+			spec.Layered = layered
+			err := Random(spec).Build()
+			switch {
+			case c.field == "" && err != nil:
+				t.Errorf("%s (layered %v): Build failed: %v", c.name, layered, err)
+			case c.field != "" && (err == nil || !strings.Contains(err.Error(), "RandomSpec."+c.field+" ")):
+				t.Errorf("%s (layered %v): Build error %v, want one naming RandomSpec.%s", c.name, layered, err, c.field)
+			}
+		}
+	}
+}
+
 func TestBuilderKeepsFirstError(t *testing.T) {
 	d := NewDAG().
 		Task("", TaskSpec{}).
